@@ -11,7 +11,6 @@
 #include "core/threshold_solver.hpp"
 #include "cpu/core.hpp"
 #include "pdn/impulse.hpp"
-#include "pdn/partitioned_convolver.hpp"
 #include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
 #include "workloads/kernels.hpp"
@@ -48,23 +47,6 @@ BM_Convolver(benchmark::State &state)
     state.counters["taps"] = static_cast<double>(conv.taps());
 }
 BENCHMARK(BM_Convolver);
-
-static void
-BM_PartitionedConvolver(benchmark::State &state)
-{
-    const auto pkg = pdn::PackageModel(referencePackage(2.0));
-    pdn::PartitionedConvolver conv(pdn::impulseResponse(pkg), 1.0, 10.0);
-    double amps = 10.0;
-    for (auto _ : state) {
-        amps = amps < 40.0 ? amps + 1.0 : 10.0;
-        benchmark::DoNotOptimize(conv.step(amps));
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.counters["taps"] = static_cast<double>(conv.taps());
-    state.counters["partitions"] =
-        static_cast<double>(conv.partitions());
-}
-BENCHMARK(BM_PartitionedConvolver);
 
 static void
 BM_CoreCycle(benchmark::State &state)

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "core/actuator.hpp"
-#include "core/sweep_client.hpp"
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "obs/tracing.hpp"
@@ -120,13 +119,44 @@ CampaignEngine::forEach(size_t count,
         std::rethrow_exception(firstError);
 }
 
+namespace {
+
+/**
+ * Fill every aggregate field of @p out (totals, min/max V, IPC
+ * distribution, merged histogram/stats/profile) from out.runs.
+ */
+void
+aggregateCampaignRuns(CampaignResult &out)
+{
+    // Serial aggregation in submission order: byte-identical results
+    // for any thread count.
+    bool first = true;
+    for (const RunResult &rr : out.runs) {
+        out.totalCycles += rr.sim.cycles;
+        out.totalCommitted += rr.sim.committed;
+        out.totalEmergencyCycles += rr.sim.emergencyCycles();
+        out.totalGatedCycles += rr.sim.gatedCycles;
+        out.totalEnergyJ += rr.sim.energyJ;
+        if (first) {
+            out.minV = rr.sim.minV;
+            out.maxV = rr.sim.maxV;
+            first = false;
+        } else {
+            out.minV = std::min(out.minV, rr.sim.minV);
+            out.maxV = std::max(out.maxV, rr.sim.maxV);
+        }
+        out.ipc.add(rr.sim.ipc);
+        out.mergedHist.merge(rr.sim.voltageHist);
+        out.mergedStats.merge(rr.sim.stats);
+        out.profile.merge(rr.sim.profile);
+    }
+}
+
+} // namespace
+
 CampaignResult
 CampaignEngine::run(std::vector<CampaignJob> jobs) const
 {
-    if (!opts_.serverSocket.empty())
-        return runCampaignOnServer(opts_.serverSocket, opts_,
-                                   std::move(jobs));
-
     // Whole-campaign wall time through the profiler's whitelisted
     // wall-clock zone (vlint det-wallclock); feeds only the
     // machine-dependent wallSeconds field, never the JSONL artifacts.
@@ -145,8 +175,7 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
         rr.index = i;
         rr.name = job.name;
         RunSpec spec = job.spec;
-        if (opts_.deriveSeeds)
-            spec.noiseSeed = deriveRunSeed(opts_.campaignSeed, i);
+        spec.noiseSeed = deriveRunSeed(opts_.campaignSeed, i);
         if (opts_.profiling)
             spec.profiling = true;
         rr.spec = spec;
@@ -190,44 +219,6 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
     return out;
 }
 
-void
-aggregateCampaignRuns(CampaignResult &out)
-{
-    // Serial aggregation in submission order: byte-identical results
-    // for any thread count (and for remote vs local execution).
-    out.totalCycles = 0;
-    out.totalCommitted = 0;
-    out.totalEmergencyCycles = 0;
-    out.totalGatedCycles = 0;
-    out.totalEnergyJ = 0.0;
-    out.minV = 0.0;
-    out.maxV = 0.0;
-    out.ipc = RunningStat{};
-    out.mergedHist.reset();
-    out.mergedStats = obs::Snapshot{};
-    out.profile = obs::ProfileData{};
-    bool first = true;
-    for (const RunResult &rr : out.runs) {
-        out.totalCycles += rr.sim.cycles;
-        out.totalCommitted += rr.sim.committed;
-        out.totalEmergencyCycles += rr.sim.emergencyCycles();
-        out.totalGatedCycles += rr.sim.gatedCycles;
-        out.totalEnergyJ += rr.sim.energyJ;
-        if (first) {
-            out.minV = rr.sim.minV;
-            out.maxV = rr.sim.maxV;
-            first = false;
-        } else {
-            out.minV = std::min(out.minV, rr.sim.minV);
-            out.maxV = std::max(out.maxV, rr.sim.maxV);
-        }
-        out.ipc.add(rr.sim.ipc);
-        out.mergedHist.merge(rr.sim.voltageHist);
-        out.mergedStats.merge(rr.sim.stats);
-        out.profile.merge(rr.sim.profile);
-    }
-}
-
 namespace {
 
 void
@@ -239,7 +230,9 @@ emitSpec(JsonWriter &w, const RunSpec &spec)
     w.field("sensorError", spec.sensorError);
     w.field("actuator", actuatorName(spec.actuator));
     w.field("controller", spec.controllerEnabled);
-    w.field("convolution", spec.useConvolution);
+    // State space is the only runtime back-end; the key stays so the
+    // artifact bytes (goldens, benchmark oracle digests) do not move.
+    w.field("convolution", false);
     w.field("maxCycles", spec.maxCycles);
     w.field("noiseSeed", spec.noiseSeed);
     w.endObject();
@@ -444,7 +437,8 @@ CampaignCli
 parseCampaignCli(int argc, char **argv)
 {
     CampaignCli cli;
-    auto numeric = [](const char *flag, const char *text) -> uint64_t {
+    auto numeric = [](const char *flag, const char *text,
+                      uint64_t max) -> uint64_t {
         // strtoull silently accepts a leading '-' and wraps it to a
         // huge unsigned value ("--seed -1" would become 2^64-1), so
         // reject any sign explicitly before converting.
@@ -459,7 +453,7 @@ parseCampaignCli(int argc, char **argv)
         const unsigned long long v = std::strtoull(text, &end, 0);
         if (end == text || *end != '\0')
             fatal("%s: expected a number, got '%s'", flag, text);
-        if (errno == ERANGE)
+        if (errno == ERANGE || v > max)
             fatal("%s: value out of range: '%s'", flag, text);
         return v;
     };
@@ -480,10 +474,12 @@ parseCampaignCli(int argc, char **argv)
         };
         if (arg == "--threads") {
             cli.options.threads = static_cast<unsigned>(
-                numeric("--threads", takeValue("--threads").c_str()));
+                numeric("--threads", takeValue("--threads").c_str(),
+                        std::numeric_limits<unsigned>::max()));
         } else if (arg == "--seed") {
             cli.options.campaignSeed =
-                numeric("--seed", takeValue("--seed").c_str());
+                numeric("--seed", takeValue("--seed").c_str(),
+                        std::numeric_limits<uint64_t>::max());
         } else if (arg == "--jsonl") {
             cli.jsonlPath = takeValue("--jsonl");
             if (cli.jsonlPath.empty())
@@ -507,10 +503,6 @@ parseCampaignCli(int argc, char **argv)
             cli.traceCanonicalPath = takeValue("--trace-canonical");
             if (cli.traceCanonicalPath.empty())
                 fatal("--trace-canonical: missing value");
-        } else if (arg == "--server") {
-            cli.options.serverSocket = takeValue("--server");
-            if (cli.options.serverSocket.empty())
-                fatal("--server: missing value");
         } else if (arg == "--progress") {
             cli.options.progress = true;
         } else {

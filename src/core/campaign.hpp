@@ -126,12 +126,6 @@ class CampaignEngine
         /** Root seed for per-run noise-seed derivation. */
         uint64_t campaignSeed = 0x5e11507;
         /**
-         * Derive per-run seeds (the default). Disable only to
-         * reproduce single-run behaviour where every run shares
-         * RunSpec::noiseSeed verbatim.
-         */
-        bool deriveSeeds = true;
-        /**
          * Force RunSpec::profiling on for every job (wall-clock phase
          * sampling; results untouched). Set by --stats-json.
          */
@@ -139,19 +133,6 @@ class CampaignEngine
         /** Print a progress line as each run completes (--progress).
             Completion order is nondeterministic; artifacts are not. */
         bool progress = false;
-        /**
-         * When non-empty, run() ships the whole campaign to the sweep
-         * daemon listening on this Unix socket (via the client in
-         * core/sweep_client.hpp; daemon in svc/sweepd.hpp)
-         * instead of simulating locally, and rebuilds the result from
-         * the reply stream. The daemon keeps the trace cache,
-         * threshold solutions and persistent store resident, so a
-         * cold *client* process still gets warm-sweep latency.
-         * Results are byte-identical to a local run: seeds derive
-         * from (campaignSeed, index) and aggregation is recomputed
-         * client-side in submission order. Set by --server PATH.
-         */
-        std::string serverSocket;
     };
 
     CampaignEngine() : CampaignEngine(Options{}) {}
@@ -197,23 +178,12 @@ struct CampaignCli
  * profiling), `--events FILE`, `--trace FILE` (Chrome trace-event
  * JSON; enables the obs::Tracer), `--trace-canonical FILE` (the
  * wall-clock-stripped canonical form; also enables the tracer),
- * `--server SOCKET` (ship the campaign to a vguard-sweepd daemon),
  * `--progress` (also `--flag=value` forms). Unknown arguments are
  * returned as positionals in order; malformed values are fatal().
  * Shared by the bench binaries and examples so every sweep exposes
  * the same knobs.
  */
 CampaignCli parseCampaignCli(int argc, char **argv);
-
-/**
- * Recompute every aggregate field of @p out (totals, min/max V, IPC
- * distribution, merged histogram/stats/profile) from out.runs in
- * submission order — byte-deterministic for any thread count. Called
- * by CampaignEngine::run and by the sweep-service client after it
- * rebuilds out.runs from the wire, so remote campaigns aggregate with
- * the exact same arithmetic as local ones.
- */
-void aggregateCampaignRuns(CampaignResult &out);
 
 /**
  * Write result.jsonl() to @p path (no-op when empty; fatal on I/O

@@ -231,7 +231,6 @@ makeSimConfig(const RunSpec &spec)
     cfg.cpu = m.cpu;
     cfg.power = m.power;
     cfg.package = referencePackage(spec.impedanceScale);
-    cfg.useConvolution = spec.useConvolution;
     cfg.actuator = spec.actuator;
     cfg.profiling = spec.profiling;
     if (spec.controllerEnabled) {
@@ -367,12 +366,17 @@ cycleBudget(uint64_t fallback)
     // Read on the main thread while parsing CLI options, before the
     // campaign pool spawns (test_core.cpp toggles it sequentially).
     // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char *env = std::getenv("VGUARD_CYCLES")) {
-        const unsigned long long v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
+    const char *env = std::getenv("VGUARD_CYCLES");
+    if (!env || !*env)
+        return fallback;
+    uint64_t cycles = 0;
+    if (!parseUnsignedDecimal(env, 19, cycles) || cycles == 0) {
+        warn("VGUARD_CYCLES: expected a positive cycle count, got '%s'; "
+             "using default %llu",
+             env, static_cast<unsigned long long>(fallback));
+        return fallback;
     }
-    return fallback;
+    return cycles;
 }
 
 } // namespace vguard::core

@@ -80,7 +80,6 @@ struct RunSpec
     double sensorError = 0.0;     ///< bounded reading error [V]
     ActuatorKind actuator = ActuatorKind::Ideal;
     bool controllerEnabled = true;
-    bool useConvolution = false;
     uint64_t maxCycles = 200000;
     uint64_t maxInsts = ~0ull;
     /**
@@ -134,7 +133,11 @@ struct Comparison
 Comparison compareControlled(const isa::Program &program,
                              const RunSpec &spec);
 
-/** Environment-variable override for cycle budgets (VGUARD_CYCLES). */
+/**
+ * Environment-variable override for cycle budgets (VGUARD_CYCLES): a
+ * positive decimal count of at most 19 digits. Unset or empty gives
+ * @p fallback; any other text warns and gives @p fallback.
+ */
 uint64_t cycleBudget(uint64_t fallback);
 
 } // namespace vguard::core

@@ -86,13 +86,12 @@ envEnabled(const char *name)
 } // namespace
 
 bool
-parseTraceCacheMb(const std::string &text, size_t &mb)
+parseUnsignedDecimal(const std::string &text, size_t maxDigits,
+                     uint64_t &value)
 {
-    // Unsigned decimal digits only: strtoull would coerce "-5" (wraps
-    // to a huge budget) and "10abc" (trailing text dropped), both of
-    // which this parser exists to reject. Seven digits (~10 TB) bound
-    // the budget so the MB→byte conversion can never overflow.
-    if (text.empty() || text.size() > 7)
+    // 19 digits is the most that cannot overflow uint64_t.
+    VGUARD_CHECK(maxDigits <= 19);
+    if (text.empty() || text.size() > maxDigits)
         return false;
     uint64_t v = 0;
     for (const char c : text) {
@@ -100,6 +99,18 @@ parseTraceCacheMb(const std::string &text, size_t &mb)
             return false;
         v = v * 10 + static_cast<uint64_t>(c - '0');
     }
+    value = v;
+    return true;
+}
+
+bool
+parseTraceCacheMb(const std::string &text, size_t &mb)
+{
+    // Seven digits (~10 TB) bound the budget so the MB→byte conversion
+    // can never overflow.
+    uint64_t v = 0;
+    if (!parseUnsignedDecimal(text, 7, v))
+        return false;
     mb = static_cast<size_t>(v);
     return true;
 }

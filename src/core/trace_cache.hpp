@@ -145,12 +145,21 @@ std::string traceKey(const isa::Program &program,
 obs::Snapshot frontEndSubset(const obs::Snapshot &stats);
 
 /**
- * Strict parse of a VGUARD_TRACE_CACHE_MB value: unsigned decimal
- * digits only, no sign, no trailing text, and the result must fit
- * size_t. Returns false (leaving @p mb untouched) on anything else —
- * "-5" or "10abc" are rejected, never coerced. Exposed so tests can
- * exercise the parser directly: the singleton reads the environment
- * exactly once, at first use.
+ * Strict parse of a numeric environment knob: 1 to @p maxDigits ASCII
+ * decimal digits, no sign, no whitespace, no trailing text. Returns
+ * false (leaving @p value untouched) on anything else — "-5" or
+ * "10abc" are rejected, never coerced the way strtoull would.
+ * @p maxDigits (at most 19, so the value always fits uint64_t) lets
+ * each knob bound its value below whatever unit conversion follows.
+ */
+bool parseUnsignedDecimal(const std::string &text, size_t maxDigits,
+                          uint64_t &value);
+
+/**
+ * Strict parse of a VGUARD_TRACE_CACHE_MB value: parseUnsignedDecimal
+ * with a 7-digit cap. Returns false (leaving @p mb untouched) on
+ * anything else. Exposed so tests can exercise the parser directly:
+ * the singleton reads the environment exactly once, at first use.
  */
 bool parseTraceCacheMb(const std::string &text, size_t &mb);
 

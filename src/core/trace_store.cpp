@@ -185,9 +185,11 @@ makeDirs(const std::string &path)
     return true;
 }
 
-} // namespace
-
-// See trace_store.hpp.
+/**
+ * Serialize a stats snapshot to the store's blob format (count, then
+ * per entry: name/desc, kind, merge rule, values, optional dense
+ * histogram).
+ */
 std::string
 encodeSnapshot(const obs::Snapshot &snap)
 {
@@ -215,7 +217,7 @@ encodeSnapshot(const obs::Snapshot &snap)
     return out;
 }
 
-
+/** Rebuild a snapshot from a blob; false on any malformed field. */
 bool
 decodeSnapshot(const char *data, size_t size, obs::Snapshot &out)
 {
@@ -264,6 +266,8 @@ decodeSnapshot(const char *data, size_t size, obs::Snapshot &out)
     }
     return r.ok() && r.atEnd();
 }
+
+} // namespace
 
 TraceStore &
 TraceStore::instance()

@@ -53,8 +53,7 @@
  * directory size (default 4096, same strict parser as the cache knob).
  *
  * All raw file-descriptor and mmap syscalls in the tree are confined
- * to trace_store.cpp and the sweep-service TU (enforced by the vlint
- * `raw-io` rule).
+ * to trace_store.cpp (enforced by the vlint `raw-io` rule).
  */
 
 #ifndef VGUARD_CORE_TRACE_STORE_HPP
@@ -70,16 +69,6 @@
 
 namespace vguard::core {
 
-/**
- * Serialize a stats snapshot to the store's blob format (count, then
- * per entry: name/desc, kind, merge rule, values, optional dense
- * histogram). Shared with the sweep-service wire protocol.
- */
-std::string encodeSnapshot(const obs::Snapshot &snap);
-
-/** Rebuild a snapshot from a blob; false on any malformed field. */
-bool decodeSnapshot(const char *data, size_t size, obs::Snapshot &out);
-
 /** Process-wide persistent trace store (see file comment). */
 class TraceStore
 {
@@ -90,10 +79,10 @@ class TraceStore
     bool enabled() const;
 
     /**
-     * Point the store at @p root with a @p maxBytes budget (tests and
-     * the sweep daemon; normal processes configure from the
-     * environment at first use). Empty @p root disables the store.
-     * Creates the directory when missing. Does not reset counters.
+     * Point the store at @p root with a @p maxBytes budget (tests;
+     * normal processes configure from the environment at first use).
+     * Empty @p root disables the store. Creates the directory when
+     * missing. Does not reset counters.
      */
     void configure(std::string root, size_t maxBytes);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/tracing.hpp"
-#include "pdn/impulse.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::core {
@@ -21,13 +20,8 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
 {
     // Paper regulator convention: the die sits at nominal voltage when
     // the processor draws its minimum (fully gated) current.
-    const double iMin = power_.minCurrent();
-    pdn_.trimToCurrent(iMin);
+    pdn_.trimToCurrent(power_.minCurrent());
 
-    if (cfg_.useConvolution) {
-        conv_ = std::make_unique<pdn::PartitionedConvolver>(
-            pdn::impulseResponse(pdn_.model()), pdn_.vddSetPoint(), iMin);
-    }
     if (cfg_.sensor)
         controller_.emplace(*cfg_.sensor, cfg_.actuator,
                             cfg_.phantomActuator.value_or(cfg_.actuator));
@@ -94,8 +88,7 @@ VoltageSim::step()
     double volts;
     {
         obs::ScopedTimer t(p, obs::Phase::Pdn);
-        volts = cfg_.useConvolution ? conv_->step(amps)
-                                    : pdn_.step(amps);
+        volts = pdn_.step(amps);
     }
 
     if (controller_) {
@@ -190,12 +183,7 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
         }
         {
             obs::ScopedTimer t(p, obs::Phase::Pdn);
-            if (cfg_.useConvolution) {
-                for (size_t k = 0; k < n; ++k)
-                    voltsBuf_[k] = conv_->step(ampsBuf_[k]);
-            } else {
-                pdn_.stepMany(ampsBuf_.data(), n, voltsBuf_.data());
-            }
+            pdn_.stepMany(ampsBuf_.data(), n, voltsBuf_.data());
         }
         {
             obs::ScopedTimer t(p, obs::Phase::Events);
@@ -333,12 +321,7 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
         const double *amps = trace.ampsData() + done;
         {
             obs::ScopedTimer t(p, obs::Phase::Pdn);
-            if (cfg_.useConvolution) {
-                for (size_t k = 0; k < n; ++k)
-                    voltsBuf_[k] = conv_->step(amps[k]);
-            } else {
-                pdn_.stepMany(amps, n, voltsBuf_.data());
-            }
+            pdn_.stepMany(amps, n, voltsBuf_.data());
         }
         {
             obs::ScopedTimer t(p, obs::Phase::Events);

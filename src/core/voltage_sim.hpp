@@ -4,18 +4,18 @@
  * power → current → PDN → die voltage → threshold controller → gating,
  * closed every CPU cycle.
  *
- * Supports both voltage back-ends — direct state-space stepping and
- * the paper's convolution-with-impulse-response pipeline — which are
- * verified equivalent in tests.
+ * The PDN is stepped in state space (pdn::PdnSim). The paper's
+ * convolution-with-impulse-response pipeline computes the same
+ * voltages; tests keep pdn::Convolver as the oracle for that identity.
  *
  * Two fast paths exist for runs without a controller (open loop, no
  * actuation feedback), both bit-identical to the per-cycle loop:
  *
  *  - run() automatically batches open-loop runs: activity vectors are
  *    gathered in blocks, converted to amps by WattchModel::currentBlock
- *    and to volts by PdnSim::stepMany (or the convolver), then the
- *    per-cycle bookkeeping sweeps the block. Optionally captures the
- *    current/activity trace for the cache (core/trace_cache.hpp).
+ *    and to volts by PdnSim::stepMany, then the per-cycle bookkeeping
+ *    sweeps the block. Optionally captures the current/activity trace
+ *    for the cache (core/trace_cache.hpp).
  *  - runReplay() skips the core and power model entirely, driving the
  *    PDN + emergency bookkeeping from a captured trace; front-end
  *    stats are spliced in from the capture.
@@ -24,7 +24,6 @@
 #ifndef VGUARD_CORE_VOLTAGE_SIM_HPP
 #define VGUARD_CORE_VOLTAGE_SIM_HPP
 
-#include <memory>
 #include <optional>
 
 #include "core/controller.hpp"
@@ -33,7 +32,6 @@
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "pdn/partitioned_convolver.hpp"
 #include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
 #include "util/stats.hpp"
@@ -53,9 +51,6 @@ struct VoltageSimConfig
     ActuatorKind actuator = ActuatorKind::Ideal;
     /** Distinct phantom-fire unit set (defaults to `actuator`). */
     std::optional<ActuatorKind> phantomActuator;
-
-    /** Use the convolution back-end instead of state space. */
-    bool useConvolution = false;
 
     /** Voltage histogram range/bins (Fig. 10). */
     double histLo = 0.90;
@@ -153,9 +148,9 @@ class VoltageSim
                          CapturedTrace *capture = nullptr);
 
     /**
-     * Replay a captured open-loop trace against this sim's PDN (and
-     * voltage back-end), skipping the core and power model. Requires a
-     * controller-free config whose (cpu, power) match the capture —
+     * Replay a captured open-loop trace against this sim's PDN,
+     * skipping the core and power model. Requires a controller-free
+     * config whose (cpu, power) match the capture —
      * the result (including stats and emergency events) is
      * byte-identical to a fresh full-core run().
      */
@@ -203,10 +198,6 @@ class VoltageSim
     cpu::OoOCore core_;
     power::WattchModel power_;
     pdn::PdnSim pdn_;
-    /** Convolution back-end; the partitioned convolver matches the
-        naive reference Convolver to fp rounding at O(log taps)
-        amortised per-cycle cost. */
-    std::unique_ptr<pdn::PartitionedConvolver> conv_;
     std::optional<ThresholdController> controller_;
     uint64_t cycle_ = 0;
     double vNominal_;

@@ -139,22 +139,6 @@ EventLog::push(EmergencyEvent ev)
     events_.push_back(std::move(ev));
 }
 
-EventLog
-EventLog::restored(size_t capacity, std::vector<EmergencyEvent> events,
-                   uint64_t dropped)
-{
-    if (events.size() > capacity ||
-        (dropped > 0 && events.size() < capacity))
-        fatal("EventLog::restored: %zu events / %llu dropped do not "
-              "fit capacity %zu",
-              events.size(), static_cast<unsigned long long>(dropped),
-              capacity);
-    EventLog log(capacity);
-    log.events_ = std::move(events);
-    log.dropped_ = dropped;
-    return log;
-}
-
 std::string
 EventLog::jsonl() const
 {

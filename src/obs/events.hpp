@@ -140,16 +140,6 @@ class EventLog
     /** Store @p ev, or count it as dropped when at capacity. */
     void push(EmergencyEvent ev);
 
-    /**
-     * Rebuild a log from serialized parts (the sweep-service wire
-     * decode). @p events must fit @p capacity — a dropped count with
-     * spare capacity would be unreachable through push() and marks a
-     * corrupt stream (fatal).
-     */
-    static EventLog restored(size_t capacity,
-                             std::vector<EmergencyEvent> events,
-                             uint64_t dropped);
-
     const std::vector<EmergencyEvent> &events() const { return events_; }
     /** Events discarded because the log was full. */
     uint64_t dropped() const { return dropped_; }

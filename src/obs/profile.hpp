@@ -3,7 +3,7 @@
  * Lightweight phase profiler for campaign runs.
  *
  * Answers "where did the campaign spend its wall-clock time" — cpu
- * stepping, power accounting, PDN convolution/state-space, sensor/
+ * stepping, power accounting, the PDN state-space step, sensor/
  * actuator control — without perturbing the simulation:
  *
  *  - ScopedTimer is RAII around one phase; constructed with a nullptr
@@ -35,7 +35,7 @@ namespace vguard::obs {
 enum class Phase : uint8_t {
     CpuStep,     ///< OoOCore::cycle()
     Power,       ///< WattchModel::power() / current()
-    Pdn,         ///< PDN convolution or state-space step
+    Pdn,         ///< PDN state-space step
     Control,     ///< sensor observe + controller/actuator apply
     Events,      ///< emergency tracking + activity window
 };

@@ -4,8 +4,8 @@
  *
  * The paper computes supply voltage by convolving the Wattch per-cycle
  * current trace with the package impulse response (Section 3.1, Fig. 7).
- * vguard supports both that convolution pipeline and direct state-space
- * stepping; the two are verified equivalent in tests.
+ * vguard simulates by direct state-space stepping (pdn_sim.hpp) and
+ * keeps the convolution pipeline as the test oracle that the two agree.
  */
 
 #ifndef VGUARD_PDN_IMPULSE_HPP
@@ -56,10 +56,8 @@ std::vector<double> stepResponse(const PackageModel &model, size_t cycles);
  * online with a ring buffer, O(taps) per cycle.
  *
  * This is the *reference* implementation: simple enough to audit by
- * eye, it anchors the golden equivalence tests and the
- * BENCH_convolver.json baseline. Hot paths (VoltageSim) use
- * PartitionedConvolver (partitioned_convolver.hpp), which computes the
- * identical output in O(B + (taps/B)·log B) amortised per cycle.
+ * eye, it is the oracle of the convolution ≡ state-space tests. The
+ * simulator itself steps PdnSim, a fixed-size state update per cycle.
  */
 class Convolver
 {

@@ -14,7 +14,7 @@ worstCaseExtremes(const PackageModel &model, double iMin, double iMax,
 {
     // Calibration is an offline analysis: use the untruncated kernel
     // so calibrated packages stay bit-stable regardless of the
-    // energy-truncation default tuned for the streaming convolvers.
+    // energy-truncation default tuned for the streaming convolver.
     const auto h = impulseResponse(model, 1e-9, 1 << 15, 0.0);
     const auto wc = linsys::bangBangWorstCase(h, iMin, iMax);
     const double ref = iTrim >= 0.0 ? iTrim : iMin;

@@ -4,8 +4,8 @@
  *
  * The hints never change results — they only license vectorisation the
  * optimiser must otherwise forgo (e.g. proving two pointers don't
- * alias). Keep them on kernels measured hot (bench_simloop,
- * bench_convolver), not sprinkled speculatively.
+ * alias). Keep them on kernels measured hot (bench_simloop), not
+ * sprinkled speculatively.
  */
 
 #ifndef VGUARD_UTIL_COMPILER_HPP

@@ -115,6 +115,11 @@ TEST(CampaignCli, RejectsOutOfRangeAndGarbage)
     const char *text[] = {"prog", "--threads", "many"};
     EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(text)),
                 ::testing::ExitedWithCode(1), "expected a number");
+    // Fits uint64_t but not the unsigned thread count: used to
+    // truncate to 0 (= every hardware thread) instead of failing.
+    const char *wide[] = {"prog", "--threads", "4294967296"};
+    EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(wide)),
+                ::testing::ExitedWithCode(1), "out of range");
 }
 
 TEST(CampaignCli, AcceptsWhitespaceAndPlusSign)

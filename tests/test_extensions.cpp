@@ -19,7 +19,7 @@
 #include "core/voltage_sim.hpp"
 #include "cpu/core.hpp"
 #include "pdn/impulse.hpp"
-#include "pdn/partitioned_convolver.hpp"
+#include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/stressmark.hpp"
@@ -328,15 +328,15 @@ TEST(Asymmetric, ProtectsWithWeakPhantom)
     EXPECT_GT(res.phantomCycles, 0u);
 }
 
-// --------------------------------------- convolver golden equivalence
+// ------------------------------- convolution == state space (§3.1)
 
-TEST(Convolution, PartitionedMatchesNaiveOnStressmarkTrace)
+TEST(Convolution, NaiveMatchesStateSpaceOnStressmarkTrace)
 {
-    // Golden equivalence on real input: run the paper's dI/dt
-    // stressmark through the cycle core + Wattch model to get an
-    // adversarial resonant current trace, then require the partitioned
-    // convolver to reproduce the naive reference voltage-for-voltage
-    // on the full (untruncated-length) kernel.
+    // The paper computes die voltage by convolving the Wattch current
+    // trace with the package impulse response (Section 3.1, Fig. 7);
+    // the simulator steps the same package in state space. Drive both
+    // with the dI/dt stressmark's resonant current trace (cycle core
+    // + Wattch) and require them to agree cycle for cycle.
     const Machine m = referenceMachine();
     const auto cal = workloads::StressmarkBuilder::calibrate(60, m.cpu);
     cpu::OoOCore core(m.cpu,
@@ -348,18 +348,29 @@ TEST(Convolution, PartitionedMatchesNaiveOnStressmarkTrace)
         amps.push_back(pm.current(core.cycle()));
     ASSERT_GT(amps.size(), 15000u); // trace long enough to matter
 
-    const auto pkg = pdn::PackageModel(referencePackage(2.0));
-    const auto h = pdn::impulseResponse(pkg);
+    const pdn::PackageModel pkg(referencePackage(2.0));
     const double iBias = pm.minCurrent();
-    pdn::Convolver naive(h, 1.0, iBias);
-    pdn::PartitionedConvolver part(h, 1.0, iBias);
-    ASSERT_GT(part.partitions(), 1u); // kernel long enough to matter
+    pdn::PdnSim sim(pkg);
+    sim.trimToCurrent(iBias);
+    pdn::Convolver conv(pdn::impulseResponse(pkg), sim.vddSetPoint(),
+                        iBias);
 
     double maxDev = 0.0;
-    for (double a : amps)
-        maxDev = std::max(maxDev,
-                          std::fabs(naive.step(a) - part.step(a)));
-    EXPECT_LT(maxDev, 1e-12);
+    double vMin = sim.vddSetPoint();
+    for (double a : amps) {
+        const double vs = sim.step(a);
+        maxDev = std::max(maxDev, std::fabs(conv.step(a) - vs));
+        vMin = std::min(vMin, vs);
+    }
+    // The trace rings the package well past the 5 % band (~77 mV
+    // droop), so agreement is not a quiet-input triviality.
+    EXPECT_LT(vMin, 0.95);
+    // Measured on this trace: 6.7e-10 V. Nearly all of it is the tail
+    // impulseResponse() cuts once the ringing settles below 1e-9 of
+    // the peak tap (4557 taps here); a 7162-tap kernel (relTol 1e-13)
+    // leaves 1.6e-13 V of rounding. 1e-8 V keeps ~15x headroom over
+    // the measurement, seven orders below the droop.
+    EXPECT_LT(maxDev, 1e-8);
 }
 
 } // namespace

@@ -10,11 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include "linsys/fft.hpp"
 #include "linsys/mat2.hpp"
 #include "linsys/state_space.hpp"
 #include "linsys/worst_case.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
@@ -303,93 +301,5 @@ TEST_P(ZohSweep, MatchesFineEuler)
 INSTANTIATE_TEST_SUITE_P(Frequencies, ZohSweep,
                          ::testing::Values(0.5, 2.0, 10.0, 100.0, 1e4,
                                            1e6));
-
-// ---------------------------------------------------------------- fft
-
-TEST(Fft, NextPow2)
-{
-    EXPECT_EQ(nextPow2(0), 1u);
-    EXPECT_EQ(nextPow2(1), 1u);
-    EXPECT_EQ(nextPow2(2), 2u);
-    EXPECT_EQ(nextPow2(3), 4u);
-    EXPECT_EQ(nextPow2(128), 128u);
-    EXPECT_EQ(nextPow2(129), 256u);
-}
-
-TEST(Fft, RejectsNonPowerOfTwo)
-{
-    EXPECT_EXIT(FftPlan{12}, ::testing::ExitedWithCode(1),
-                "power of two");
-}
-
-TEST(Fft, RoundTripRecoversInput)
-{
-    for (size_t n : {size_t{1}, size_t{2}, size_t{8}, size_t{256}}) {
-        FftPlan plan(n);
-        vguard::Rng rng(n);
-        std::vector<std::complex<double>> x(n), orig;
-        for (auto &v : x)
-            v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-        orig = x;
-        plan.forward(x.data());
-        plan.inverse(x.data());
-        for (size_t i = 0; i < n; ++i) {
-            EXPECT_NEAR(x[i].real(), orig[i].real(), 1e-12) << i;
-            EXPECT_NEAR(x[i].imag(), orig[i].imag(), 1e-12) << i;
-        }
-    }
-}
-
-TEST(Fft, MatchesNaiveDft)
-{
-    const size_t n = 16;
-    FftPlan plan(n);
-    vguard::Rng rng(99);
-    std::vector<std::complex<double>> x(n);
-    for (auto &v : x)
-        v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-    auto fast = x;
-    plan.forward(fast.data());
-    for (size_t k = 0; k < n; ++k) {
-        std::complex<double> sum = 0.0;
-        for (size_t t = 0; t < n; ++t) {
-            const double ang = -2.0 * M_PI * static_cast<double>(k * t) /
-                               static_cast<double>(n);
-            sum += x[t] * std::complex<double>(std::cos(ang),
-                                               std::sin(ang));
-        }
-        EXPECT_NEAR(fast[k].real(), sum.real(), 1e-12) << k;
-        EXPECT_NEAR(fast[k].imag(), sum.imag(), 1e-12) << k;
-    }
-}
-
-TEST(Fft, CircularConvolutionTheorem)
-{
-    // FFT-domain pointwise product must equal direct circular
-    // convolution — the exact property the partitioned convolver's
-    // overlap-save blocks rely on.
-    const size_t n = 32;
-    FftPlan plan(n);
-    vguard::Rng rng(7);
-    std::vector<double> a(n), b(n);
-    for (size_t i = 0; i < n; ++i) {
-        a[i] = rng.uniform(-2.0, 2.0);
-        b[i] = rng.uniform(-2.0, 2.0);
-    }
-    std::vector<std::complex<double>> fa(a.begin(), a.end());
-    std::vector<std::complex<double>> fb(b.begin(), b.end());
-    plan.forward(fa.data());
-    plan.forward(fb.data());
-    for (size_t i = 0; i < n; ++i)
-        fa[i] *= fb[i];
-    plan.inverse(fa.data());
-    for (size_t i = 0; i < n; ++i) {
-        double direct = 0.0;
-        for (size_t k = 0; k < n; ++k)
-            direct += a[k] * b[(i + n - k) % n];
-        EXPECT_NEAR(fa[i].real(), direct, 1e-12) << i;
-        EXPECT_NEAR(fa[i].imag(), 0.0, 1e-12) << i;
-    }
-}
 
 } // namespace

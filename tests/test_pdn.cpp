@@ -18,7 +18,6 @@
 
 #include "linsys/worst_case.hpp"
 #include "pdn/impulse.hpp"
-#include "pdn/partitioned_convolver.hpp"
 #include "pdn/itrs.hpp"
 #include "pdn/package_model.hpp"
 #include "pdn/pdn_sim.hpp"
@@ -28,11 +27,10 @@
 // ------------------------------------------------ allocation accounting
 //
 // Counting replacement for the global allocator, backing the
-// "allocation-free after warm-up" regression guards below: the batch
-// helpers (PdnSim::stepMany / DiscreteStateSpaceN::stepBlock2) and the
-// convolver step paths sit inside per-cycle simulation loops, so a
-// reintroduced per-call heap allocation is a real perf regression,
-// not a style nit.
+// "allocation-free after warm-up" regression guard below: the batch
+// helpers (PdnSim::stepMany / DiscreteStateSpaceN::stepBlock2) sit
+// inside per-cycle simulation loops, so a reintroduced per-call heap
+// allocation is a real perf regression, not a style nit.
 
 namespace {
 std::atomic<std::uint64_t> gAllocCount{0};
@@ -362,169 +360,6 @@ TEST(Impulse, ConvolverResetRestoresBias)
     // At the bias current the deviation is the DC drop of the bias.
     const double v = conv.step(10.0);
     EXPECT_NEAR(v, 1.0 - 0.5e-3 * 10.0, 1e-7);
-}
-
-// ---------------------------------------------- partitioned convolver
-
-/** Max |naive - partitioned| over @p cycles of a pseudo-random trace. */
-double
-maxPartitionedDeviation(const std::vector<double> &h, double iBias,
-                        size_t blockSize, size_t cycles,
-                        uint64_t seed = 2026)
-{
-    Convolver naive(h, 1.0, iBias);
-    PartitionedConvolver part(h, 1.0, iBias, blockSize);
-    vguard::Rng rng(seed);
-    double maxDev = 0.0;
-    for (size_t t = 0; t < cycles; ++t) {
-        const double amps = 5.0 + 50.0 * rng.uniform();
-        maxDev = std::max(maxDev,
-                          std::fabs(naive.step(amps) - part.step(amps)));
-    }
-    return maxDev;
-}
-
-TEST(Partitioned, MatchesNaiveOnReferenceKernel)
-{
-    const auto h = impulseResponse(reference());
-    EXPECT_LT(maxPartitionedDeviation(h, 10.0, 128, 3000), 1e-12);
-}
-
-TEST(Partitioned, MatchesNaiveAcrossKernelLengths)
-{
-    // Edge geometries: kernel shorter than a block, exactly one block,
-    // one block plus a fragment, odd lengths, multi-partition.
-    const auto full = impulseResponse(reference());
-    for (size_t taps : {size_t{1}, size_t{7}, size_t{64}, size_t{128},
-                        size_t{129}, size_t{257}, size_t{1000},
-                        size_t{4096}}) {
-        auto h = full;
-        h.resize(taps, 0.0);
-        const size_t cycles = std::max<size_t>(4 * taps, 600);
-        EXPECT_LT(maxPartitionedDeviation(h, 8.0, 128, cycles), 1e-12)
-            << "taps=" << taps;
-    }
-}
-
-TEST(Partitioned, MatchesNaiveAcrossBlockSizes)
-{
-    auto h = impulseResponse(reference());
-    h.resize(1500, 0.0);
-    for (size_t block : {size_t{16}, size_t{64}, size_t{128},
-                         size_t{256}}) {
-        EXPECT_LT(maxPartitionedDeviation(h, 12.0, block, 4000), 1e-12)
-            << "block=" << block;
-    }
-}
-
-TEST(Partitioned, MatchesStateSpace)
-{
-    // Same property as Impulse.ConvolverMatchesStateSpace, but for the
-    // fast back-end: the partitioned convolver must track direct
-    // state-space stepping, not merely the naive convolver.
-    const auto m = reference();
-    PdnSim sim(m);
-    sim.trimToCurrent(5.0);
-    PartitionedConvolver conv(impulseResponse(m), sim.vddSetPoint(),
-                              5.0);
-    vguard::Rng rng(123);
-    double maxErr = 0.0;
-    for (int t = 0; t < 3000; ++t) {
-        const double amps = 5.0 + 45.0 * rng.uniform();
-        maxErr = std::max(maxErr,
-                          std::fabs(sim.step(amps) - conv.step(amps)));
-    }
-    EXPECT_LT(maxErr, 1e-6);
-}
-
-TEST(Partitioned, ResetRestoresBias)
-{
-    const auto m = reference();
-    PartitionedConvolver conv(impulseResponse(m), 1.0, 10.0);
-    for (int i = 0; i < 500; ++i)
-        conv.step(60.0);
-    conv.reset();
-    const double v = conv.step(10.0);
-    EXPECT_NEAR(v, 1.0 - 0.5e-3 * 10.0, 1e-7);
-}
-
-TEST(Partitioned, ResetReplaysIdentically)
-{
-    const auto h = impulseResponse(reference());
-    PartitionedConvolver conv(h, 1.0, 10.0);
-    auto replay = [&conv] {
-        std::vector<double> out;
-        vguard::Rng rng(55);
-        for (int t = 0; t < 700; ++t)
-            out.push_back(conv.step(10.0 + 30.0 * rng.uniform()));
-        return out;
-    };
-    const auto first = replay();
-    conv.reset();
-    const auto second = replay();
-    for (size_t i = 0; i < first.size(); ++i)
-        EXPECT_DOUBLE_EQ(first[i], second[i]) << i;
-}
-
-TEST(Partitioned, SegmentedReuseMatchesNaiveAndReset)
-{
-    // VoltageSim reuses one convolver across back-to-back run() calls,
-    // so the overlap-save state must carry across arbitrary segment
-    // boundaries (including mid-frame ones) exactly like the naive
-    // convolver's ring buffer, and reset() must return both to the
-    // same primed-bias state.
-    const auto h = impulseResponse(reference());
-    Convolver naive(h, 1.0, 10.0);
-    PartitionedConvolver part(h, 1.0, 10.0);
-
-    vguard::Rng rng(99);
-    auto drive = [&](size_t cycles) {
-        double maxDev = 0.0;
-        for (size_t t = 0; t < cycles; ++t) {
-            const double amps = 5.0 + 50.0 * rng.uniform();
-            maxDev = std::max(
-                maxDev, std::fabs(naive.step(amps) - part.step(amps)));
-        }
-        return maxDev;
-    };
-
-    for (size_t seg : {size_t{7}, size_t{100}, size_t{128}, size_t{129},
-                       size_t{500}, size_t{1000}})
-        EXPECT_LT(drive(seg), 1e-12) << "segment " << seg;
-
-    naive.reset();
-    part.reset();
-    for (size_t seg : {size_t{3}, size_t{250}, size_t{640}})
-        EXPECT_LT(drive(seg), 1e-12) << "post-reset segment " << seg;
-}
-
-TEST(Partitioned, StepAllocationFreeAfterWarmup)
-{
-    const auto h = impulseResponse(reference());
-    PartitionedConvolver conv(h, 1.0, 10.0);
-    // Warm past several frame boundaries (FFT pushes, tail MACs).
-    for (int i = 0; i < 600; ++i)
-        conv.step(12.0);
-
-    const std::uint64_t before =
-        gAllocCount.load(std::memory_order_relaxed);
-    double sink = 0.0;
-    for (int i = 0; i < 2000; ++i)
-        sink += conv.step(12.0 + static_cast<double>(i & 7));
-    const std::uint64_t delta =
-        gAllocCount.load(std::memory_order_relaxed) - before;
-    EXPECT_EQ(delta, 0u)
-        << "partitioned convolver step must be allocation-free";
-    EXPECT_TRUE(std::isfinite(sink));
-}
-
-TEST(Partitioned, RejectsBadArguments)
-{
-    EXPECT_EXIT(PartitionedConvolver(std::vector<double>{}, 1.0),
-                ::testing::ExitedWithCode(1), "empty");
-    EXPECT_EXIT(PartitionedConvolver(std::vector<double>{1.0}, 1.0,
-                                     0.0, 96),
-                ::testing::ExitedWithCode(1), "power of two");
 }
 
 TEST(Impulse, EnergyTruncationShortensKernel)

@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the open-loop trace-replay fast path (core/trace_cache):
- * replayed results must be bit-identical to full-core runs on both
- * voltage back-ends and at any block size, concurrent first calls on
- * one cache key must collapse to a single capture, campaign artifacts
- * must stay byte-identical across thread counts and with the cache
- * toggled off, the committed golden mini-campaign must be unchanged
- * with the cache force-enabled, and back-to-back VoltageSim::run()
- * calls must continue the PDN/convolver state exactly like one long
- * run.
+ * replayed results must be bit-identical to full-core runs at any
+ * block size, concurrent first calls on one cache key must collapse
+ * to a single capture, campaign artifacts must stay byte-identical
+ * across thread counts and with the cache toggled off, the committed
+ * golden mini-campaign must be unchanged with the cache force-enabled,
+ * and back-to-back VoltageSim::run() calls must continue the PDN
+ * state exactly like one long run.
  *
  * Labeled `campaign` so the suite runs under TSan via
  *   cmake -B build-tsan -DVGUARD_SANITIZE=thread
@@ -154,12 +153,10 @@ TEST(TraceKey, DistinguishesEveryComponent)
  * histogram, stats snapshot, emergency-event log — must be
  * byte-identical.
  */
-void
-replayIdentity(bool useConvolution)
+TEST(TraceReplay, MatchesFullRunStateSpace)
 {
     RunSpec rs;
     rs.controllerEnabled = false;
-    rs.useConvolution = useConvolution;
     rs.maxCycles = 4000;
     const VoltageSimConfig cfg = makeSimConfig(rs);
     const isa::Program prog = workloads::buildSpecProxy("ammp");
@@ -183,16 +180,6 @@ replayIdentity(bool useConvolution)
         EXPECT_EQ(ref.events.jsonl(), rep.events.jsonl())
             << "block=" << block;
     }
-}
-
-TEST(TraceReplay, MatchesFullRunStateSpace)
-{
-    replayIdentity(false);
-}
-
-TEST(TraceReplay, MatchesFullRunConvolution)
-{
-    replayIdentity(true);
 }
 
 TEST(TraceReplay, ReusableAcrossPackages)
@@ -271,25 +258,22 @@ TEST(TraceCacheConcurrency, ConcurrentFirstCallsCaptureOnce)
 
 /**
  * Open-loop-heavy mix: two programs x three packages share one trace
- * key per program (the cross-package reuse case), both voltage
- * back-ends, plus one closed-loop job the cache must leave alone.
+ * key per program (the cross-package reuse case), plus one
+ * closed-loop job the cache must leave alone.
  */
 std::vector<CampaignJob>
 openLoopJobs()
 {
     std::vector<CampaignJob> jobs;
-    int i = 0;
     for (const char *name : {"gzip", "swim"})
         for (double scale : {1.0, 2.0, 3.0}) {
             RunSpec rs;
             rs.impedanceScale = scale;
             rs.controllerEnabled = false;
-            rs.useConvolution = (i % 2) == 1;
             rs.maxCycles = 2503; // fresh cache key for this test
             jobs.push_back({std::string(name) + "-s" +
                                 std::to_string(static_cast<int>(scale)),
                             workloads::buildSpecProxy(name), rs, false});
-            ++i;
         }
     RunSpec ctl;
     ctl.controllerEnabled = true;
@@ -402,19 +386,15 @@ TEST(TraceCacheGolden, MiniCampaignUnchangedWithCacheEnabled)
 // ----------------------------------- back-to-back run() continuity
 
 /**
- * Two run(N) calls on one sim must continue the voltage back-end's
- * state exactly where the first left off: per-cycle voltages (pinned
- * via exact histogram-count sums, min/max and emergency counts) match
- * a single run(2N) on a fresh sim. With useConvolution this is the
- * PartitionedConvolver reuse-across-runs property — the second run
- * resumes mid-frame in the overlap-save pipeline.
+ * Two run(N) calls on one sim must continue the PDN state exactly
+ * where the first left off: per-cycle voltages (pinned via exact
+ * histogram-count sums, min/max and emergency counts) match a single
+ * run(2N) on a fresh sim.
  */
-void
-backToBackContinuity(bool useConvolution)
+TEST(RunContinuity, BackToBackRunsMatchOneLongRunStateSpace)
 {
     RunSpec rs;
     rs.controllerEnabled = false;
-    rs.useConvolution = useConvolution;
     const VoltageSimConfig cfg = makeSimConfig(rs);
     const isa::Program prog = workloads::phasedKernel(400);
     const uint64_t half = 1500; // not a multiple of any block size
@@ -446,16 +426,6 @@ backToBackContinuity(bool useConvolution)
     EXPECT_EQ(full.committed, r2.committed);
     EXPECT_NEAR(full.energyJ, r1.energyJ + r2.energyJ,
                 1e-12 * full.energyJ);
-}
-
-TEST(RunContinuity, BackToBackRunsMatchOneLongRunStateSpace)
-{
-    backToBackContinuity(false);
-}
-
-TEST(RunContinuity, BackToBackRunsMatchOneLongRunConvolution)
-{
-    backToBackContinuity(true);
 }
 
 } // namespace

@@ -252,24 +252,23 @@ TEST(VlintRawIo, FlagsRawSyscallsOutsideSanctionedTus)
     EXPECT_TRUE(hasRule(lintSource("tools/foo/main.cpp",
                                    "int s = ::socket(AF_UNIX, t, 0);"),
                         "raw-io"));
-    EXPECT_TRUE(hasRule(lintSource("src/svc/other.cpp",
+    EXPECT_TRUE(hasRule(lintSource("src/core/campaign.cpp",
                                    "int c = accept4(fd, a, l, f);"),
                         "raw-io"));
 }
-TEST(VlintRawIo, StoreAndSweepdTusAreExempt)
+TEST(VlintRawIo, OnlyTraceStoreTuIsExempt)
 {
     EXPECT_FALSE(hasRule(
         lintSource("src/core/trace_store.cpp",
                    "void *p = mmap(nullptr, n, prot, flags, fd, 0);"),
         "raw-io"));
-    EXPECT_FALSE(hasRule(lintSource("src/svc/sweepd.cpp",
-                                    "int s = ::socket(AF_UNIX, t, 0);"),
-                         "raw-io"));
-    // The wire codec + client moved into core (protocol split); its TU
-    // keeps the exemption that used to cover the monolithic daemon.
-    EXPECT_FALSE(hasRule(lintSource("src/core/sweep_client.cpp",
-                                    "int s = ::socket(AF_UNIX, t, 0);"),
-                         "raw-io"));
+    // Its header and sibling TUs get no exemption.
+    EXPECT_TRUE(hasRule(lintSource("src/core/trace_store.hpp",
+                                   "int s = ::socket(AF_UNIX, t, 0);"),
+                        "raw-io"));
+    EXPECT_TRUE(hasRule(lintSource("src/core/trace_cache.cpp",
+                                   "int r = fsync(fd);"),
+                        "raw-io"));
 }
 TEST(VlintRawIo, MemberAndQualifiedCallsAreNotSyscalls)
 {

@@ -129,9 +129,9 @@ TEST(VlintGraph, UnresolvedExternalIsRecordedNotGuessed)
 
 TEST(VlintGraph, MemberCallsDoNotBindToTheCallersOwnClass)
 {
-    // conv_->step() inside a VoltageSim method is the convolver's
-    // step, not VoltageSim::step — member calls on foreign objects
-    // must skip the caller's scope chain (this-> still binds home).
+    // conv_->step() inside a Sim method is another object's step, not
+    // Sim::step — member calls on foreign objects must skip the
+    // caller's scope chain (this-> still binds home).
     Tree t;
     t.add("src/core/sim.cpp",
           "namespace app {\n"
@@ -346,8 +346,6 @@ TEST(VlintGraph, LayerRanksMatchTheDocumentedOrder)
     EXPECT_LT(vlint::layerRank("src/obs/x.hpp"),
               vlint::layerRank("src/core/x.hpp"));
     EXPECT_LT(vlint::layerRank("src/core/x.hpp"),
-              vlint::layerRank("src/svc/x.hpp"));
-    EXPECT_LT(vlint::layerRank("src/svc/x.hpp"),
               vlint::layerRank("tools/vlint/x.hpp"));
     EXPECT_EQ(vlint::layerRank("src/pdn/x.hpp"),
               vlint::layerRank("src/power/x.hpp"));

@@ -534,7 +534,7 @@ cmdReport(int argc, char **argv)
  *
  * `foreach` lifts the check over every element of a named array
  * (optionally filtered by `where` equality constraints), so one spec
- * line covers e.g. every row of the convolver's results table.
+ * line covers e.g. every row of a bench's results table.
  */
 struct CheckFailures
 {

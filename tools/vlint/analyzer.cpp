@@ -318,25 +318,20 @@ ruleSimdIntrinsic(FileCtx &ctx)
 void
 ruleRawIo(FileCtx &ctx)
 {
-    // The persistent trace store and the sweep protocol are the only
-    // sanctioned raw-syscall zones: trace_store.cpp owns every mmap/
-    // fsync/rename dance (crash-safety and the zero-copy view depend
-    // on that exact sequence), sweep_client.cpp owns the Unix-socket
-    // wire codec + campaign client, and sweepd.cpp owns the daemon's
-    // listening socket. Raw descriptors anywhere else bypass both the
-    // store's corruption handling and the frame protocol's
-    // versioning. `bind`/`open`/`close`/`read`/`write`/`unlink` are
-    // deliberately not listed — they collide with ordinary C++
-    // identifiers (stats-registry bind lambdas, fstream::open,
-    // std::filesystem) — but no socket server or mapping exists
-    // without `socket()`/`accept()`/`mmap()`, so the list below still
-    // confines any new raw-io code to the three TUs.
+    // The persistent trace store is the only sanctioned raw-syscall
+    // zone: trace_store.cpp owns every mmap/fsync/rename dance
+    // (crash-safety and the zero-copy view depend on that exact
+    // sequence), and raw descriptors anywhere else bypass the store's
+    // corruption handling. `bind`/`open`/`close`/`read`/`write`/
+    // `unlink` are deliberately not listed — they collide with
+    // ordinary C++ identifiers (stats-registry bind lambdas,
+    // fstream::open, std::filesystem) — but no socket server or
+    // mapping exists without `socket()`/`accept()`/`mmap()`, so the
+    // list below still confines any new raw-io code to that TU.
     if (!startsWith(ctx.relpath, "src/") &&
         !startsWith(ctx.relpath, "tools/"))
         return;
-    if (ctx.relpath == "src/core/trace_store.cpp" ||
-        ctx.relpath == "src/core/sweep_client.cpp" ||
-        ctx.relpath == "src/svc/sweepd.cpp")
+    if (ctx.relpath == "src/core/trace_store.cpp")
         return;
     static const std::set<std::string> banned = {
         "mmap",  "munmap",    "msync",    "socket", "listen",
@@ -364,10 +359,8 @@ ruleRawIo(FileCtx &ctx)
         }
         ctx.add("raw-io", toks[i].line,
                 "raw I/O syscall '" + toks[i].text +
-                    "()' outside src/core/trace_store.cpp, "
-                    "src/core/sweep_client.cpp and src/svc/sweepd.cpp; "
-                    "go through the trace store or the sweep protocol "
-                    "layer");
+                    "()' outside src/core/trace_store.cpp; go through "
+                    "the trace store");
     }
 }
 
@@ -782,8 +775,7 @@ ruleCatalog()
              "raw SIMD intrinsics outside src/util/simd.hpp"},
             {"raw-io",
              "raw mmap/socket/descriptor syscalls outside "
-             "src/core/{trace_store,sweep_client}.cpp and "
-             "src/svc/sweepd.cpp"},
+             "src/core/trace_store.cpp"},
             {"fp-pow-int",
              "std::pow with an integer-literal exponent in src/"},
             {"thread-static",
@@ -809,7 +801,7 @@ ruleCatalog()
              "across TUs"},
             {"layer-dag",
              "include back-edge against util < linsys < pdn/power/cpu "
-             "< obs < core < svc < tools layering"},
+             "< obs < core < tools layering"},
         };
     return cat;
 }

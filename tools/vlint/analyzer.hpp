@@ -47,7 +47,7 @@
  *   lock-order        inconsistent mutex/once_flag acquisition-order
  *                     cycles across TUs
  *   layer-dag         include back-edges against util < linsys <
- *                     pdn/power/cpu < obs < core < svc < tools
+ *                     pdn/power/cpu < obs < core < tools
  *
  * Suppressions: `// vlint: allow(rule[,rule...]) reason` on the
  * offending line, or alone on the line directly above it. The reason

@@ -59,8 +59,8 @@ memberStoplist()
         "first",   "second",  "join",      "load",         "store",
         "fetch_add", "value", "what",      "name",
         // Domain verbs that many unrelated classes spell identically
-        // (PdnSim::step vs VoltageSim::step vs PartitionedConvolver::
-        // step; Histogram::add vs Registry::add): a bare member call
+        // (PdnSim::step vs VoltageSim::step vs Convolver::step;
+        // Histogram::add vs Registry::add): a bare member call
         // would link to every one of them across classes, wiring
         // whole false subtrees into the reachability rules. Same-class
         // calls still resolve via the exact innermost-scope match.
@@ -72,16 +72,13 @@ memberStoplist()
 bool
 isDetRoot(const std::string &qual)
 {
-    static const std::vector<std::string> suffixes = {
-        "CampaignEngine::run", "runCampaignOnServer"};
     static const std::vector<std::string> steps = {
         "::stepShared", "::stepPerLane", "::doStepShared",
         "::doStepPerLane"};
     static const std::vector<std::string> classes = {
-        "TraceCache::", "TraceStore::", "SweepServer::"};
-    for (const auto &s : suffixes)
-        if (endsWithComponent(qual, s))
-            return true;
+        "TraceCache::", "TraceStore::"};
+    if (endsWithComponent(qual, "CampaignEngine::run"))
+        return true;
     for (const auto &s : steps)
         if (endsWith(qual, s))
             return true;
@@ -143,9 +140,7 @@ layerRank(const std::string &relpath)
         return 3;
     if (startsWith(relpath, "src/core/"))
         return 4;
-    if (startsWith(relpath, "src/svc/"))
-        return 5;
-    return 6;  // tools / bench / examples / tests / unknown
+    return 5;  // tools / bench / examples / tests / unknown
 }
 
 CallGraph
@@ -243,7 +238,7 @@ linkFacts(const std::vector<FileFacts> &files,
                 if (!endsWithComponent(cand.qualName, call.name))
                     continue;
                 // Layer filter: src code never links upward into
-                // same-named helpers in svc/tools/bench/tests.
+                // same-named helpers in tools/bench/tests.
                 if (layerRank(cand.file) > callerRank)
                     continue;
                 out.push_back(idx);
@@ -606,7 +601,7 @@ ruleLayerDag(const CallGraph &g, std::vector<Finding> &out)
     static const char *layers[] = {
         "src/util", "src/linsys|src/isa",
         "src/pdn|src/power|src/cpu|src/workloads", "src/obs",
-        "src/core", "src/svc", "tools|bench|examples|tests"};
+        "src/core", "tools|bench|examples|tests"};
     for (const auto &e : g.includes) {
         if (e.toRank <= e.fromRank)
             continue;
@@ -618,7 +613,7 @@ ruleLayerDag(const CallGraph &g, std::vector<Finding> &out)
                     layers[e.fromRank] + ") includes " + e.to +
                     " (layer " + layers[e.toRank] +
                     "); dependencies must flow util < linsys < "
-                    "pdn/power/cpu < obs < core < svc < tools";
+                    "pdn/power/cpu < obs < core < tools";
         out.push_back(std::move(f));
     }
 }

@@ -15,9 +15,8 @@
  *
  *   det-reach   wall-clock/rand/unordered-iteration hazards reachable
  *               from the deterministic roots (CampaignEngine::run,
- *               PdnBackend step entry points, TraceCache/TraceStore,
- *               the SweepServer campaign path); diagnostics carry the
- *               full root → hazard call chain.
+ *               PdnBackend step entry points, TraceCache/TraceStore);
+ *               diagnostics carry the full root → hazard call chain.
  *   alloc-hot   allocations within --hot-depth calls of a function
  *               annotated `// vlint: hot`.
  *   lock-order  inconsistent mutex/once_flag acquisition-order cycles,
@@ -25,7 +24,7 @@
  *               holds another lock.
  *   layer-dag   include edges against the layering
  *               util < linsys/isa < pdn/power/cpu/workloads < obs <
- *               core < svc < tools/bench/examples/tests.
+ *               core < tools/bench/examples/tests.
  */
 
 #ifndef VGUARD_TOOLS_VLINT_GRAPH_HPP
