@@ -29,7 +29,10 @@
  * (core/multicore_sim): 8 chips × 4 staggered replay cores each,
  * scalar vs batched stepPerLane, with exact per-lane agreement
  * reported as chipLanesIdentical (CI floor) and the throughput ratio
- * as chipBatchedSpeedup. Writes BENCH_simloop.json.
+ * as chipBatchedSpeedup. Both sweep sections time their scalar and
+ * batched legs interleaved; the floors gate the best-of-N ratios, and
+ * the *SpeedupMedian fields report the median ratios beside them.
+ * Writes BENCH_simloop.json.
  *
  * Usage:
  *   bench_simloop [cycles] [--jsonl FILE]
@@ -44,6 +47,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -83,19 +87,36 @@ rate(uint64_t cycles, double secs)
     return secs > 0.0 ? static_cast<double>(cycles) / secs : 0.0;
 }
 
-/**
- * Min-of-N wall-clock seconds. The sweep legs are short enough that a
- * single scheduler hiccup can swamp them, so the speedup floor is
- * enforced against the best of a few repetitions.
- */
-template <typename Fn>
-double
-timeBest(int reps, Fn &&fn)
+/** Best (min) and median wall-clock seconds of one bench leg. */
+struct LegTimes
 {
-    double best = timeIt(fn);
-    for (int r = 1; r < reps; ++r)
-        best = std::min(best, timeIt(fn));
-    return best;
+    double best = 0.0;
+    double median = 0.0;
+};
+
+/**
+ * Times a scalar leg @p a and a batched leg @p b interleaved, A B A B
+ * ..., @p reps times each. Host speed drifts over the bench's lifetime;
+ * back-to-back pairs see the same conditions, so the drift lands on
+ * both legs alike instead of on whichever block it hit. The legs are
+ * short enough that one scheduler hiccup can swamp a repetition, so
+ * the speedup floors are enforced on the best of each; the medians
+ * show the spread.
+ */
+template <typename FnA, typename FnB>
+std::pair<LegTimes, LegTimes>
+timeInterleaved(int reps, FnA &&a, FnB &&b)
+{
+    std::vector<double> ta, tb;
+    for (int r = 0; r < reps; ++r) {
+        ta.push_back(timeIt(a));
+        tb.push_back(timeIt(b));
+    }
+    const auto summary = [](std::vector<double> &t) {
+        std::sort(t.begin(), t.end());
+        return LegTimes{t.front(), t[t.size() / 2]};
+    };
+    return {summary(ta), summary(tb)};
 }
 
 /** Exact equality of a replayed result against the full-core one. */
@@ -217,31 +238,33 @@ main(int argc, char **argv)
 
     const size_t nTrace = trace.cycles();
     // Scalar sweep baseline: lane-major PdnSim::stepMany passes, each
-    // writing its own contiguous row (no scatter cost charged).
-    constexpr int kSweepReps = 3;
+    // writing its own contiguous row (no scatter cost charged), against
+    // the batched sweep: all lanes per pass, blocked like a replay.
+    constexpr int kSweepReps = 7;
     std::vector<double> scalarRows(nTrace * laneCount);
-    const double scalarLaneSecs = timeBest(kSweepReps, [&] {
-        for (size_t lane = 0; lane < laneCount; ++lane) {
-            pdn::PdnSim sim(pdn::PackageModel(lanes[lane].package));
-            sim.trimToCurrent(lanes[lane].iTrim);
-            sim.stepMany(trace.ampsData(), nTrace,
-                         scalarRows.data() + lane * nTrace);
-        }
-    });
-
-    // Batched sweep: all lanes per pass, blocked like a replay.
     std::vector<double> batchedVolts(nTrace * laneCount);
-    const double batchedLaneSecs = timeBest(kSweepReps, [&] {
-        const auto backend = pdn::makeBatchedBackend(lanes);
-        size_t done = 0;
-        while (done < nTrace) {
-            const size_t chunk = std::min<size_t>(
-                VoltageSim::kBlockCycles, nTrace - done);
-            backend->stepShared(trace.ampsData() + done, chunk,
-                                batchedVolts.data() + done * laneCount);
-            done += chunk;
-        }
-    });
+    const auto [scalarLaneSecs, batchedLaneSecs] = timeInterleaved(
+        kSweepReps,
+        [&] {
+            for (size_t lane = 0; lane < laneCount; ++lane) {
+                pdn::PdnSim sim(pdn::PackageModel(lanes[lane].package));
+                sim.trimToCurrent(lanes[lane].iTrim);
+                sim.stepMany(trace.ampsData(), nTrace,
+                             scalarRows.data() + lane * nTrace);
+            }
+        },
+        [&] {
+            const auto backend = pdn::makeBatchedBackend(lanes);
+            size_t done = 0;
+            while (done < nTrace) {
+                const size_t chunk = std::min<size_t>(
+                    VoltageSim::kBlockCycles, nTrace - done);
+                backend->stepShared(trace.ampsData() + done, chunk,
+                                    batchedVolts.data() +
+                                        done * laneCount);
+                done += chunk;
+            }
+        });
 
     // Bit-identity: batched output vs the scalar backend (cycle-major)
     // and vs the raw stepMany rows (lane-major).
@@ -282,14 +305,16 @@ main(int argc, char **argv)
         chipSpecs.push_back(std::move(chip));
     }
     std::vector<ChipResult> chipScalar, chipBatched;
-    const double chipScalarSecs = timeBest(kSweepReps, [&] {
-        chipScalar =
-            runChips(chipSpecs, nTrace, pdn::BackendKind::Scalar);
-    });
-    const double chipBatchedSecs = timeBest(kSweepReps, [&] {
-        chipBatched =
-            runChips(chipSpecs, nTrace, pdn::BackendKind::Batched);
-    });
+    const auto [chipScalarSecs, chipBatchedSecs] = timeInterleaved(
+        kSweepReps,
+        [&] {
+            chipScalar =
+                runChips(chipSpecs, nTrace, pdn::BackendKind::Scalar);
+        },
+        [&] {
+            chipBatched =
+                runChips(chipSpecs, nTrace, pdn::BackendKind::Batched);
+        });
     bool chipLanesIdentical = chipScalar.size() == chipBatched.size();
     for (size_t c = 0; chipLanesIdentical && c < chipScalar.size();
          ++c) {
@@ -307,10 +332,14 @@ main(int argc, char **argv)
 
     const uint64_t laneCycles =
         static_cast<uint64_t>(nTrace) * laneCount;
-    const double scalarLaneRate = rate(laneCycles, scalarLaneSecs);
-    const double batchedLaneRate = rate(laneCycles, batchedLaneSecs);
+    const double scalarLaneRate = rate(laneCycles, scalarLaneSecs.best);
+    const double batchedLaneRate = rate(laneCycles, batchedLaneSecs.best);
     const double batchedSpeedup =
         scalarLaneRate > 0.0 ? batchedLaneRate / scalarLaneRate : 0.0;
+    const double batchedSpeedupMedian =
+        batchedLaneSecs.median > 0.0
+            ? scalarLaneSecs.median / batchedLaneSecs.median
+            : 0.0;
 
     const double fullRate = rate(fullRes.cycles, fullSecs);
     const double cycRate = rate(cycRes.cycles, cycSecs);
@@ -335,27 +364,33 @@ main(int argc, char **argv)
     std::printf("traced replay overhead: %.3f%%\n",
                 tracedReplayOverheadPct);
 
-    std::printf("%-22s %14s %10s\n", "sweep engine",
-                "lane-cycles/s", "speedup");
-    std::printf("%-22s %14.6g %9.2fx\n", "scalar x8", scalarLaneRate,
-                1.0);
-    std::printf("%-22s %14.6g %9.2fx\n", "batched x8", batchedLaneRate,
-                batchedSpeedup);
+    std::printf("%-22s %14s %10s %10s\n", "sweep engine",
+                "lane-cycles/s", "speedup", "median");
+    std::printf("%-22s %14.6g %9.2fx %9.2fx\n", "scalar x8",
+                scalarLaneRate, 1.0, 1.0);
+    std::printf("%-22s %14.6g %9.2fx %9.2fx\n", "batched x8",
+                batchedLaneRate, batchedSpeedup, batchedSpeedupMedian);
     std::printf("lanes identical: %s\n", lanesIdentical ? "yes" : "NO");
 
     const uint64_t chipLaneCycles =
         static_cast<uint64_t>(nTrace) * chipLanes;
-    const double chipScalarRate = rate(chipLaneCycles, chipScalarSecs);
+    const double chipScalarRate =
+        rate(chipLaneCycles, chipScalarSecs.best);
     const double chipBatchedRate =
-        rate(chipLaneCycles, chipBatchedSecs);
+        rate(chipLaneCycles, chipBatchedSecs.best);
     const double chipBatchedSpeedup =
         chipScalarRate > 0.0 ? chipBatchedRate / chipScalarRate : 0.0;
-    std::printf("%-22s %14s %10s\n", "chip sweep (8x4 cores)",
-                "chip-cycles/s", "speedup");
-    std::printf("%-22s %14.6g %9.2fx\n", "scalar chips",
-                chipScalarRate, 1.0);
-    std::printf("%-22s %14.6g %9.2fx\n", "batched chips",
-                chipBatchedRate, chipBatchedSpeedup);
+    const double chipBatchedSpeedupMedian =
+        chipBatchedSecs.median > 0.0
+            ? chipScalarSecs.median / chipBatchedSecs.median
+            : 0.0;
+    std::printf("%-22s %14s %10s %10s\n", "chip sweep (8x4 cores)",
+                "chip-cycles/s", "speedup", "median");
+    std::printf("%-22s %14.6g %9.2fx %9.2fx\n", "scalar chips",
+                chipScalarRate, 1.0, 1.0);
+    std::printf("%-22s %14.6g %9.2fx %9.2fx\n", "batched chips",
+                chipBatchedRate, chipBatchedSpeedup,
+                chipBatchedSpeedupMedian);
     std::printf("chip lanes identical: %s\n",
                 chipLanesIdentical ? "yes" : "NO");
 
@@ -374,12 +409,14 @@ main(int argc, char **argv)
     w.field("scalarLaneCyclesPerSec", scalarLaneRate);
     w.field("batchedLaneCyclesPerSec", batchedLaneRate);
     w.field("batchedSpeedup", batchedSpeedup);
+    w.field("batchedSpeedupMedian", batchedSpeedupMedian);
     w.field("lanesIdentical", lanesIdentical);
     w.field("chipLanes", uint64_t{chipLanes});
     w.field("chipCoresPerLane", uint64_t{chipCores});
     w.field("chipScalarCyclesPerSec", chipScalarRate);
     w.field("chipBatchedCyclesPerSec", chipBatchedRate);
     w.field("chipBatchedSpeedup", chipBatchedSpeedup);
+    w.field("chipBatchedSpeedupMedian", chipBatchedSpeedupMedian);
     w.field("chipLanesIdentical", chipLanesIdentical);
     w.endObject();
 

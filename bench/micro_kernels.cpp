@@ -15,6 +15,7 @@
 #include "power/wattch.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/spec_proxy.hpp"
+#include "workloads/stressmark.hpp"
 
 using namespace vguard;
 using namespace vguard::core;
@@ -68,6 +69,26 @@ BM_CoreCycleSpecProxy(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoreCycleSpecProxy);
+
+/** The workload stressmark calibration runs: the RUU fills up behind
+    the divide chain, so the window is full while few entries are
+    Ready. */
+static void
+BM_CoreCycleStressmark(benchmark::State &state)
+{
+    const cpu::CpuConfig cfg = referenceMachine().cpu;
+    static const workloads::StressmarkParams params =
+        workloads::StressmarkBuilder::calibrate(
+            pdn::PackageModel(referencePackage(2.0))
+                .resonantPeriodCycles(),
+            cfg)
+            .params;
+    cpu::OoOCore core(cfg, workloads::StressmarkBuilder::build(params));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(&core.cycle());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CoreCycleStressmark);
 
 static void
 BM_PowerModel(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "cpu/core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/logging.hpp"
 
@@ -9,26 +10,48 @@ namespace vguard::cpu {
 using isa::OpClass;
 using isa::Opcode;
 
-OoOCore::OoOCore(const CpuConfig &cfg, isa::Program program)
-    : cfg_(cfg), exec_(std::move(program)), bpred_(cfg), mem_(cfg),
-      pool_(cfg), ruu_(cfg.ruuSize), lsq_(cfg.lsqSize),
-      ifq_(cfg.ifqSize), regStatus_(isa::kNumArchRegs, -1),
-      wheel_(kWheelSize)
+const CpuConfig &
+OoOCore::validated(const CpuConfig &cfg)
 {
-    if (cfg.ruuSize == 0 || cfg.ruuSize > 0xfffe)
+    // Queue indices are uint16_t with kNone as the no-entry sentinel.
+    if (cfg.ruuSize == 0 || cfg.ruuSize >= kNone)
         fatal("OoOCore: RUU size %u out of range", cfg.ruuSize);
-    if (cfg.lsqSize == 0 || cfg.ifqSize == 0)
-        fatal("OoOCore: LSQ/IFQ must be non-empty");
-    const unsigned worstLatency =
-        cfg.dl1.latency + cfg.l2.latency + cfg.memLatency + 8;
+    if (cfg.lsqSize == 0 || cfg.lsqSize >= kNone)
+        fatal("OoOCore: LSQ size %u out of range", cfg.lsqSize);
+    if (cfg.ifqSize == 0 || cfg.ifqSize >= kNone)
+        fatal("OoOCore: IFQ size %u out of range", cfg.ifqSize);
+    // A zero width never drains the pipeline.
+    if (cfg.fetchWidth == 0 || cfg.decodeWidth == 0 ||
+        cfg.issueWidth == 0 || cfg.commitWidth == 0)
+        fatal("OoOCore: fetch/decode/issue/commit width must be >= 1");
+    const uint64_t worstLatency = uint64_t{cfg.dl1.latency} +
+                                  cfg.l2.latency + cfg.memLatency + 8;
     if (worstLatency >= kWheelSize)
         fatal("OoOCore: memory latency too large for the event wheel");
+    return cfg;
+}
+
+OoOCore::OoOCore(const CpuConfig &cfg, isa::Program program)
+    : cfg_(validated(cfg)), exec_(std::move(program)), bpred_(cfg_),
+      mem_(cfg_), pool_(cfg_), ruu_(cfg_.ruuSize),
+      readyBits_((cfg_.ruuSize + 63) / 64),
+      edgeNext_(size_t{cfg_.ruuSize} * kMaxSources), lsq_(cfg_.lsqSize),
+      ifq_(cfg_.ifqSize), regStatus_(isa::kNumArchRegs, -1),
+      wheel_(kWheelSize, kNone)
+{
 }
 
 uint16_t
 OoOCore::ruuIndexAfter(uint16_t idx) const
 {
     return static_cast<size_t>(idx) + 1 == ruu_.size() ? 0 : idx + 1;
+}
+
+unsigned
+OoOCore::lsqAge(uint16_t slot) const
+{
+    return slot >= lsqHead_ ? slot - lsqHead_
+                            : slot + lsq_.size() - lsqHead_;
 }
 
 bool
@@ -41,9 +64,19 @@ void
 OoOCore::scheduleCompletion(uint16_t idx, unsigned latency)
 {
     VGUARD_CHECK(latency > 0 && latency < kWheelSize);
-    wheel_[(now_ + latency) % kWheelSize].push_back(idx);
+    uint16_t &slot = wheel_[(now_ + latency) % kWheelSize];
+    ruu_[idx].nextEvent = slot;
+    slot = idx;
 }
 
+void
+OoOCore::makeReady(uint16_t idx)
+{
+    ruu_[idx].state = State::Ready;
+    readyBits_[idx / 64] |= uint64_t{1} << (idx % 64);
+}
+
+// vlint: hot
 const ActivityVector &
 OoOCore::cycle()
 {
@@ -107,7 +140,6 @@ OoOCore::commitStage()
         }
 
         e.state = State::Empty;
-        e.consumers.clear();
         ruuHead_ = ruuIndexAfter(ruuHead_);
         --ruuCount_;
         ++av_.committed;
@@ -129,13 +161,15 @@ OoOCore::markCompleted(uint16_t idx)
     if (e.si->rd != isa::kNoReg && !isa::isZeroReg(e.si->rd))
         ++av_.regWrites;
 
-    for (uint16_t consumer : e.consumers) {
+    for (uint32_t edge = e.firstConsumer; edge != kNoEdge;
+         edge = edgeNext_[edge]) {
+        const auto consumer = static_cast<uint16_t>(edge / kMaxSources);
         RuuEntry &c = ruu_[consumer];
         VGUARD_CHECK(c.waitCount > 0);
         if (--c.waitCount == 0 && c.state == State::Waiting)
-            c.state = State::Ready;
+            makeReady(consumer);
     }
-    e.consumers.clear();
+    e.firstConsumer = kNoEdge;
 
     if (e.mispredicted) {
         VGUARD_CHECK(fetchWaitingBranch_);
@@ -148,10 +182,10 @@ OoOCore::markCompleted(uint16_t idx)
 void
 OoOCore::writebackStage()
 {
-    auto &slot = wheel_[now_ % kWheelSize];
-    for (uint16_t idx : slot)
+    uint16_t &slot = wheel_[now_ % kWheelSize];
+    for (uint16_t idx = slot; idx != kNone; idx = ruu_[idx].nextEvent)
         markCompleted(idx);
-    slot.clear();
+    slot = kNone;
 }
 
 // --------------------------------------------------------------------
@@ -160,31 +194,43 @@ OoOCore::writebackStage()
 bool
 OoOCore::tryIssueLoad(uint16_t idx, RuuEntry &e)
 {
-    if (gates_.dl1)
+    if (gates_.dl1 || !pool_.anyFree(FuGroup::MemPort, now_))
         return false;
 
     // Conservative memory disambiguation: scan older LSQ entries; an
     // older store with an unresolved address blocks the load, an
-    // address match forwards from the store.
+    // address match forwards from the store. The store that blocked
+    // the last attempt blocks again while it is older than the load
+    // and unresolved: the stores between them were resolved and did
+    // not match, and stay so (addresses are fixed at dispatch and they
+    // cannot commit before it), so a rescan would stop there again. A
+    // reused slot is younger than the load and fails the age test.
     VGUARD_CHECK(e.lsqIdx >= 0);
+    const auto self = static_cast<uint16_t>(e.lsqIdx);
+    if (e.blockingStore != kNone &&
+        lsqAge(e.blockingStore) < lsqAge(self) &&
+        !lsq_[e.blockingStore].addrReady)
+        return false;
     bool forward = false;
-    uint16_t scan = static_cast<uint16_t>(e.lsqIdx);
+    uint16_t scan = self;
     while (scan != lsqHead_) {
         scan = scan == 0 ? static_cast<uint16_t>(lsq_.size() - 1)
                          : scan - 1;
         const LsqEntry &older = lsq_[scan];
         if (!older.valid || !older.isStore)
             continue;
-        if (!older.addrReady)
+        if (!older.addrReady) {
+            e.blockingStore = scan;
             return false; // unknown older store address
+        }
         if (older.addr == e.effAddr) {
             forward = true;
             break;
         }
     }
 
-    if (!pool_.tryIssue(OpClass::Load, now_))
-        return false;
+    const bool claimed = pool_.tryIssue(OpClass::Load, now_);
+    VGUARD_CHECK(claimed);
     ++av_.memPortsUsed;
 
     unsigned lat;
@@ -199,6 +245,64 @@ OoOCore::tryIssueLoad(uint16_t idx, RuuEntry &e)
     return true;
 }
 
+bool
+OoOCore::tryIssue(uint16_t idx)
+{
+    RuuEntry &e = ruu_[idx];
+    VGUARD_CHECK(e.state == State::Ready);
+
+    const FuGroup group = fuGroupOf(e.cls);
+    const bool isFuOp =
+        group == FuGroup::IntAlu || group == FuGroup::IntMultDiv ||
+        group == FuGroup::FpAlu || group == FuGroup::FpMultDiv;
+    // Branches still execute under FU gating (the control path is
+    // not gated, only the execution datapaths), so exempt them.
+    if (gates_.fu && isFuOp && e.cls != OpClass::Branch) {
+        ++stats_.issueGateStalls;
+        return false;
+    }
+
+    if (e.isLoad) {
+        if (!tryIssueLoad(idx, e))
+            return false;
+    } else if (e.isStore) {
+        // Address generation on a memory port; the cache write
+        // happens at commit.
+        if (!pool_.tryIssue(OpClass::Store, now_))
+            return false;
+        ++av_.memPortsUsed;
+        VGUARD_CHECK(e.lsqIdx >= 0);
+        lsq_[e.lsqIdx].addrReady = true;
+        scheduleCompletion(idx, 1);
+    } else if (e.cls == OpClass::Nop) {
+        // NOP/HALT never reach Ready (completed at dispatch).
+        panic("issueStage: Nop in ready state");
+    } else {
+        if (!pool_.tryIssue(e.cls, now_))
+            return false;
+        scheduleCompletion(idx, pool_.latencyOf(e.cls));
+    }
+
+    e.state = State::Issued;
+    readyBits_[idx / 64] &= ~(uint64_t{1} << (idx % 64));
+    ++stats_.issued;
+
+    uint8_t srcs[kMaxSources];
+    av_.regReads += e.si->sources(srcs);
+
+    switch (e.cls) {
+      case OpClass::IntAlu:
+      case OpClass::Branch:  ++av_.issuedIntAlu; break;
+      case OpClass::IntMult: ++av_.issuedIntMult; break;
+      case OpClass::IntDiv:  ++av_.issuedIntDiv; break;
+      case OpClass::FpAdd:   ++av_.issuedFpAdd; break;
+      case OpClass::FpMult:  ++av_.issuedFpMult; break;
+      case OpClass::FpDiv:   ++av_.issuedFpDiv; break;
+      default: break;
+    }
+    return true;
+}
+
 void
 OoOCore::issueStage()
 {
@@ -206,62 +310,31 @@ OoOCore::issueStage()
     float activitySum = 0.0f;
     const unsigned width = std::min(cfg_.issueWidth, issueLimit_);
 
-    uint16_t idx = ruuHead_;
-    for (uint16_t n = 0; n < ruuCount_ && issued < width;
-         ++n, idx = ruuIndexAfter(idx)) {
-        RuuEntry &e = ruu_[idx];
-        if (e.state != State::Ready)
-            continue;
-
-        const FuGroup group = fuGroupOf(e.cls);
-        const bool isFuOp =
-            group == FuGroup::IntAlu || group == FuGroup::IntMultDiv ||
-            group == FuGroup::FpAlu || group == FuGroup::FpMultDiv;
-        // Branches still execute under FU gating (the control path is
-        // not gated, only the execution datapaths), so exempt them.
-        if (gates_.fu && isFuOp && e.cls != OpClass::Branch) {
-            ++stats_.issueGateStalls;
-            continue;
-        }
-
-        if (e.isLoad) {
-            if (!tryIssueLoad(idx, e))
+    // Walk the Ready bitmap oldest-first: the head's word from the
+    // head up, the following words round the ring, then the head's
+    // word below the head. This visits exactly the entries a walk of
+    // the whole RUU from the head would find Ready, in the same order:
+    // completions land at least one cycle after issue, so nothing
+    // becomes Ready mid-walk, and a store resolving its address still
+    // precedes the younger loads that see it.
+    const size_t words = readyBits_.size();
+    const size_t headWord = ruuHead_ / 64;
+    const uint64_t fromHead = ~uint64_t{0} << (ruuHead_ % 64);
+    for (size_t n = 0; n <= words && issued < width; ++n) {
+        const size_t w = (headWord + n) % words;
+        uint64_t bits = readyBits_[w];
+        if (n == 0)
+            bits &= fromHead;
+        else if (n == words)
+            bits &= ~fromHead;
+        while (bits != 0 && issued < width) {
+            const auto idx =
+                static_cast<uint16_t>(w * 64 + std::countr_zero(bits));
+            bits &= bits - 1;
+            if (!tryIssue(idx))
                 continue;
-        } else if (e.isStore) {
-            // Address generation on a memory port; the cache write
-            // happens at commit.
-            if (!pool_.tryIssue(OpClass::Store, now_))
-                continue;
-            ++av_.memPortsUsed;
-            VGUARD_CHECK(e.lsqIdx >= 0);
-            lsq_[e.lsqIdx].addrReady = true;
-            scheduleCompletion(idx, 1);
-        } else if (e.cls == OpClass::Nop) {
-            // NOP/HALT never reach Ready (completed at dispatch).
-            panic("issueStage: Nop in ready state");
-        } else {
-            if (!pool_.tryIssue(e.cls, now_))
-                continue;
-            scheduleCompletion(idx, pool_.latencyOf(e.cls));
-        }
-
-        e.state = State::Issued;
-        ++issued;
-        ++stats_.issued;
-        activitySum += e.activity;
-
-        uint8_t srcs[3];
-        av_.regReads += e.si->sources(srcs);
-
-        switch (e.cls) {
-          case OpClass::IntAlu:
-          case OpClass::Branch:  ++av_.issuedIntAlu; break;
-          case OpClass::IntMult: ++av_.issuedIntMult; break;
-          case OpClass::IntDiv:  ++av_.issuedIntDiv; break;
-          case OpClass::FpAdd:   ++av_.issuedFpAdd; break;
-          case OpClass::FpMult:  ++av_.issuedFpMult; break;
-          case OpClass::FpDiv:   ++av_.issuedFpDiv; break;
-          default: break;
+            ++issued;
+            activitySum += ruu_[idx].activity;
         }
     }
 
@@ -307,16 +380,21 @@ OoOCore::dispatchStage()
         e.activity = fi.activity;
         e.waitCount = 0;
         e.lsqIdx = -1;
+        e.firstConsumer = kNoEdge;
+        e.blockingStore = kNone;
 
-        // Rename: wire up producers that are still in flight.
-        uint8_t srcs[3];
+        // Rename: link this entry onto the wake-up list of every
+        // producer still in flight, one edge per source operand.
+        uint8_t srcs[kMaxSources];
         const unsigned nsrc = e.si->sources(srcs);
         for (unsigned s = 0; s < nsrc; ++s) {
             const int32_t producer = regStatus_[srcs[s]];
             if (producer >= 0 &&
                 ruu_[producer].state != State::Completed &&
                 ruu_[producer].state != State::Empty) {
-                ruu_[producer].consumers.push_back(idx);
+                const uint32_t edge = uint32_t{idx} * kMaxSources + s;
+                edgeNext_[edge] = ruu_[producer].firstConsumer;
+                ruu_[producer].firstConsumer = edge;
                 ++e.waitCount;
             }
         }
@@ -342,8 +420,10 @@ OoOCore::dispatchStage()
             // NOPs and HALT retire without executing.
             e.state = State::Issued;
             scheduleCompletion(idx, 1);
+        } else if (e.waitCount == 0) {
+            makeReady(idx);
         } else {
-            e.state = e.waitCount == 0 ? State::Ready : State::Waiting;
+            e.state = State::Waiting;
         }
 
         ruuTail_ = ruuIndexAfter(ruuTail_);

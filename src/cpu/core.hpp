@@ -11,6 +11,13 @@
  * wrong path is not executed — the same approximation as the paper's
  * Wattch/SimpleScalar infrastructure).
  *
+ * Issue is event-driven: a bitmap over the RUU marks the Ready
+ * entries, and each cycle walks its set bits oldest-first from the
+ * RUU head, so a cycle costs in proportion to its Ready entries, not
+ * to the window size. Wake-up lists and the completion wheel are
+ * intrusive lists in storage sized once from the CpuConfig, so
+ * cycle() allocates nothing.
+ *
  * The core exposes the two hooks the dI/dt work needs:
  *  - cycle() returns a per-cycle ActivityVector for the power model;
  *  - setGates()/setPhantom() apply the actuator commands of Section 5
@@ -111,6 +118,13 @@ class OoOCore
                        const std::string &prefix = "cpu") const;
 
   private:
+    /** StaticInst::sources() yields at most this many operands. */
+    static constexpr unsigned kMaxSources = 3;
+    /** No RUU entry / LSQ slot (queue sizes stay below it). */
+    static constexpr uint16_t kNone = 0xffff;
+    /** End of a wake-up list. */
+    static constexpr uint32_t kNoEdge = ~0u;
+
     enum class State : uint8_t {
         Empty,
         Waiting,    ///< operands outstanding
@@ -133,7 +147,12 @@ class OoOCore
         uint64_t effAddr = 0;
         float activity = 0.0f;
         int32_t lsqIdx = -1;
-        std::vector<uint16_t> consumers;
+        /** Head of this producer's wake-up list (an edge id). */
+        uint32_t firstConsumer = kNoEdge;
+        /** Next entry completing in the same wheel slot. */
+        uint16_t nextEvent = kNone;
+        /** LSQ slot of the unresolved store that last blocked a load. */
+        uint16_t blockingStore = kNone;
     };
 
     struct LsqEntry
@@ -164,11 +183,18 @@ class OoOCore
     void fetchStage();
     void finalizeActivity();
 
+    bool tryIssue(uint16_t idx);
     bool tryIssueLoad(uint16_t idx, RuuEntry &e);
     void scheduleCompletion(uint16_t idx, unsigned latency);
     void markCompleted(uint16_t idx);
+    void makeReady(uint16_t idx);
 
     uint16_t ruuIndexAfter(uint16_t idx) const;
+    /** Distance of LSQ slot @p slot from the LSQ head (0 = oldest). */
+    unsigned lsqAge(uint16_t slot) const;
+
+    /** @p cfg, or fatal() before any storage is sized from it. */
+    static const CpuConfig &validated(const CpuConfig &cfg);
 
     CpuConfig cfg_;
     isa::Executor exec_;
@@ -181,6 +207,16 @@ class OoOCore
     uint16_t ruuHead_ = 0;
     uint16_t ruuTail_ = 0;
     uint16_t ruuCount_ = 0;
+
+    /** One bit per RUU slot, set while the entry is Ready. */
+    std::vector<uint64_t> readyBits_;
+
+    /**
+     * Wake-up edges: edge consumer * kMaxSources + s links the
+     * consumer's s-th source operand onto its producer's list, and
+     * edgeNext_[edge] is the next edge on that list.
+     */
+    std::vector<uint32_t> edgeNext_;
 
     // LSQ circular buffer.
     std::vector<LsqEntry> lsq_;
@@ -197,9 +233,10 @@ class OoOCore
     // Register status: latest in-flight producer per unified arch reg.
     std::vector<int32_t> regStatus_;
 
-    // Completion event wheel.
+    // Completion event wheel: per slot, the first RUU entry completing
+    // then (the rest chain through RuuEntry::nextEvent).
     static constexpr unsigned kWheelSize = 2048;
-    std::vector<std::vector<uint16_t>> wheel_;
+    std::vector<uint16_t> wheel_;
 
     uint64_t now_ = 0;
     unsigned issueLimit_ = ~0u;     ///< per-cycle issue cap (throttle)

@@ -127,4 +127,13 @@ FuncUnitPool::busyCount(FuGroup group, uint64_t now) const
     return busy;
 }
 
+bool
+FuncUnitPool::anyFree(FuGroup group, uint64_t now) const
+{
+    for (uint64_t until : groupOf(group))
+        if (until <= now)
+            return true;
+    return false;
+}
+
 } // namespace vguard::cpu

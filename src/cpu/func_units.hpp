@@ -55,6 +55,9 @@ class FuncUnitPool
     /** Units of @p group busy at cycle @p now. */
     unsigned busyCount(FuGroup group, uint64_t now) const;
 
+    /** Whether some unit of @p group is free at cycle @p now. */
+    bool anyFree(FuGroup group, uint64_t now) const;
+
   private:
     const std::vector<uint64_t> &groupOf(FuGroup g) const;
     std::vector<uint64_t> &groupOf(FuGroup g);

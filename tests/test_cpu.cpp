@@ -2,10 +2,18 @@
  * @file
  * Unit and integration tests for src/cpu: caches, branch prediction,
  * functional units, and the out-of-order pipeline (IPC sanity,
- * dependence stalls, memory behaviour, gating semantics).
+ * dependence stalls, memory behaviour, gating semantics), plus a
+ * cycle-exact activity golden of the whole pipeline.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,7 +21,12 @@
 #include "cpu/cache.hpp"
 #include "cpu/core.hpp"
 #include "cpu/func_units.hpp"
+#include "fuzz_inputs.hpp"
 #include "isa/program.hpp"
+#include "util/jsonl.hpp"
+#include "workloads/kernels.hpp"
+#include "workloads/spec_proxy.hpp"
+#include "workloads/stressmark.hpp"
 
 namespace {
 
@@ -571,6 +584,206 @@ TEST(Core, MemoryDependenceOrdering)
     OoOCore core(CpuConfig{}, b.build());
     runToHalt(core);
     EXPECT_EQ(core.stats().committed, 6u);
+}
+
+TEST(Core, BlockedLoadRescansPastAReusedStoreSlot)
+{
+    // The store waits on a divide; the load behind it is blocked by the
+    // unresolved store and remembers it. The store then issues alone
+    // (issue cap 1), so the load is not retried that cycle, and a zero
+    // cap holds the load while the store commits and a younger load
+    // reuses its LSQ slot. The load must see that slot is no longer
+    // older than itself and rescan, not wait on the younger load.
+    ProgramBuilder b;
+    b.ldiq(1, 0x3000).ldiq(2, 7).ldiq(5, 3);
+    b.divq(3, 2, 5);
+    b.stq(3, 1, 0);  // the blocking store
+    b.ldq(4, 1, 8);  // the blocked load
+    b.ldq(6, 1, 16).ldq(7, 1, 24).ldq(8, 1, 32).ldq(9, 1, 40);
+    b.halt();
+    CpuConfig cfg;
+    cfg.lsqSize = 4;
+    OoOCore core(cfg, b.build());
+    core.setIssueLimit(1);
+    // Every load waits on the store, so the first memory-port use is
+    // the store's address generation.
+    while (core.cycle().memPortsUsed == 0 && core.now() < 5000) {
+    }
+    core.setIssueLimit(0);
+    for (int i = 0; i < 50; ++i)
+        core.cycle();
+    core.setIssueLimit(~0u);
+    EXPECT_EQ(runToHalt(core, 20000).committed, 11u);
+}
+
+// ------------------------------------------------- cycle-exact golden
+
+using vguard::JsonWriter;
+
+/** FNV-1a 64 over little-endian 64-bit words. */
+struct Digest
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(h));
+        return buf;
+    }
+};
+
+/** Every ActivityVector field, issueActivity by its bits. */
+void
+digestActivity(Digest &d, const ActivityVector &av)
+{
+    for (const uint32_t v :
+         {av.fetched, av.icacheAccesses, av.icacheMisses, av.bpredLookups,
+          av.dispatched, av.ruuOccupancy, av.lsqOccupancy,
+          av.issuedIntAlu, av.issuedIntMult, av.issuedIntDiv,
+          av.issuedFpAdd, av.issuedFpMult, av.issuedFpDiv,
+          av.busyIntAlu, av.busyIntMultDiv, av.busyFpAlu,
+          av.busyFpMultDiv, av.memPortsUsed, av.dcacheAccesses,
+          av.dcacheMisses, av.l2Accesses, av.l2Misses, av.lsqForwards,
+          av.regReads, av.regWrites, av.writebacks, av.committed,
+          std::bit_cast<uint32_t>(av.issueActivity)})
+        d.add(v);
+    for (const bool b : {av.gates.fu, av.gates.dl1, av.gates.il1,
+                         av.phantom.fu, av.phantom.dl1, av.phantom.il1})
+        d.add(b);
+}
+
+constexpr uint64_t kGoldenCycles = 20'000;
+constexpr uint64_t kGoldenCheckpoint = 2'000;
+
+/**
+ * One golden line: @p program for kGoldenCycles (or to halt), plain or
+ * under @p interference, with the running activity digest
+ * checkpointed every kGoldenCheckpoint cycles.
+ */
+std::string
+goldenLine(const std::string &name, const Program &program,
+           vguard::fuzz::RandomInterference *interference)
+{
+    OoOCore core(CpuConfig{}, program);
+    Digest d;
+    JsonWriter w;
+    w.beginObject();
+    w.field("workload", name);
+    w.field("schedule", interference ? "interfered" : "plain");
+    w.key("checkpoints").beginArray();
+    while (!core.halted() && core.now() < kGoldenCycles) {
+        if (interference)
+            interference->apply(core);
+        digestActivity(d, core.cycle());
+        if (core.now() % kGoldenCheckpoint == 0)
+            w.value(d.hex());
+    }
+    w.endArray();
+    w.field("activity", d.hex());
+
+    const CoreStats &s = core.stats();
+    w.key("stats").beginObject();
+    w.field("cycles", s.cycles).field("fetched", s.fetched);
+    w.field("dispatched", s.dispatched).field("issued", s.issued);
+    w.field("committed", s.committed).field("loads", s.loads);
+    w.field("stores", s.stores).field("branches", s.branches);
+    w.field("mispredicts", s.mispredicts);
+    w.field("lsqForwards", s.lsqForwards);
+    w.field("fetchStallBranch", s.fetchStallBranch);
+    w.field("fetchStallIcache", s.fetchStallIcache);
+    w.field("fetchStallGate", s.fetchStallGate);
+    w.field("dispatchStallWindow", s.dispatchStallWindow);
+    w.field("issueGateStalls", s.issueGateStalls);
+    w.field("commitGateStalls", s.commitGateStalls);
+    w.endObject();
+
+    const BpredStats &b = core.bpredStats();
+    w.key("bpred").beginObject();
+    w.field("lookups", b.lookups).field("condBranches", b.condBranches);
+    w.field("condMispredicts", b.condMispredicts);
+    w.field("btbMisses", b.btbMisses);
+    w.field("rasMispredicts", b.rasMispredicts);
+    w.endObject();
+    w.endObject();
+    return w.take() + "\n";
+}
+
+/**
+ * Cycle-exact pin of the whole pipeline over the calibrated
+ * stressmark, the power virus, the busy kernel, the SPEC-8 proxies and
+ * one random fuzz program, each plain and under random actuator
+ * interference. End-of-run counters can hide a reordered issue; a
+ * digest of every cycle's activity cannot. Regenerate deliberately
+ * with
+ *   VGUARD_UPDATE_GOLDEN=1 ./tests/test_cpu \
+ *       --gtest_filter=Core.CycleExactActivityGolden
+ * and commit the diff with justification.
+ */
+TEST(Core, CycleExactActivityGolden)
+{
+    const auto cal =
+        vguard::workloads::StressmarkBuilder::calibrate(60, CpuConfig{});
+    char stressName[64];
+    std::snprintf(stressName, sizeof(stressName),
+                  "stressmark(div=%u,stores=%u,alu=%u)",
+                  cal.params.divChain, cal.params.burstStores,
+                  cal.params.burstAlu);
+
+    std::vector<std::pair<std::string, Program>> programs;
+    programs.emplace_back(
+        stressName,
+        vguard::workloads::StressmarkBuilder::build(cal.params));
+    programs.emplace_back("powerVirus", vguard::workloads::powerVirus());
+    programs.emplace_back("busyKernel", vguard::workloads::busyKernel());
+    for (const std::string &name : vguard::workloads::emergencySetNames())
+        programs.emplace_back(name,
+                              vguard::workloads::buildSpecProxy(name));
+    programs.emplace_back("random(seed=185)",
+                          vguard::fuzz::randomProgram(185));
+
+    std::string actual;
+    for (size_t i = 0; i < programs.size(); ++i) {
+        const auto &[name, program] = programs[i];
+        vguard::fuzz::RandomInterference interference(0xabcdef + i);
+        actual += goldenLine(name, program, nullptr);
+        actual += goldenLine(name, program, &interference);
+    }
+
+    const std::string goldenPath =
+        std::string(VGUARD_GOLDEN_DIR) + "/core_activity.jsonl";
+    if (std::getenv("VGUARD_UPDATE_GOLDEN")) {
+        std::ofstream out(goldenPath, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath;
+        out << actual;
+        GTEST_SKIP() << "golden updated: " << goldenPath;
+    }
+
+    std::ifstream in(goldenPath, std::ios::binary);
+    ASSERT_TRUE(in.good())
+        << "missing golden " << goldenPath
+        << " — generate with VGUARD_UPDATE_GOLDEN=1";
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::istringstream ea(buf.str()), aa(actual);
+    std::string el, al;
+    int line = 1;
+    while (std::getline(ea, el) && std::getline(aa, al)) {
+        EXPECT_EQ(el, al) << "golden mismatch at line " << line;
+        ++line;
+    }
+    EXPECT_EQ(buf.str().size(), actual.size()) << "golden length";
 }
 
 } // namespace

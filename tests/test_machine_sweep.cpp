@@ -127,6 +127,32 @@ TEST(MachineSweep, RejectsDegenerateConfigs)
     badMem.memLatency = 100000; // exceeds the event wheel
     EXPECT_EXIT(OoOCore(badMem, workloads::busyKernel(1)),
                 ::testing::ExitedWithCode(1), "wheel");
+
+    // Queue sizes are checked before any storage is sized from them
+    // (a 4 G-entry RUU must not reach the allocator), and the LSQ and
+    // IFQ must fit their uint16_t indices like the RUU.
+    CpuConfig hugeRuu;
+    hugeRuu.ruuSize = 0xffffffff;
+    EXPECT_EXIT(OoOCore(hugeRuu, workloads::busyKernel(1)),
+                ::testing::ExitedWithCode(1), "RUU size .* out of range");
+    CpuConfig hugeLsq;
+    hugeLsq.lsqSize = 0x10000;
+    EXPECT_EXIT(OoOCore(hugeLsq, workloads::busyKernel(1)),
+                ::testing::ExitedWithCode(1), "LSQ size .* out of range");
+    CpuConfig hugeIfq;
+    hugeIfq.ifqSize = 0x10000;
+    EXPECT_EXIT(OoOCore(hugeIfq, workloads::busyKernel(1)),
+                ::testing::ExitedWithCode(1), "IFQ size .* out of range");
+
+    // A zero-width stage would never drain the pipeline.
+    for (unsigned CpuConfig::*width :
+         {&CpuConfig::fetchWidth, &CpuConfig::decodeWidth,
+          &CpuConfig::issueWidth, &CpuConfig::commitWidth}) {
+        CpuConfig zero;
+        zero.*width = 0;
+        EXPECT_EXIT(OoOCore(zero, workloads::busyKernel(1)),
+                    ::testing::ExitedWithCode(1), "width");
+    }
 }
 
 } // namespace
