@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/experiments.hpp"
-#include "linsys/state_space.hpp"
+#include "linsys/signals.hpp"
 #include "pdn/pdn_sim.hpp"
 
 using namespace vguard;

@@ -70,14 +70,7 @@ referenceCurrentRange()
                 if (core.now() > total / 2)
                     peak = std::max(peak, amps);
                 trace.amps.push_back(amps);
-                const auto counts = obs::fpChannelCounts(av);
-                std::array<uint16_t, obs::kNumFpChannels> c16;
-                for (size_t ch = 0; ch < obs::kNumFpChannels;
-                     ++ch) {
-                    VGUARD_CHECK(counts[ch] <= 0xffffu);
-                    c16[ch] = static_cast<uint16_t>(counts[ch]);
-                }
-                trace.activity.push_back(c16);
+                trace.activity.push_back(obs::fpChannelCounts(av));
             }
             trace.committed = core.stats().committed;
             trace.halted = core.halted();

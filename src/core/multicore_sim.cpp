@@ -24,10 +24,7 @@ struct MulticoreSim::ChipState
 
     /** Cumulative (sim-lifetime) counters for registerStats. */
     std::vector<CoreStats> cumulative;
-    uint64_t cumLow = 0, cumHigh = 0;
-
-    /** Emergency bounds, hoisted (constant per chip). */
-    double vLo = 0.0, vHi = 0.0;
+    RailTally life;  ///< every run's rail tally, merged
 };
 
 MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
@@ -39,12 +36,6 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
     lanes.reserve(chips_.size());
     for (const ChipSpec &chip : chips_) {
         VGUARD_CHECK(!chip.cores.empty());
-        VGUARD_CHECK(std::isfinite(chip.band) && chip.band >= 0.0);
-        VGUARD_CHECK(std::isfinite(chip.iTrim));
-        VGUARD_CHECK(std::isfinite(chip.histLo) &&
-                     std::isfinite(chip.histHi) &&
-                     chip.histLo < chip.histHi);
-        VGUARD_CHECK(chip.histBins >= 1);
         for (const CoreSlot &core : chip.cores) {
             VGUARD_CHECK(std::isfinite(core.iGate));
             VGUARD_CHECK(std::isfinite(core.iPhantom));
@@ -68,8 +59,8 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
         st->coreAmps.assign(n, 0.0);
         st->cumulative.assign(n, CoreStats{});
         const double vNom = chip.package.vNominal;
-        st->vLo = vNom * (1.0 - chip.band);
-        st->vHi = vNom * (1.0 + chip.band);
+        st->life = RailTally(vNom, chip.band, chip.histLo, chip.histHi,
+                             chip.histBins);
         if (chip.sensor) {
             anyClosedLoop_ = true;
             st->gateReq.assign(n, 0);
@@ -105,28 +96,6 @@ MulticoreSim::coreCurrent(const ChipSpec &chip, ChipState &st,
         return slot.iPhantom;
     const double *amps = slot.trace->ampsData();
     return amps[(cycle + slot.phaseOffset) % slot.trace->cycles()];
-}
-
-void
-MulticoreSim::accountCycle(size_t chipIdx, double v,
-                           std::vector<ChipResult> &results)
-{
-    ChipResult &res = results[chipIdx];
-    ChipState &st = *states_[chipIdx];
-    // Same bookkeeping (and branch structure) as replaySweep /
-    // VoltageSim::accountCycle's PDN-side subset — the N=1 identity
-    // rests on it.
-    res.minV = std::min(res.minV, v);
-    res.maxV = std::max(res.maxV, v);
-    res.voltageHist.add(v);
-    if (v < st.vLo) {
-        ++res.lowEmergencyCycles;
-        ++st.cumLow;
-    } else if (v > st.vHi) {
-        ++res.highEmergencyCycles;
-        ++st.cumHigh;
-    }
-    ++res.cycles;
 }
 
 void
@@ -197,15 +166,12 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
 {
     VGUARD_CHECK(blockCycles > 0);
     const size_t k = chips_.size();
-    std::vector<ChipResult> results(k);
-    for (size_t c = 0; c < k; ++c) {
-        const ChipSpec &chip = chips_[c];
-        ChipResult &res = results[c];
-        const double vNom = chip.package.vNominal;
-        res.minV = vNom;
-        res.maxV = vNom;
-        res.voltageHist =
-            Histogram(chip.histLo, chip.histHi, chip.histBins);
+    std::vector<ChipResult> results;
+    results.reserve(k);
+    for (const ChipSpec &chip : chips_) {
+        ChipResult &res = results.emplace_back(
+            chip.package.vNominal, chip.band, chip.histLo, chip.histHi,
+            chip.histBins);
         res.cores.assign(chip.cores.size(), CoreStats{});
     }
 
@@ -272,7 +238,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
             }
             for (size_t cyc = 0; cyc < chunk; ++cyc)
                 for (size_t c = 0; c < k; ++c)
-                    accountCycle(c, volts[cyc * k + c], results);
+                    results[c].add(volts[cyc * k + c]);
             done += chunk;
             cycle_ += chunk;
         }
@@ -303,7 +269,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
             backend_->stepCycle(ampsPerLane.data(),
                                 voltsPerLane.data());
             for (size_t c = 0; c < k; ++c) {
-                accountCycle(c, voltsPerLane[c], results);
+                results[c].add(voltsPerLane[c]);
                 if (!states_[c]->sensors.empty())
                     controlCycle(c, voltsPerLane[c], results);
             }
@@ -315,6 +281,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
     for (size_t c = 0; c < k; ++c) {
         ChipResult &res = results[c];
         ChipState &st = *states_[c];
+        st.life.merge(res);
         double sum = 0.0, sumSq = 0.0;
         size_t n = 0;
         for (size_t i = 0; i < res.cores.size(); ++i) {
@@ -349,10 +316,10 @@ MulticoreSim::registerStats(obs::Registry &r,
         const ChipState *st = states_[c].get();
         r.derivedCounter(cp + ".low_emergency_cycles",
                          "cycles below the emergency band",
-                         [st] { return st->cumLow; });
+                         [st] { return st->life.lowEmergencyCycles; });
         r.derivedCounter(cp + ".high_emergency_cycles",
                          "cycles above the emergency band",
-                         [st] { return st->cumHigh; });
+                         [st] { return st->life.highEmergencyCycles; });
         for (size_t i = 0; i < chips_[c].cores.size(); ++i) {
             const std::string base =
                 cp + ".core" + std::to_string(i);

@@ -17,9 +17,10 @@
  *
  * Bit-identity contract:
  *  - per-core currents are summed in core-index order from +0.0, so a
- *    1-core chip feeds the rail exactly its trace (0.0 + a == a) and
+ *    1-core chip feeds the rail exactly its trace (0.0 + a == a); each
+ *    chip accounts its rail with the core::RailTally runReplay uses, so
  *    the N=1 open-loop configuration reproduces single-core
- *    VoltageSim::runReplay bookkeeping bit-identically;
+ *    VoltageSim::runReplay results bit-identically;
  *  - open-loop chips take the block path (stepPerLane), closed-loop
  *    chips the per-cycle path (stepCycle); the two are bit-identical
  *    by the pinned canonical summation order (test_backend_diff.cpp);
@@ -45,10 +46,10 @@
 #include <vector>
 
 #include "core/chip_governor.hpp"
+#include "core/rail_tally.hpp"
 #include "core/sensor.hpp"
 #include "core/trace_cache.hpp"
 #include "pdn/pdn_backend.hpp"
-#include "util/stats.hpp"
 
 namespace vguard::core {
 
@@ -92,15 +93,10 @@ struct CoreStats
     uint64_t gateDenials = 0;    ///< requests the governor denied
 };
 
-/** Per-chip results of one run (PDN subset mirrors SweepLaneResult). */
-struct ChipResult
+/** Per-chip results of one run: the rail tally plus the control layer. */
+struct ChipResult : RailTally
 {
-    uint64_t cycles = 0;
-    double minV = 0.0;
-    double maxV = 0.0;
-    uint64_t lowEmergencyCycles = 0;
-    uint64_t highEmergencyCycles = 0;
-    Histogram voltageHist{0.90, 1.10, 80};
+    using RailTally::RailTally;
 
     std::vector<CoreStats> cores;
     uint64_t gateGrants = 0;   ///< granted gate requests (all cores)
@@ -111,11 +107,6 @@ struct ChipResult
      * 1/N = one core absorbs everything. 1.0 when nothing gated.
      */
     double gateFairness = 1.0;
-
-    uint64_t emergencyCycles() const
-    {
-        return lowEmergencyCycles + highEmergencyCycles;
-    }
 };
 
 /** K chips stepped in lockstep through one PdnBackend. */
@@ -157,8 +148,6 @@ class MulticoreSim
     /** Core i's draw this cycle given its actuation state. */
     double coreCurrent(const ChipSpec &chip, ChipState &st, size_t core,
                        uint64_t cycle) const;
-    void accountCycle(size_t chipIdx, double v,
-                      std::vector<ChipResult> &results);
     void controlCycle(size_t chipIdx, double v,
                       std::vector<ChipResult> &results);
 

@@ -1,10 +1,8 @@
 #include "core/replay_sweep.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/tracing.hpp"
-
 #include "util/logging.hpp"
 
 namespace vguard::core {
@@ -14,40 +12,18 @@ replaySweep(const double *amps, size_t n,
             const std::vector<SweepLane> &lanes, pdn::BackendKind kind,
             size_t blockCycles)
 {
-    VGUARD_CHECK(!lanes.empty());
     VGUARD_CHECK(blockCycles > 0);
-    for (const SweepLane &lane : lanes) {
-        // A negative band inverts the emergency window (vLo > vHi:
-        // every cycle counts as an emergency); a non-finite trim or an
-        // empty histogram range would reach the solver/Histogram math
-        // unchecked. Reject all of them at the entry point.
-        VGUARD_CHECK(std::isfinite(lane.band) && lane.band >= 0.0);
-        VGUARD_CHECK(std::isfinite(lane.iTrim));
-        VGUARD_CHECK(std::isfinite(lane.histLo) &&
-                     std::isfinite(lane.histHi) &&
-                     lane.histLo < lane.histHi);
-        VGUARD_CHECK(lane.histBins >= 1);
-    }
-
     const size_t k = lanes.size();
+    std::vector<SweepLaneResult> results;
     std::vector<pdn::LaneConfig> cfgs;
+    results.reserve(k);
     cfgs.reserve(k);
-    for (const SweepLane &lane : lanes)
+    for (const SweepLane &lane : lanes) {
+        results.emplace_back(lane.package.vNominal, lane.band,
+                             lane.histLo, lane.histHi, lane.histBins);
         cfgs.push_back({lane.package, lane.iTrim});
-    const auto backend = pdn::makeBackend(kind, cfgs);
-
-    std::vector<SweepLaneResult> results(k);
-    // Per-lane emergency bounds, hoisted out of the cycle loop.
-    std::vector<double> vLo(k), vHi(k);
-    for (size_t lane = 0; lane < k; ++lane) {
-        const double vNom = lanes[lane].package.vNominal;
-        results[lane].minV = vNom;
-        results[lane].maxV = vNom;
-        results[lane].voltageHist = Histogram(
-            lanes[lane].histLo, lanes[lane].histHi, lanes[lane].histBins);
-        vLo[lane] = vNom * (1.0 - lanes[lane].band);
-        vHi[lane] = vNom * (1.0 + lanes[lane].band);
     }
+    const auto backend = pdn::makeBackend(kind, cfgs);
 
     std::vector<double> volts(blockCycles * k);
     size_t done = 0;
@@ -65,20 +41,8 @@ replaySweep(const double *amps, size_t n,
         }
         for (size_t cyc = 0; cyc < chunk; ++cyc) {
             const double *row = volts.data() + cyc * k;
-            for (size_t lane = 0; lane < k; ++lane) {
-                SweepLaneResult &res = results[lane];
-                const double v = row[lane];
-                // Same bookkeeping (and branch structure) as
-                // VoltageSim::accountCycle's PDN-side subset.
-                res.minV = std::min(res.minV, v);
-                res.maxV = std::max(res.maxV, v);
-                res.voltageHist.add(v);
-                if (v < vLo[lane])
-                    ++res.lowEmergencyCycles;
-                else if (v > vHi[lane])
-                    ++res.highEmergencyCycles;
-                ++res.cycles;
-            }
+            for (size_t lane = 0; lane < k; ++lane)
+                results[lane].add(row[lane]);
         }
         done += chunk;
     }

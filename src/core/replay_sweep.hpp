@@ -7,9 +7,8 @@
  * distributions) replay the same workload against many packages.
  * VoltageSim::runReplay handles one package per pass; replaySweep
  * pushes all K through a pdn::PdnBackend — batched by default, so K
- * scenarios cost roughly one trace walk — and reproduces runReplay's
- * per-cycle emergency bookkeeping exactly: for every lane, minV/maxV,
- * low/high emergency cycle counts and the voltage histogram are
+ * scenarios cost roughly one trace walk — and accounts each lane with
+ * the same core::RailTally runReplay uses, so every lane's tally is
  * bit-identical to a VoltageSim::runReplay of that lane's package
  * (asserted by tests/test_backend_diff.cpp).
  */
@@ -20,12 +19,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/rail_tally.hpp"
 #include "pdn/pdn_backend.hpp"
-#include "util/stats.hpp"
 
 namespace vguard::core {
 
-/** One sweep scenario: package + trim + bookkeeping bounds. */
+/** One sweep scenario: package, trim, band and histogram. */
 struct SweepLane
 {
     pdn::PackageParams package;
@@ -36,22 +35,8 @@ struct SweepLane
     size_t histBins = 80;
 };
 
-/** Per-lane replay bookkeeping (the PDN-side subset of
-    VoltageSimResult). */
-struct SweepLaneResult
-{
-    uint64_t cycles = 0;
-    double minV = 0.0;
-    double maxV = 0.0;
-    uint64_t lowEmergencyCycles = 0;
-    uint64_t highEmergencyCycles = 0;
-    Histogram voltageHist{0.90, 1.10, 80};
-
-    uint64_t emergencyCycles() const
-    {
-        return lowEmergencyCycles + highEmergencyCycles;
-    }
-};
+/** Per-lane result: the PDN-side subset of VoltageSimResult. */
+using SweepLaneResult = RailTally;
 
 /**
  * Replay the current trace @p amps[0..n) through every lane of a

@@ -136,7 +136,7 @@ CapturedTrace::bytes() const
     // are just as resident — charge them to the budget identically so
     // VGUARD_TRACE_CACHE_MB means the same thing warm or cold.
     size_t b = cycles() * sizeof(double);
-    b += cycles() * sizeof(std::array<uint16_t, obs::kNumFpChannels>);
+    b += cycles() * sizeof(obs::ActivityRow);
     for (const auto &e : frontEnd.entries())
         b += sizeof(e) + e.name.size() + e.desc.size();
     return b;

@@ -76,12 +76,8 @@ struct CapturedTrace
 {
     /** Amps drawn each cycle (exact doubles from WattchModel). */
     std::vector<double> amps;
-    /**
-     * Per-cycle fingerprint-channel counts (obs::fpChannelCounts).
-     * uint16 is lossless: every channel is bounded by a machine width
-     * (max is regfile reads+writes <= 3*issueWidth); capture checks.
-     */
-    std::vector<std::array<uint16_t, obs::kNumFpChannels>> activity;
+    /** Per-cycle fingerprint-channel counts (obs::fpChannelCounts). */
+    std::vector<obs::ActivityRow> activity;
 
     /** Committed instructions at end of the capture run. */
     uint64_t committed = 0;
@@ -103,8 +99,7 @@ struct CapturedTrace
     std::shared_ptr<const void> mapping;
     /** Mapped per-cycle waveform/fingerprints (when `mapping` set). */
     const double *ampsView = nullptr;
-    const std::array<uint16_t, obs::kNumFpChannels> *activityView =
-        nullptr;
+    const obs::ActivityRow *activityView = nullptr;
     size_t viewCycles = 0;
 
     /** Cycles in the trace, whichever mode stores them. */
@@ -122,7 +117,7 @@ struct CapturedTrace
     }
 
     /** Per-cycle fingerprint counts, cycles() entries. */
-    const std::array<uint16_t, obs::kNumFpChannels> *
+    const obs::ActivityRow *
     activityData() const
     {
         return mapping ? activityView : activity.data();

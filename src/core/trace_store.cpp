@@ -25,8 +25,7 @@ namespace {
 constexpr char kMagic[8] = {'V', 'G', 'T', 'R', 'S', 'T', '0', '1'};
 constexpr uint32_t kVersion = 1;
 constexpr size_t kHeaderBytes = 64;
-constexpr size_t kActivityEntryBytes =
-    sizeof(std::array<uint16_t, obs::kNumFpChannels>);
+constexpr size_t kActivityEntryBytes = sizeof(obs::ActivityRow);
 
 /** On-disk header; packed by construction (no padding at these
     offsets), asserted below so a compiler surprise fails the build. */
@@ -418,9 +417,8 @@ TraceStore::load(const std::string &key)
     trace.committed = hdr.committed;
     trace.halted = (hdr.flags & 1) != 0;
     trace.ampsView = reinterpret_cast<const double *>(bytes + ampsOff);
-    trace.activityView = reinterpret_cast<
-        const std::array<uint16_t, obs::kNumFpChannels> *>(bytes +
-                                                           actOff);
+    trace.activityView =
+        reinterpret_cast<const obs::ActivityRow *>(bytes + actOff);
     trace.viewCycles = hdr.cycles;
     std::shared_ptr<std::atomic<size_t>> mapped = mappedBytes_;
     mapped->fetch_add(size, std::memory_order_relaxed);

@@ -11,12 +11,11 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
     : cfg_(cfg), core_(cfg.cpu, std::move(program)),
       power_(cfg.power, cfg.cpu),
       pdn_(pdn::PackageModel(cfg.package)),
-      vNominal_(cfg.package.vNominal),
-      tracker_(cfg.package.vNominal * (1.0 - cfg.band),
-               cfg.package.vNominal * (1.0 + cfg.band),
-               cfg.fingerprintWindow, cfg.maxEvents),
-      profiling_(cfg.profiling),
-      vMinSeen_(cfg.package.vNominal), vMaxSeen_(cfg.package.vNominal)
+      life_(cfg.package.vNominal, cfg.band, cfg.histLo, cfg.histHi,
+            cfg.histBins),
+      tracker_(life_.vLo(), life_.vHi(), cfg.fingerprintWindow,
+               cfg.maxEvents),
+      profiling_(cfg.profiling)
 {
     // Paper regulator convention: the die sits at nominal voltage when
     // the processor draws its minimum (fully gated) current.
@@ -37,13 +36,13 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
 
     registry_.derivedCounter("pdn.emergencies.count",
                              "cycles outside the operating band",
-                             [this] { return emLow_ + emHigh_; });
+                             [this] { return life_.emergencyCycles(); });
     registry_.derivedCounter("pdn.emergencies.low",
                              "cycles below the band",
-                             [this] { return emLow_; });
+                             [this] { return life_.lowEmergencyCycles; });
     registry_.derivedCounter("pdn.emergencies.high",
                              "cycles above the band",
-                             [this] { return emHigh_; });
+                             [this] { return life_.highEmergencyCycles; });
     registry_.derivedCounter(
         "pdn.emergencies.episodes",
         "distinct band excursions (event-log entries + dropped)",
@@ -56,10 +55,10 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
         "episodes retained in the bounded event log",
         [this] { return uint64_t{tracker_.log().events().size()}; });
     registry_.derivedGauge("pdn.v.min", "lowest die voltage seen [V]",
-                           [this] { return vMinSeen_; },
+                           [this] { return life_.minV; },
                            obs::MergeRule::Min);
     registry_.derivedGauge("pdn.v.max", "highest die voltage seen [V]",
-                           [this] { return vMaxSeen_; },
+                           [this] { return life_.maxV; },
                            obs::MergeRule::Max);
 }
 
@@ -106,34 +105,27 @@ VoltageSim::step()
 }
 
 void
-VoltageSim::accountCycle(
-    uint64_t cycle, double amps, double volts,
-    const std::array<uint32_t, obs::kNumFpChannels> &counts,
-    const obs::EmergencyTracker::ControlState &ctrl,
-    VoltageSimResult &res, RunAccum &acc)
+VoltageSim::account(uint64_t first, const double *amps,
+                    const double *volts, const obs::ActivityRow *rows,
+                    size_t n,
+                    const obs::EmergencyTracker::ControlState &ctrl,
+                    VoltageSimResult &res)
 {
-    acc.energy += amps * cfg_.power.vdd * acc.dt;
-    res.minV = std::min(res.minV, volts);
-    res.maxV = std::max(res.maxV, volts);
-    res.voltageHist.add(volts);
-    if (volts < acc.vLoBound) {
-        ++res.lowEmergencyCycles;
-        ++emLow_;
-    } else if (volts > acc.vHiBound) {
-        ++res.highEmergencyCycles;
-        ++emHigh_;
+    const double dt = 1.0 / cfg_.cpu.clockHz;
+    for (size_t k = 0; k < n; ++k) {
+        res.energyJ += amps[k] * cfg_.power.vdd * dt;
+        res.add(volts[k]);
+        tracker_.step(first + k, volts[k], rows[k], ctrl);
     }
-    tracker_.step(cycle, volts, counts, ctrl);
 }
 
 void
 VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
-                          VoltageSimResult &res, RunAccum &acc)
+                          VoltageSimResult &res)
 {
-    while (acc.cycles < maxCycles && !core_.halted() &&
+    while (res.cycles < maxCycles && !core_.halted() &&
            core_.stats().committed < maxInsts) {
         const TraceSample s = step();
-        ++acc.cycles;
 
         obs::ScopedTimer t(lastProf_, obs::Phase::Events);
         obs::EmergencyTracker::ControlState ctrl;
@@ -144,22 +136,22 @@ VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
         }
         ctrl.gating = s.gated;
         ctrl.phantom = s.phantom;
-        accountCycle(s.cycle, s.amps, s.volts,
-                     obs::fpChannelCounts(*lastAv_), ctrl, res, acc);
+        const obs::ActivityRow row = obs::fpChannelCounts(*lastAv_);
+        account(s.cycle, &s.amps, &s.volts, &row, 1, ctrl, res);
     }
 }
 
 void
 VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
-                        VoltageSimResult &res, RunAccum &acc,
-                        CapturedTrace *capture)
+                        VoltageSimResult &res, CapturedTrace *capture)
 {
     avBuf_.resize(kBlockCycles);
     ampsBuf_.resize(kBlockCycles);
     voltsBuf_.resize(kBlockCycles);
+    rowBuf_.resize(kBlockCycles);
     obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
 
-    while (acc.cycles < maxCycles && !core_.halted() &&
+    while (res.cycles < maxCycles && !core_.halted() &&
            core_.stats().committed < maxInsts) {
         // Gather a block of activity vectors, re-checking the loop
         // bounds before every core cycle exactly like the per-cycle
@@ -167,7 +159,7 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
         size_t n = 0;
         {
             obs::ScopedTimer t(p, obs::Phase::CpuStep);
-            while (n < kBlockCycles && acc.cycles + n < maxCycles &&
+            while (n < kBlockCycles && res.cycles + n < maxCycles &&
                    !core_.halted() &&
                    core_.stats().committed < maxInsts) {
                 avBuf_[n] = core_.cycle();
@@ -187,30 +179,57 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
         }
         {
             obs::ScopedTimer t(p, obs::Phase::Events);
-            for (size_t k = 0; k < n; ++k) {
-                const cpu::ActivityVector &av = avBuf_[k];
-                const auto counts = obs::fpChannelCounts(av);
-                obs::EmergencyTracker::ControlState ctrl;
-                ctrl.gating = av.gates.any();
-                ctrl.phantom = av.phantom.any();
-                accountCycle(cycle_, ampsBuf_[k], voltsBuf_[k], counts,
-                             ctrl, res, acc);
-                ++cycle_;
-                ++acc.cycles;
-                if (capture) {
-                    capture->amps.push_back(ampsBuf_[k]);
-                    std::array<uint16_t, obs::kNumFpChannels> c16;
-                    for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch) {
-                        VGUARD_CHECK(counts[ch] <= 0xffffu);
-                        c16[ch] = static_cast<uint16_t>(counts[ch]);
-                    }
-                    capture->activity.push_back(c16);
-                }
+            for (size_t k = 0; k < n; ++k)
+                rowBuf_[k] = obs::fpChannelCounts(avBuf_[k]);
+            // Without a controller nothing gates or phantom-fires, so
+            // every cycle runs under the default control state — the
+            // same one a replay of this capture records.
+            account(cycle_, ampsBuf_.data(), voltsBuf_.data(),
+                    rowBuf_.data(), n, {}, res);
+            cycle_ += n;
+            if (capture) {
+                capture->amps.insert(capture->amps.end(),
+                                     ampsBuf_.begin(),
+                                     ampsBuf_.begin() + n);
+                capture->activity.insert(capture->activity.end(),
+                                         rowBuf_.begin(),
+                                         rowBuf_.begin() + n);
             }
         }
         if (p)
             p->countBlock(n);
     }
+}
+
+VoltageSimResult
+VoltageSim::beginRun(obs::Snapshot &before)
+{
+    // Per-run observability windows: events restart fresh; registry
+    // counters are cumulative, so diff a snapshot taken here.
+    tracker_.clear();
+    profiler_.clear();
+    before = registry_.snapshot();
+    return VoltageSimResult(cfg_.package.vNominal, cfg_.band, cfg_.histLo,
+                            cfg_.histHi, cfg_.histBins);
+}
+
+void
+VoltageSim::finishRun(VoltageSimResult &res, const obs::Snapshot &before,
+                      uint64_t committed)
+{
+    tracker_.finish();
+    life_.merge(res);
+
+    const double dt = 1.0 / cfg_.cpu.clockHz;
+    res.committed = committed;
+    res.ipc = res.cycles
+                  ? static_cast<double>(res.committed) / res.cycles
+                  : 0.0;
+    res.avgPowerW =
+        res.cycles ? res.energyJ / (res.cycles * dt) : 0.0;
+    res.stats = registry_.snapshot().diff(before);
+    res.events = tracker_.log();
+    res.profile = profiler_.data();
 }
 
 VoltageSimResult
@@ -221,45 +240,20 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
     // feedback into the trace; only open-loop runs are cacheable.
     VGUARD_CHECK(!capture || !controller_);
 
-    VoltageSimResult res;
-    res.voltageHist = Histogram(cfg_.histLo, cfg_.histHi, cfg_.histBins);
-    res.minV = vNominal_;
-    res.maxV = vNominal_;
-
     // Each run() reports its own actuation counts: clear the actuator
     // counters without disturbing the control loop's physical state
     // (sensor delay line, gating commands already in flight).
     if (controller_)
         controller_->resetCounters();
 
-    // Per-run observability windows: events restart fresh; registry
-    // counters are cumulative, so diff a snapshot taken here.
-    tracker_.clear();
-    profiler_.clear();
-    const obs::Snapshot before = registry_.snapshot();
-
-    RunAccum acc;
-    acc.vLoBound = vNominal_ * (1.0 - cfg_.band);
-    acc.vHiBound = vNominal_ * (1.0 + cfg_.band);
-    acc.dt = 1.0 / cfg_.cpu.clockHz;
-
+    obs::Snapshot before;
+    VoltageSimResult res = beginRun(before);
     if (controller_)
-        runClosedLoop(maxCycles, maxInsts, res, acc);
+        runClosedLoop(maxCycles, maxInsts, res);
     else
-        runOpenLoop(maxCycles, maxInsts, res, acc, capture);
+        runOpenLoop(maxCycles, maxInsts, res, capture);
+    finishRun(res, before, core_.stats().committed);
 
-    tracker_.finish();
-    vMinSeen_ = std::min(vMinSeen_, res.minV);
-    vMaxSeen_ = std::max(vMaxSeen_, res.maxV);
-
-    res.cycles = acc.cycles;
-    res.committed = core_.stats().committed;
-    res.ipc = acc.cycles
-                  ? static_cast<double>(res.committed) / acc.cycles
-                  : 0.0;
-    res.energyJ = acc.energy;
-    res.avgPowerW =
-        acc.cycles ? acc.energy / (acc.cycles * acc.dt) : 0.0;
     if (controller_) {
         const auto &act = controller_->actuator();
         res.gatedCycles = act.gatedCycles();
@@ -267,10 +261,6 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
         res.lowTriggers = act.lowTriggers();
         res.highTriggers = act.highTriggers();
     }
-    res.stats = registry_.snapshot().diff(before);
-    res.events = tracker_.log();
-    res.profile = profiler_.data();
-
     if (capture) {
         capture->committed = res.committed;
         capture->halted = core_.halted();
@@ -279,7 +269,6 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
     return res;
 }
 
-// vlint: hot
 VoltageSimResult
 VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
 {
@@ -295,26 +284,29 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
     obs::TraceSpan span("replay.run", obs::TraceClass::Wall);
     span.arg("cycles", uint64_t{trace.cycles()});
 
-    VoltageSimResult res;
-    res.voltageHist = Histogram(cfg_.histLo, cfg_.histHi, cfg_.histBins);
-    res.minV = vNominal_;
-    res.maxV = vNominal_;
+    obs::Snapshot before;
+    VoltageSimResult res = beginRun(before);
+    replayBlocks(trace, blockCycles, res);
+    finishRun(res, before, trace.committed);
 
-    tracker_.clear();
-    profiler_.clear();
-    const obs::Snapshot before = registry_.snapshot();
+    // The live diff reports zeroed cpu.*/power.* entries (the core and
+    // power model never stepped); splice the capture run's front-end
+    // entries in verbatim so the snapshot matches a full-core run.
+    for (const auto &e : trace.frontEnd.entries())
+        res.stats.upsertEntry(e);
+    return res;
+}
 
-    RunAccum acc;
-    acc.vLoBound = vNominal_ * (1.0 - cfg_.band);
-    acc.vHiBound = vNominal_ * (1.0 + cfg_.band);
-    acc.dt = 1.0 / cfg_.cpu.clockHz;
-
+// vlint: hot
+void
+VoltageSim::replayBlocks(const CapturedTrace &trace, size_t blockCycles,
+                         VoltageSimResult &res)
+{
     // vlint: allow(alloc-hot) block scratch sized once per replay
     voltsBuf_.resize(blockCycles);
     obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
 
     const size_t total = trace.cycles();
-    const auto *activity = trace.activityData();
     size_t done = 0;
     while (done < total) {
         const size_t n = std::min(blockCycles, total - done);
@@ -325,47 +317,14 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
         }
         {
             obs::ScopedTimer t(p, obs::Phase::Events);
-            for (size_t k = 0; k < n; ++k) {
-                std::array<uint32_t, obs::kNumFpChannels> counts;
-                const auto &c16 = activity[done + k];
-                for (size_t ch = 0; ch < obs::kNumFpChannels; ++ch)
-                    counts[ch] = c16[ch];
-                // Open-loop runs never gate: the default ControlState
-                // matches what the full-core path records.
-                accountCycle(cycle_, amps[k], voltsBuf_[k], counts,
-                             obs::EmergencyTracker::ControlState{},
-                             res, acc);
-                ++cycle_;
-                ++acc.cycles;
-            }
+            account(cycle_, amps, voltsBuf_.data(),
+                    trace.activityData() + done, n, {}, res);
+            cycle_ += n;
         }
         if (p)
             p->countBlock(n);
         done += n;
     }
-
-    tracker_.finish();
-    vMinSeen_ = std::min(vMinSeen_, res.minV);
-    vMaxSeen_ = std::max(vMaxSeen_, res.maxV);
-
-    res.cycles = acc.cycles;
-    res.committed = trace.committed;
-    res.ipc = acc.cycles
-                  ? static_cast<double>(res.committed) / acc.cycles
-                  : 0.0;
-    res.energyJ = acc.energy;
-    res.avgPowerW =
-        acc.cycles ? acc.energy / (acc.cycles * acc.dt) : 0.0;
-
-    // The live diff reports zeroed cpu.*/power.* entries (the core and
-    // power model never stepped); splice the capture run's front-end
-    // entries in verbatim so the snapshot matches a full-core run.
-    res.stats = registry_.snapshot().diff(before);
-    for (const auto &e : trace.frontEnd.entries())
-        res.stats.upsertEntry(e);
-    res.events = tracker_.log();
-    res.profile = profiler_.data();
-    return res;
 }
 
 } // namespace vguard::core

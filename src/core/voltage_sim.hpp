@@ -13,12 +13,15 @@
  *
  *  - run() automatically batches open-loop runs: activity vectors are
  *    gathered in blocks, converted to amps by WattchModel::currentBlock
- *    and to volts by PdnSim::stepMany, then the per-cycle bookkeeping
- *    sweeps the block. Optionally captures the current/activity trace
- *    for the cache (core/trace_cache.hpp).
+ *    and to volts by PdnSim::stepMany, then the accountant sweeps the
+ *    block. Optionally captures the current/activity trace for the
+ *    cache (core/trace_cache.hpp), one block at a time.
  *  - runReplay() skips the core and power model entirely, driving the
- *    PDN + emergency bookkeeping from a captured trace; front-end
- *    stats are spliced in from the capture.
+ *    PDN + accountant from a captured trace; front-end stats are
+ *    spliced in from the capture.
+ *
+ * All three loops share one accountant (energy, core::RailTally and
+ * the emergency-episode tracker) and one begin/finish per run.
  */
 
 #ifndef VGUARD_CORE_VOLTAGE_SIM_HPP
@@ -27,6 +30,7 @@
 #include <optional>
 
 #include "core/controller.hpp"
+#include "core/rail_tally.hpp"
 #include "core/trace_cache.hpp"
 #include "cpu/core.hpp"
 #include "obs/events.hpp"
@@ -34,7 +38,6 @@
 #include "obs/profile.hpp"
 #include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
-#include "util/stats.hpp"
 
 namespace vguard::core {
 
@@ -65,23 +68,19 @@ struct VoltageSimConfig
     size_t maxEvents = 4096;
 };
 
-/** Results of a run. */
-struct VoltageSimResult
+/** Results of a run: the rail tally plus the core-side outcome. */
+struct VoltageSimResult : RailTally
 {
-    uint64_t cycles = 0;
+    using RailTally::RailTally;
+
     uint64_t committed = 0;
     double ipc = 0.0;
     double energyJ = 0.0;
     double avgPowerW = 0.0;
-    double minV = 0.0;
-    double maxV = 0.0;
-    uint64_t lowEmergencyCycles = 0;
-    uint64_t highEmergencyCycles = 0;
     uint64_t gatedCycles = 0;
     uint64_t phantomCycles = 0;
     uint64_t lowTriggers = 0;
     uint64_t highTriggers = 0;
-    Histogram voltageHist{0.90, 1.10, 80};
 
     /** Per-run hierarchical stats (interval diff of the registry). */
     obs::Snapshot stats;
@@ -90,12 +89,6 @@ struct VoltageSimResult
     /** Sampled wall-clock phases (empty unless profiling enabled);
         nondeterministic — never part of deterministic artifacts. */
     obs::ProfileData profile;
-
-    uint64_t
-    emergencyCycles() const
-    {
-        return lowEmergencyCycles + highEmergencyCycles;
-    }
 
     double
     emergencyFrequency() const
@@ -170,29 +163,30 @@ class VoltageSim
     obs::Snapshot statsSnapshot() const { return registry_.snapshot(); }
 
   private:
-    /** Per-run scalar accumulators shared by the three loop bodies. */
-    struct RunAccum
-    {
-        double energy = 0.0;
-        uint64_t cycles = 0;
-        double vLoBound = 0.0;
-        double vHiBound = 0.0;
-        double dt = 0.0;
-    };
-
+    /** Open a run: fresh result and event window, stats baseline. */
+    VoltageSimResult beginRun(obs::Snapshot &before);
+    /** Close a run: fold it into the lifetime tally, derive rates and
+        take the run's stats, events and profile. */
+    void finishRun(VoltageSimResult &res, const obs::Snapshot &before,
+                   uint64_t committed);
     /** The original per-cycle loop (controller in the loop). */
     void runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
-                       VoltageSimResult &res, RunAccum &acc);
+                       VoltageSimResult &res);
     /** Batched gather → currentBlock → stepMany open-loop pipeline. */
     void runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
-                     VoltageSimResult &res, RunAccum &acc,
-                     CapturedTrace *capture);
-    /** Per-cycle bookkeeping shared by every loop body. */
-    void accountCycle(uint64_t cycle, double amps, double volts,
-                      const std::array<uint32_t, obs::kNumFpChannels>
-                          &counts,
-                      const obs::EmergencyTracker::ControlState &ctrl,
-                      VoltageSimResult &res, RunAccum &acc);
+                     VoltageSimResult &res, CapturedTrace *capture);
+    /** The replay's block loop: stepMany over the captured amps. */
+    void replayBlocks(const CapturedTrace &trace, size_t blockCycles,
+                      VoltageSimResult &res);
+    /**
+     * The accounting every loop shares: energy, rail tally and episode
+     * tracker for @p n cycles starting at cycle @p first, all under
+     * control state @p ctrl.
+     */
+    void account(uint64_t first, const double *amps, const double *volts,
+                 const obs::ActivityRow *rows, size_t n,
+                 const obs::EmergencyTracker::ControlState &ctrl,
+                 VoltageSimResult &res);
 
     VoltageSimConfig cfg_;
     cpu::OoOCore core_;
@@ -200,7 +194,9 @@ class VoltageSim
     pdn::PdnSim pdn_;
     std::optional<ThresholdController> controller_;
     uint64_t cycle_ = 0;
-    double vNominal_;
+    /** Every run's tally folded together; the registry's pdn.v.* and
+        pdn.emergencies.{count,low,high} read it. */
+    RailTally life_;
 
     // Observability: registry over all components, per-run emergency
     // episode tracker, sampled phase profiler.
@@ -217,13 +213,7 @@ class VoltageSim
     std::vector<cpu::ActivityVector> avBuf_;
     std::vector<double> ampsBuf_;
     std::vector<double> voltsBuf_;
-
-    // Cumulative (whole-sim-lifetime) counters bound into registry_;
-    // run() reports per-run values via snapshot diffs.
-    uint64_t emLow_ = 0;
-    uint64_t emHigh_ = 0;
-    double vMinSeen_;
-    double vMaxSeen_;
+    std::vector<obs::ActivityRow> rowBuf_;
 };
 
 } // namespace vguard::core

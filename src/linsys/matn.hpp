@@ -3,7 +3,7 @@
  * Small dense matrices of runtime dimension (N <= 8) for higher-order
  * supply-network models.
  *
- * The second-order model of mat2.hpp is the paper's abstraction; real
+ * The paper abstracts the supply as a second-order system; real
  * power-delivery networks are a hierarchy (VRM → bulk capacitors →
  * package inductance → die capacitance) whose mid-frequency resonance
  * is damped only by the *loop* resistances, not the full DC path. The

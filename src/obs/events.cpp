@@ -25,7 +25,7 @@ fpChannelName(size_t channel)
     return kChannelNames[channel];
 }
 
-std::array<uint32_t, kNumFpChannels>
+ActivityRow
 fpChannelCounts(const cpu::ActivityVector &av)
 {
     std::array<uint32_t, kNumFpChannels> c{};
@@ -43,7 +43,15 @@ fpChannelCounts(const cpu::ActivityVector &av)
     c[size_t(FpChannel::L2)] = av.l2Accesses;
     c[size_t(FpChannel::RegFile)] = av.regReads + av.regWrites;
     c[size_t(FpChannel::Commit)] = av.committed;
-    return c;
+
+    ActivityRow row;
+    uint32_t any = 0;
+    for (size_t i = 0; i < kNumFpChannels; ++i) {
+        any |= c[i];
+        row[i] = static_cast<uint16_t>(c[i]);
+    }
+    VGUARD_CHECK(any <= 0xffffu);
+    return row;
 }
 
 // ------------------------------------------------------- ActivityWindow
@@ -56,9 +64,9 @@ ActivityWindow::ActivityWindow(size_t window)
 }
 
 void
-ActivityWindow::record(const std::array<uint32_t, kNumFpChannels> &counts)
+ActivityWindow::record(const ActivityRow &counts)
 {
-    std::array<uint32_t, kNumFpChannels> &slot = ring_[head_];
+    ActivityRow &slot = ring_[head_];
     if (seen_ >= ring_.size()) {
         // Evict the oldest cycle from the running sums.
         for (size_t i = 0; i < kNumFpChannels; ++i)
@@ -135,7 +143,6 @@ EventLog::push(EmergencyEvent ev)
         ++dropped_;
         return;
     }
-    // vlint: allow(alloc-hot) append bounded by emergency episodes, not cycles
     events_.push_back(std::move(ev));
 }
 
@@ -169,8 +176,7 @@ EmergencyTracker::EmergencyTracker(double vLoBound, double vHiBound,
 }
 
 void
-EmergencyTracker::step(uint64_t cycle, double v,
-                       const std::array<uint32_t, kNumFpChannels> &counts,
+EmergencyTracker::step(uint64_t cycle, double v, const ActivityRow &counts,
                        const ControlState &ctrl)
 {
     // The window includes the crossing cycle itself: record first so

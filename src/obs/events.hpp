@@ -57,9 +57,17 @@ constexpr size_t kNumFpChannels = 14;
 /** Snake_case channel name (used as the JSONL fingerprint key). */
 const char *fpChannelName(size_t channel);
 
-/** Extract one cycle's per-channel counts from an ActivityVector. */
-std::array<uint32_t, kNumFpChannels>
-fpChannelCounts(const cpu::ActivityVector &av);
+/**
+ * One cycle's per-channel counts. uint16 is lossless: every channel is
+ * bounded by a machine width (the largest, regfile reads + writes, by
+ * 3 x issueWidth). The same rows make up a captured trace's activity
+ * stream (core/trace_cache.hpp).
+ */
+using ActivityRow = std::array<uint16_t, kNumFpChannels>;
+
+/** Extract one cycle's per-channel counts from an ActivityVector
+    (checks that every count fits the row). */
+ActivityRow fpChannelCounts(const cpu::ActivityVector &av);
 
 /**
  * Sliding-window accumulator of per-channel activity over the last N
@@ -79,7 +87,7 @@ class ActivityWindow
 
     /** Record one cycle from pre-extracted channel counts (used by
         trace replay, where no ActivityVector exists any more). */
-    void record(const std::array<uint32_t, kNumFpChannels> &counts);
+    void record(const ActivityRow &counts);
 
     /** Per-channel sums over the last min(window, seen) cycles. */
     const std::array<uint64_t, kNumFpChannels> &sums() const
@@ -95,7 +103,7 @@ class ActivityWindow
     void clear();
 
   private:
-    std::vector<std::array<uint32_t, kNumFpChannels>> ring_;
+    std::vector<ActivityRow> ring_;
     size_t head_ = 0;
     uint64_t seen_ = 0;
     std::array<uint64_t, kNumFpChannels> sums_{};
@@ -195,8 +203,7 @@ class EmergencyTracker
 
     /** Feed one simulated cycle from pre-extracted channel counts
         (trace replay; identical episode/fingerprint behaviour). */
-    void step(uint64_t cycle, double v,
-              const std::array<uint32_t, kNumFpChannels> &counts,
+    void step(uint64_t cycle, double v, const ActivityRow &counts,
               const ControlState &ctrl);
 
     /** Close any episode still open at end of run. */

@@ -196,7 +196,6 @@ Registry::snapshot() const
             out.hist = std::make_shared<const Histogram>(e->hist->get());
             break;
         }
-        // vlint: allow(alloc-hot) snapshot materialization, run start/end only
         s.entries_.push_back(std::move(out));
     }
     return s;
@@ -319,7 +318,6 @@ Snapshot::upsert(SnapshotEntry entry)
     if (it != entries_.end() && it->name == entry.name)
         *it = std::move(entry);
     else
-        // vlint: allow(alloc-hot) snapshot splice, end-of-run post-processing
         entries_.insert(it, std::move(entry));
 }
 

@@ -84,9 +84,7 @@ Tracer::intern(std::string_view name)
     if (it != index_.end())
         return it->second;
     const auto id = static_cast<uint32_t>(names_.size());
-    // vlint: allow(alloc-hot) interning allocates once per unique label
     names_.emplace_back(name);
-    // vlint: allow(alloc-hot) same amortization as the line above
     index_.emplace(std::string(name), id);
     return id;
 }

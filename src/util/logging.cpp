@@ -43,7 +43,6 @@ vprint(FILE *to, const char *prefix, const char *fmt, va_list ap)
         std::vsnprintf(big.data(), big.size(), fmt, ap);
         line.append(big.data(), static_cast<size_t>(msgLen));
     }
-    // vlint: allow(alloc-hot) diagnostic/fatal path, never on a healthy hot loop
     line.push_back('\n');
     std::fwrite(line.data(), 1, line.size(), to);
 }

@@ -70,11 +70,11 @@ class Histogram
     void merge(const Histogram &other);
 
     /**
-     * Rebuild a histogram from serialized parts (the sweep-service
-     * wire decode and the trace-store stats blob). @p total must equal
-     * the sum of @p counts plus @p underflow plus @p overflow — add()
-     * maintains that invariant, so a mismatch means a corrupt stream
-     * (fatal). @p counts must be non-empty.
+     * Rebuild a histogram from serialized parts (the trace-store stats
+     * blob). @p total must equal the sum of @p counts plus
+     * @p underflow plus @p overflow — add() maintains that invariant,
+     * so a mismatch means a corrupt stream (fatal). @p counts must be
+     * non-empty.
      */
     static Histogram restore(double lo, double hi,
                              std::vector<uint64_t> counts,

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/experiments.hpp"
+#include "core/multicore_sim.hpp"
 #include "core/replay_sweep.hpp"
 #include "core/threshold_solver.hpp"
 #include "core/voltage_sim.hpp"
@@ -466,22 +467,58 @@ TEST(BackendDiff, PerLaneStepMatchesPerCycleStream)
 }
 
 // ---------------------------------------------- entry-point checks
+//
+// Configurations that would sail straight into the math (a negative
+// band inverts the emergency window; non-finite trim poisons every
+// lane) must die in VGUARD_CHECK at the entry point.
+
+namespace {
 
 /**
- * Regression tests for the sweep/backend validation bugfix: these
- * configurations used to sail straight into the math (a negative band
- * inverts the emergency window; non-finite trim poisons every lane)
- * and now must die in VGUARD_CHECK at the entry point.
+ * Every path that accounts a rail takes its band and histogram through
+ * core::RailTally, so each must refuse the same bad values: the
+ * VoltageSim ctor, replaySweep and the MulticoreSim ctor.
  */
-TEST(BackendDiffDeathTest, ReplaySweepRejectsNegativeBand)
+void
+expectEveryRailPathRejects(double band, double histLo, double histHi)
 {
+    const pdn::PackageParams pkg = PackageModel::design(50e6, 2e-3).params();
+
+    VoltageSimConfig cfg;
+    cfg.package = pkg;
+    cfg.band = band;
+    cfg.histLo = histLo;
+    cfg.histHi = histHi;
+    const isa::Program program = workloads::phasedKernel(400);
+    EXPECT_DEATH({ VoltageSim sim(cfg, program); }, "check failed");
+
     const std::vector<double> amps{10.0, 20.0, 30.0};
-    std::vector<SweepLane> lanes{
-        {PackageModel::design(50e6, 2e-3).params(), 5.0}};
-    lanes[0].band = -0.05;
+    const std::vector<SweepLane> lanes{
+        {pkg, 5.0, band, histLo, histHi}};
     EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes,
                              BackendKind::Batched),
                  "check failed");
+
+    ChipSpec chip;
+    chip.package = pkg;
+    chip.iTrim = 5.0;
+    chip.band = band;
+    chip.histLo = histLo;
+    chip.histHi = histHi;
+    chip.cores.resize(1);
+    EXPECT_DEATH({ MulticoreSim sim({chip}); }, "check failed");
+}
+
+} // namespace
+
+TEST(BackendDiffDeathTest, ReplaySweepRejectsNegativeBand)
+{
+    // A negative band inverts the window; a NaN or infinite one makes
+    // the edges NaN/inf, so no cycle would ever count.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double band : {-0.05, nan, inf})
+        expectEveryRailPathRejects(band, 0.90, 1.10);
 }
 
 TEST(BackendDiffDeathTest, ReplaySweepRejectsNonFiniteTrim)
@@ -497,14 +534,11 @@ TEST(BackendDiffDeathTest, ReplaySweepRejectsNonFiniteTrim)
 
 TEST(BackendDiffDeathTest, ReplaySweepRejectsInvertedHistogramRange)
 {
-    const std::vector<double> amps{10.0, 20.0, 30.0};
-    std::vector<SweepLane> lanes{
-        {PackageModel::design(50e6, 2e-3).params(), 5.0}};
-    lanes[0].histLo = 1.10;
-    lanes[0].histHi = 0.90;
-    EXPECT_DEATH(replaySweep(amps.data(), amps.size(), lanes,
-                             BackendKind::Batched),
-                 "check failed");
+    // An infinite edge sends every sample to one bin.
+    const double inf = std::numeric_limits<double>::infinity();
+    expectEveryRailPathRejects(0.05, 1.10, 0.90);
+    expectEveryRailPathRejects(0.05, -inf, 1.10);
+    expectEveryRailPathRejects(0.05, 0.90, inf);
 }
 
 TEST(BackendDiffDeathTest, BackendFactoriesRejectDegeneratePackages)

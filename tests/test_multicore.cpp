@@ -340,7 +340,8 @@ TEST(Multicore, StatsGroupsBindPerChipAndPerCore)
     MulticoreSim sim({staggered, synced, governed});
     obs::Registry reg;
     sim.registerStats(reg, "mc");
-    sim.run(1500);
+    const std::vector<ChipResult> r1 = sim.run(1500);
+    const std::vector<ChipResult> r2 = sim.run(1500);
 
     const obs::Snapshot snap = reg.snapshot();
     auto counter = [&](const std::string &name) {
@@ -355,6 +356,15 @@ TEST(Multicore, StatsGroupsBindPerChipAndPerCore)
     // open-loop chip droops, the staggered one cancels.
     EXPECT_EQ(counter("mc.chip0.low_emergency_cycles"), 0u);
     EXPECT_GT(counter("mc.chip1.low_emergency_cycles"), 0u);
+    // The emergency counters are lifetime tallies: the sum of both
+    // runs' results.
+    for (size_t c = 0; c < 3; ++c) {
+        const std::string cp = "mc.chip" + std::to_string(c);
+        EXPECT_EQ(counter(cp + ".low_emergency_cycles"),
+                  r1[c].lowEmergencyCycles + r2[c].lowEmergencyCycles);
+        EXPECT_EQ(counter(cp + ".high_emergency_cycles"),
+                  r1[c].highEmergencyCycles + r2[c].highEmergencyCycles);
+    }
 
     // Per-core groups: gating happened on the closed-loop chip, and
     // the governor's group binds under it.

@@ -531,10 +531,6 @@ cmdReport(int argc, char **argv)
  *                     value (numbers by value: 0.5 == 5e-1; integer
  *                     spellings compare exactly past 2^53)
  *   rel_tol           |cur - base| <= rel_tol * max(|base|, 1e-300)
- *
- * `foreach` lifts the check over every element of a named array
- * (optionally filtered by `where` equality constraints), so one spec
- * line covers e.g. every row of a bench's results table.
  */
 struct CheckFailures
 {
@@ -582,16 +578,16 @@ scalarsEqual(const JsonValue &a, const JsonValue &b)
 void
 applyCheck(const JsonValue &check, const JsonValue &cur,
            const JsonValue *base, const std::string &entry,
-           const std::string &where, CheckFailures &out)
+           const std::string &prefix, CheckFailures &out)
 {
     const JsonValue *metricName = check.find("metric");
     if (!metricName || !metricName->isString()) {
-        out.fail(entry, where + ": spec check without metric name");
+        out.fail(entry, prefix + ": spec check without metric name");
         return;
     }
-    const std::string label = where.empty()
+    const std::string label = prefix.empty()
                                   ? metricName->str
-                                  : where + "." + metricName->str;
+                                  : prefix + "." + metricName->str;
     const JsonValue *curV = cur.find(metricName->str);
     if (!curV) {
         out.fail(entry, label + ": missing in current artifact");
@@ -660,26 +656,6 @@ applyCheck(const JsonValue &check, const JsonValue &cur,
         out.fail(entry, label + ": " + why);
 }
 
-/** True when @p obj satisfies every `where` equality constraint. */
-bool
-matchesWhere(const JsonValue &obj, const JsonValue *where)
-{
-    if (!where)
-        return true;
-    for (const auto &[k, expect] : where->members) {
-        const JsonValue *v = obj.find(k);
-        if (!v)
-            return false;
-        const bool same =
-            expect.isNumber()
-                ? v->isNumber() && v->number == expect.number
-                : scalarsEqual(*v, expect);
-        if (!same)
-            return false;
-    }
-    return true;
-}
-
 /** Run one spec entry's checks over one (current, baseline) pair. */
 void
 applyChecks(const JsonValue &entrySpec, const JsonValue &cur,
@@ -689,40 +665,8 @@ applyChecks(const JsonValue &entrySpec, const JsonValue &cur,
     const JsonValue *checks = entrySpec.find("checks");
     if (!checks || !checks->isArray())
         return;
-    for (const JsonValue &check : checks->items) {
-        const JsonValue *foreachKey = check.find("foreach");
-        if (!foreachKey) {
-            applyCheck(check, cur, base, entry, prefix, out);
-            continue;
-        }
-        const JsonValue *arr = cur.find(foreachKey->str);
-        if (!arr || !arr->isArray()) {
-            out.fail(entry, foreachKey->str +
-                                ": missing array in current");
-            continue;
-        }
-        const JsonValue *baseArr =
-            base ? base->find(foreachKey->str) : nullptr;
-        const JsonValue *where = check.find("where");
-        size_t matched = 0;
-        for (size_t i = 0; i < arr->items.size(); ++i) {
-            const JsonValue &item = arr->items[i];
-            if (!matchesWhere(item, where))
-                continue;
-            ++matched;
-            const JsonValue *baseItem =
-                baseArr && i < baseArr->items.size()
-                    ? &baseArr->items[i]
-                    : nullptr;
-            const std::string label = foreachKey->str + "[" +
-                                      std::to_string(i) + "]";
-            applyCheck(check, item, baseItem, entry,
-                       prefix.empty() ? label : prefix + label, out);
-        }
-        if (matched == 0)
-            out.fail(entry, foreachKey->str +
-                                ": no elements matched where clause");
-    }
+    for (const JsonValue &check : checks->items)
+        applyCheck(check, cur, base, entry, prefix, out);
 }
 
 int
@@ -794,8 +738,8 @@ cmdBenchdiff(int argc, char **argv)
             for (size_t i = 0; i < cur.size(); ++i)
                 applyChecks(entrySpec, cur[i],
                             i < base.size() ? &base[i] : nullptr,
-                            name,
-                            "line[" + std::to_string(i) + "].", out);
+                            name, "line[" + std::to_string(i) + "]",
+                            out);
         } else {
             const JsonValue cur = loadJson(curPath, name.c_str());
             JsonValue base;
