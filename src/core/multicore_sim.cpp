@@ -19,7 +19,7 @@ struct MulticoreSim::ChipState
     std::optional<ChipGovernor> governor;
     std::vector<Act> act;          ///< per-core actuation this cycle
     std::vector<uint8_t> parked;   ///< no/empty trace
-    std::vector<double> coreAmps;  ///< this cycle's per-core draw
+    std::vector<double> coreAmps;  ///< per-core draw (governor input)
     std::vector<uint8_t> gateReq, phantomReq, grant;
 
     /** Cumulative (sim-lifetime) counters for registerStats. */
@@ -85,17 +85,49 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
 
 MulticoreSim::~MulticoreSim() = default;
 
-double
-MulticoreSim::coreCurrent(const ChipSpec &chip, ChipState &st,
-                          size_t core, uint64_t cycle) const
+void
+MulticoreSim::gather(size_t chipIdx, size_t n, double *VGUARD_RESTRICT col,
+                     ChipResult &res)
 {
-    const CoreSlot &slot = chip.cores[core];
-    if (st.parked[core] || st.act[core] == ChipState::Act::Gated)
-        return slot.iGate;
-    if (st.act[core] == ChipState::Act::Phantom)
-        return slot.iPhantom;
-    const double *amps = slot.trace->ampsData();
-    return amps[(cycle + slot.phaseOffset) % slot.trace->cycles()];
+    const ChipSpec &chip = chips_[chipIdx];
+    ChipState &st = *states_[chipIdx];
+    // A closed-loop gather is one cycle long; a memset call for one
+    // double would cost more than the rest of a 1-core chip's gather.
+    if (n == 1)
+        col[0] = 0.0;
+    else
+        std::fill_n(col, n, 0.0);
+    for (size_t i = 0; i < chip.cores.size(); ++i) {
+        const CoreSlot &slot = chip.cores[i];
+        if (st.parked[i] || st.act[i] != ChipState::Act::Run) {
+            // A held draw: parked and gated cores at iGate, a phantom
+            // firing core at iPhantom. Parked cores never act, so
+            // their cycles count as neither gated nor phantom.
+            const bool phantom = st.act[i] == ChipState::Act::Phantom;
+            const double a = phantom ? slot.iPhantom : slot.iGate;
+            if (!st.parked[i])
+                (phantom ? res.cores[i].phantomCycles
+                         : res.cores[i].gatedCycles) += n;
+            st.coreAmps[i] = a;
+            for (size_t cyc = 0; cyc < n; ++cyc)
+                col[cyc] += a;
+            continue;
+        }
+        // A running core replays its trace from its phase, in
+        // contiguous slices split where the trace wraps.
+        const double *VGUARD_RESTRICT tr = slot.trace->ampsData();
+        const size_t len = slot.trace->cycles();
+        size_t pos = static_cast<size_t>((cycle_ + slot.phaseOffset) % len);
+        st.coreAmps[i] = tr[pos];
+        size_t cyc = 0;
+        while (cyc < n) {
+            const size_t run = std::min(n - cyc, len - pos);
+            for (size_t j = 0; j < run; ++j)
+                col[cyc + j] += tr[pos + j];
+            cyc += run;
+            pos = 0;
+        }
+    }
 }
 
 void
@@ -175,106 +207,46 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
         res.cores.assign(chip.cores.size(), CoreStats{});
     }
 
-    if (!anyClosedLoop_) {
-        // Open loop everywhere: no actuation feedback, so the whole
-        // current schedule is known up front and streams through the
-        // per-lane block kernel. The gather runs core-outer over a
-        // contiguous per-chip column instead of calling coreCurrent
-        // per (cycle, core): activity never changes in open loop
-        // (act[] stays Run — no sensors exist on any chip), so each
-        // core contributes either a constant (parked) or wrap-split
-        // contiguous slices of its trace. Accumulating the column
-        // core-by-core in core-index order from +0.0 performs the
-        // exact same FP additions in the exact same order as the old
-        // per-cycle sum, so results stay bit-identical.
-        std::vector<double> amps(blockCycles * k);
-        std::vector<double> volts(blockCycles * k);
-        std::vector<double> col(blockCycles);
-        uint64_t done = 0;
-        while (done < cycles) {
-            const size_t chunk = static_cast<size_t>(
-                std::min<uint64_t>(blockCycles, cycles - done));
-            for (size_t c = 0; c < k; ++c) {
-                const ChipSpec &chip = chips_[c];
-                const ChipState &st = *states_[c];
-                double *VGUARD_RESTRICT acc = col.data();
-                std::fill_n(acc, chunk, 0.0);
-                for (size_t i = 0; i < chip.cores.size(); ++i) {
-                    const CoreSlot &slot = chip.cores[i];
-                    if (st.parked[i]) {
-                        const double g = slot.iGate;
-                        for (size_t cyc = 0; cyc < chunk; ++cyc)
-                            acc[cyc] += g;
-                        continue;
-                    }
-                    const double *VGUARD_RESTRICT tr =
-                        slot.trace->ampsData();
-                    const size_t len = slot.trace->cycles();
-                    size_t pos = static_cast<size_t>(
-                        (cycle_ + slot.phaseOffset) % len);
-                    size_t cyc = 0;
-                    while (cyc < chunk) {
-                        const size_t run =
-                            std::min(chunk - cyc, len - pos);
-                        for (size_t j = 0; j < run; ++j)
-                            acc[cyc + j] += tr[pos + j];
-                        cyc += run;
-                        pos = 0;
-                    }
-                }
-                double *VGUARD_RESTRICT rows = amps.data();
-                for (size_t cyc = 0; cyc < chunk; ++cyc)
-                    rows[cyc * k + c] = acc[cyc];
-            }
-            {
-                // Per-block span, emitted at the core layer (pdn sits
-                // below obs and must not include the tracer).
-                obs::TraceSpan span("pdn.backend.step_per_lane",
-                                    obs::TraceClass::Wall);
-                span.arg("cycles", uint64_t{chunk})
-                    .arg("lanes", uint64_t{k});
-                backend_->stepPerLane(amps.data(), chunk,
-                                      volts.data());
-            }
+    // A sensed chip's next draw depends on this cycle's voltage, so a
+    // run with one steps a cycle at a time; open-loop runs know their
+    // whole current schedule up front and stream it in blocks. Both go
+    // through the same gather → stepPerLane → tally and control loop.
+    const size_t block = anyClosedLoop_ ? 1 : blockCycles;
+    std::vector<double> amps(block * k);
+    std::vector<double> volts(block * k);
+    std::vector<double> col(block);
+    uint64_t done = 0;
+    while (done < cycles) {
+        const size_t chunk = static_cast<size_t>(
+            std::min<uint64_t>(block, cycles - done));
+        for (size_t c = 0; c < k; ++c) {
+            gather(c, chunk, col.data(), results[c]);
             for (size_t cyc = 0; cyc < chunk; ++cyc)
-                for (size_t c = 0; c < k; ++c)
-                    results[c].add(volts[cyc * k + c]);
-            done += chunk;
-            cycle_ += chunk;
+                amps[cyc * k + c] = col[cyc];
         }
-    } else {
-        // At least one chip closes its loop: per-cycle stepping (which
-        // the open-loop chips tolerate bit-identically — the per-lane
-        // kernels share one canonical summation order).
-        std::vector<double> ampsPerLane(k), voltsPerLane(k);
-        for (uint64_t t = 0; t < cycles; ++t) {
-            for (size_t c = 0; c < k; ++c) {
-                const ChipSpec &chip = chips_[c];
-                ChipState &st = *states_[c];
-                double a = 0.0;
-                for (size_t i = 0; i < chip.cores.size(); ++i) {
-                    const double ai =
-                        coreCurrent(chip, st, i, cycle_);
-                    st.coreAmps[i] = ai;
-                    a += ai;
-                    if (!st.parked[i]) {
-                        if (st.act[i] == ChipState::Act::Gated)
-                            ++results[c].cores[i].gatedCycles;
-                        else if (st.act[i] == ChipState::Act::Phantom)
-                            ++results[c].cores[i].phantomCycles;
-                    }
-                }
-                ampsPerLane[c] = a;
+        {
+            // Per-block span, emitted at the core layer (pdn sits
+            // below obs and must not include the tracer). Per-cycle
+            // closed-loop steps emit none.
+            std::optional<obs::TraceSpan> span;
+            if (!anyClosedLoop_) {
+                span.emplace("pdn.backend.step_per_lane",
+                             obs::TraceClass::Wall);
+                span->arg("cycles", uint64_t{chunk})
+                    .arg("lanes", uint64_t{k});
             }
-            backend_->stepCycle(ampsPerLane.data(),
-                                voltsPerLane.data());
+            backend_->stepPerLane(amps.data(), chunk, volts.data());
+        }
+        for (size_t cyc = 0; cyc < chunk; ++cyc) {
             for (size_t c = 0; c < k; ++c) {
-                results[c].add(voltsPerLane[c]);
+                const double v = volts[cyc * k + c];
+                results[c].add(v);
                 if (!states_[c]->sensors.empty())
-                    controlCycle(c, voltsPerLane[c], results);
+                    controlCycle(c, v, results);
             }
-            ++cycle_;
         }
+        done += chunk;
+        cycle_ += chunk;
     }
 
     // Fairness + cumulative rollup.

@@ -12,8 +12,12 @@
  * Scale-out follows the lane-batched backend: each pdn::PdnBackend
  * lane is one chip's rail, so K chip scenarios (core counts, phase
  * alignments, governor settings) step in lockstep through one
- * PdnBackend::stepPerLane / stepCycle stream, scalar remaining the
- * bit-exact golden reference.
+ * PdnBackend::stepPerLane stream, scalar remaining the bit-exact
+ * golden reference. One loop serves open and closed loop: gather
+ * each chip's summed draw, stepPerLane, then tally every rail and
+ * run each sensed chip's control. Open-loop runs gather blocks of
+ * many cycles; a run with any sensed chip gathers one cycle at a
+ * time, since its next draw depends on this cycle's voltage.
  *
  * Bit-identity contract:
  *  - per-core currents are summed in core-index order from +0.0, so a
@@ -21,9 +25,9 @@
  *    chip accounts its rail with the core::RailTally runReplay uses, so
  *    the N=1 open-loop configuration reproduces single-core
  *    VoltageSim::runReplay results bit-identically;
- *  - open-loop chips take the block path (stepPerLane), closed-loop
- *    chips the per-cycle path (stepCycle); the two are bit-identical
- *    by the pinned canonical summation order (test_backend_diff.cpp);
+ *  - a block of n cycles is bit-identical to n one-cycle steps (the
+ *    backend's one stepping body per engine), so an open chip's
+ *    results do not depend on whether a sensed chip shares its run;
  *  - reordering the chips vector permutes results bit-exactly (lanes
  *    are arithmetically independent). Reordering *cores within* a
  *    chip is not bit-invariant in general: it reassociates the FP
@@ -123,9 +127,10 @@ class MulticoreSim
     ~MulticoreSim();
 
     /**
-     * Advance every chip @p cycles cycles, streaming open-loop chips
-     * in blocks of @p blockCycles; rail and control state carry
-     * across calls. Returns this run's per-chip results.
+     * Advance every chip @p cycles cycles, in blocks of @p blockCycles
+     * when every chip is open loop and one cycle at a time otherwise;
+     * rail and control state carry across calls. Returns this run's
+     * per-chip results.
      */
     std::vector<ChipResult> run(uint64_t cycles,
                                 size_t blockCycles = 256);
@@ -145,9 +150,17 @@ class MulticoreSim
   private:
     struct ChipState;
 
-    /** Core i's draw this cycle given its actuation state. */
-    double coreCurrent(const ChipSpec &chip, ChipState &st, size_t core,
-                       uint64_t cycle) const;
+    /**
+     * Chip @p chipIdx's summed rail draw for the next @p n cycles into
+     * @p col, core-outer in core-index order from +0.0: the same FP
+     * additions in the same order as a per-cycle sum. Actuation holds
+     * across the block (it changes only in controlCycle, and a run
+     * with a sensed chip gathers one cycle at a time). Charges the
+     * block's gated and phantom cycles to @p res and records each
+     * core's draw on the block's first cycle in coreAmps, the
+     * governor's input.
+     */
+    void gather(size_t chipIdx, size_t n, double *col, ChipResult &res);
     void controlCycle(size_t chipIdx, double v,
                       std::vector<ChipResult> &results);
 

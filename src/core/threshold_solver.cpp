@@ -119,7 +119,9 @@ trimCurrent(const ThresholdSpec &spec)
 
 /**
  * Run *all* adversarial scenarios at once, one backend lane each, with
- * the same per-lane controller logic as runScenario. Scenarios have
+ * the same per-lane controller logic as runScenario. Each lane's
+ * controller picks its draw from its own delayed reading, so the lanes
+ * step one cycle at a time through stepPerLane. Scenarios have
  * unequal lengths; a finished lane keeps stepping at the trim current
  * with its output ignored, so it cannot influence vMin/vMax. Because
  * each lane's per-cycle arithmetic matches PdnSim::step exactly and
@@ -164,7 +166,7 @@ runScenariosBatched(pdn::PdnBackend &backend, const ThresholdSpec &spec,
             amps[lane] = a;
         }
 
-        backend.stepCycle(amps.data(), volts.data());
+        backend.stepPerLane(amps.data(), 1, volts.data());
 
         for (size_t lane = 0; lane < k; ++lane) {
             if (t >= scenarios[lane].size())

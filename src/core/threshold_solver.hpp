@@ -46,10 +46,12 @@ struct ThresholdSpec
 
     /**
      * Stepping engine for the adversarial scenario suite. Batched runs
-     * all scenarios as lock-stepped lanes of one pdn::PdnBackend and
-     * is bit-identical to the sequential Scalar path (the per-lane
-     * arithmetic order matches PdnSim::step exactly and min/max
-     * merging commutes) — asserted by tests/test_backend_diff.cpp.
+     * all scenarios as lock-stepped lanes of one pdn::PdnBackend, one
+     * stepPerLane cycle at a time. Scalar runs the scenarios one
+     * after another, each through its own PdnSim::step loop, so it
+     * stays an independent reference for the batched path: the two
+     * are bit-identical (same per-lane arithmetic order, and min/max
+     * merging commutes), as tests/test_backend_diff.cpp asserts.
      */
     pdn::BackendKind engine = pdn::BackendKind::Batched;
 };

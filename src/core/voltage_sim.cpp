@@ -13,8 +13,8 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
       pdn_(pdn::PackageModel(cfg.package)),
       life_(cfg.package.vNominal, cfg.band, cfg.histLo, cfg.histHi,
             cfg.histBins),
-      tracker_(life_.vLo(), life_.vHi(), cfg.fingerprintWindow,
-               cfg.maxEvents),
+      tracker_(life_.vLo(), life_.vHi(), obs::kFingerprintWindow,
+               obs::kMaxEvents),
       profiling_(cfg.profiling)
 {
     // Paper regulator convention: the die sits at nominal voltage when

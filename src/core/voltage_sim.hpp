@@ -62,10 +62,6 @@ struct VoltageSimConfig
 
     /** Enable sampled wall-clock phase profiling (see obs/profile). */
     bool profiling = false;
-    /** Activity-fingerprint window per emergency event [cycles]. */
-    size_t fingerprintWindow = 32;
-    /** Emergency event-log capacity per run. */
-    size_t maxEvents = 4096;
 };
 
 /** Results of a run: the rail tally plus the core-side outcome. */
@@ -156,11 +152,6 @@ class VoltageSim
     cpu::OoOCore &core() { return core_; }
     const power::WattchModel &powerModel() const { return power_; }
     const VoltageSimConfig &config() const { return cfg_; }
-
-    /** The hierarchical stats registry of this sim's components. */
-    const obs::Registry &registry() const { return registry_; }
-    /** Current cumulative values of every registered stat. */
-    obs::Snapshot statsSnapshot() const { return registry_.snapshot(); }
 
   private:
     /** Open a run: fresh result and event window, stats baseline. */

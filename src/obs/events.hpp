@@ -54,6 +54,12 @@ enum class FpChannel : uint8_t {
 
 constexpr size_t kNumFpChannels = 14;
 
+/** Activity-fingerprint window per emergency event [cycles]. */
+constexpr size_t kFingerprintWindow = 32;
+
+/** Emergency event-log capacity per run. */
+constexpr size_t kMaxEvents = 4096;
+
 /** Snake_case channel name (used as the JSONL fingerprint key). */
 const char *fpChannelName(size_t channel);
 
@@ -143,7 +149,7 @@ struct EmergencyEvent
 class EventLog
 {
   public:
-    explicit EventLog(size_t capacity = 4096);
+    explicit EventLog(size_t capacity = kMaxEvents);
 
     /** Store @p ev, or count it as dropped when at capacity. */
     void push(EmergencyEvent ev);

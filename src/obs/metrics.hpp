@@ -217,15 +217,6 @@ class Registry
                       std::function<double()> fn,
                       MergeRule rule = MergeRule::Last);
 
-    /** Alias for derivedGauge — reads as "registry formula". */
-    void
-    formula(std::string name, std::string desc,
-            std::function<double()> fn, MergeRule rule = MergeRule::Last)
-    {
-        derivedGauge(std::move(name), std::move(desc), std::move(fn),
-                     rule);
-    }
-
     /** Number of registered entries. */
     size_t size() const;
 

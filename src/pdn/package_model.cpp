@@ -13,17 +13,21 @@ constexpr double kBulkRatio = 100.0;  ///< C_bulk / C_die in design()
 
 PackageModel::PackageModel(const PackageParams &params) : params_(params)
 {
-    if (params_.rVrm <= 0.0 || params_.rPkg < 0.0 || params_.rEsr < 0.0 ||
-        params_.lPkg <= 0.0 || params_.cDie <= 0.0 ||
-        params_.cBulk <= 0.0)
-        fatal("PackageModel: R/L/C values out of range "
-              "(rvrm=%g rpkg=%g resr=%g L=%g Cd=%g Cb=%g)",
-              params_.rVrm, params_.rPkg, params_.rEsr, params_.lPkg,
-              params_.cDie, params_.cBulk);
-    if (params_.rDamp() <= 0.0)
-        fatal("PackageModel: resonant loop needs non-zero damping");
-    if (params_.clockHz <= 0.0 || params_.vNominal <= 0.0)
-        fatal("PackageModel: clock and nominal voltage must be positive");
+    // The one PackageParams check: every rail (PdnSim, VoltageSim,
+    // both PdnBackend engines, MulticoreSim) is built on a
+    // PackageModel. NaN passes every `x <= 0` test, so each field must
+    // be finite before its range rule means anything.
+    const PackageParams &p = params_;
+    VGUARD_CHECK(std::isfinite(p.rVrm) && p.rVrm > 0.0);
+    VGUARD_CHECK(std::isfinite(p.rPkg) && p.rPkg >= 0.0);
+    VGUARD_CHECK(std::isfinite(p.rEsr) && p.rEsr >= 0.0);
+    VGUARD_CHECK(std::isfinite(p.lPkg) && p.lPkg > 0.0);
+    VGUARD_CHECK(std::isfinite(p.cDie) && p.cDie > 0.0);
+    VGUARD_CHECK(std::isfinite(p.cBulk) && p.cBulk > 0.0);
+    VGUARD_CHECK(std::isfinite(p.vNominal) && p.vNominal > 0.0);
+    VGUARD_CHECK(std::isfinite(p.clockHz) && p.clockHz > 0.0);
+    // The resonant loop needs non-zero damping.
+    VGUARD_CHECK(p.rDamp() > 0.0);
 }
 
 PackageModel

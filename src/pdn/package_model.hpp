@@ -57,6 +57,12 @@ struct PackageParams
 class PackageModel
 {
   public:
+    /**
+     * VGUARD_CHECKs @p params: every field finite, rVrm, L, both C,
+     * vNominal and clockHz positive, rPkg and rEsr non-negative, and a
+     * damped resonant loop. Every rail is built on a PackageModel, so
+     * this is the one place PackageParams are validated.
+     */
     explicit PackageModel(const PackageParams &params);
 
     /**

@@ -1,5 +1,6 @@
 #include "pdn/pdn_backend.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "pdn/pdn_sim.hpp"
@@ -14,43 +15,32 @@ namespace {
 constexpr unsigned kMaxStates = 8;
 
 /**
- * Entry-point validation shared by both factories. A non-finite trim
- * current propagates NaN through the DC trim solve; non-positive
- * reactances make the package design singular. Either way the lane
- * produces garbage voltages that the downstream bookkeeping would
- * count as (or hide) emergencies, so reject at construction.
+ * Entry-point validation shared by both factories: at least one lane,
+ * and finite trim currents (a non-finite one propagates NaN through
+ * the DC trim solve). Package parameters are checked by the
+ * PackageModel each engine builds per lane, the one PackageParams
+ * check every rail goes through.
  */
 void
 validateLanes(const std::vector<LaneConfig> &lanes)
 {
     VGUARD_CHECK(!lanes.empty());
-    for (const LaneConfig &lc : lanes) {
+    for (const LaneConfig &lc : lanes)
         VGUARD_CHECK(std::isfinite(lc.iTrim));
-        const PackageParams &p = lc.package;
-        VGUARD_CHECK(std::isfinite(p.lPkg) && p.lPkg > 0.0);
-        VGUARD_CHECK(std::isfinite(p.cDie) && p.cDie > 0.0);
-        VGUARD_CHECK(std::isfinite(p.cBulk) && p.cBulk > 0.0);
-        VGUARD_CHECK(std::isfinite(p.vNominal) && p.vNominal > 0.0);
-        VGUARD_CHECK(std::isfinite(p.clockHz) && p.clockHz > 0.0);
-        VGUARD_CHECK(std::isfinite(p.rVrm) && p.rVrm >= 0.0);
-        VGUARD_CHECK(std::isfinite(p.rPkg) && p.rPkg >= 0.0);
-        VGUARD_CHECK(std::isfinite(p.rEsr) && p.rEsr >= 0.0);
-    }
 }
 
 // ------------------------------------------------------------- scalar
 
 /**
  * Golden reference: one PdnSim per lane, stepped lane-major. Every
- * voltage it emits comes out of PdnSim::stepMany / step, i.e. the
- * exact arithmetic the rest of the project already trusts.
+ * voltage it emits comes out of PdnSim::stepMany, i.e. the exact
+ * arithmetic the rest of the project already trusts.
  */
 class ScalarPdnBackend final : public PdnBackend
 {
   public:
     explicit ScalarPdnBackend(const std::vector<LaneConfig> &lanes)
     {
-        VGUARD_CHECK(!lanes.empty());
         sims_.reserve(lanes.size());
         for (const LaneConfig &lc : lanes) {
             sims_.emplace_back(PackageModel(lc.package));
@@ -73,51 +63,43 @@ class ScalarPdnBackend final : public PdnBackend
             sim.reset();
     }
 
-  protected:
-    void doStepShared(const double *amps, size_t n,
-                      double *volts) override
+    void stepShared(const double *amps, size_t n, double *volts) override
     {
-        const size_t k = sims_.size();
-        if (rowBuf_.size() < n)
-            rowBuf_.resize(n);
-        for (size_t lane = 0; lane < k; ++lane) {
-            sims_[lane].stepMany(amps, n, rowBuf_.data());
-            for (size_t cyc = 0; cyc < n; ++cyc)
-                volts[cyc * k + lane] = rowBuf_[cyc];
-        }
+        step(amps, n, volts, false);
     }
 
-  public:
-    void stepCycle(const double *ampsPerLane,
-                   double *voltsPerLane) override
+    void stepPerLane(const double *amps, size_t n,
+                     double *volts) override
     {
-        for (size_t lane = 0; lane < sims_.size(); ++lane)
-            voltsPerLane[lane] = sims_[lane].step(ampsPerLane[lane]);
-    }
-
-  protected:
-
-    void doStepPerLane(const double *amps, size_t n,
-                       double *volts) override
-    {
-        const size_t k = sims_.size();
-        if (rowBuf_.size() < n)
-            rowBuf_.resize(n);
-        if (colBuf_.size() < n)
-            colBuf_.resize(n);
-        // Gather each lane's current column so the whole block still
-        // goes through PdnSim::stepMany — the exact arithmetic the
-        // single-rail replay uses.
-        for (size_t lane = 0; lane < k; ++lane) {
-            for (size_t cyc = 0; cyc < n; ++cyc)
-                colBuf_[cyc] = amps[cyc * k + lane];
-            sims_[lane].stepMany(colBuf_.data(), n, rowBuf_.data());
-            for (size_t cyc = 0; cyc < n; ++cyc)
-                volts[cyc * k + lane] = rowBuf_[cyc];
-        }
+        step(amps, n, volts, true);
     }
 
   private:
+    /**
+     * One PdnSim::stepMany per lane over the block; per-lane input
+     * first gathers the lane's current column out of the cycle-major
+     * block.
+     */
+    void step(const double *amps, size_t n, double *volts, bool perLane)
+    {
+        const size_t k = sims_.size();
+        if (rowBuf_.size() < n) {
+            rowBuf_.resize(n);
+            colBuf_.resize(n);
+        }
+        for (size_t lane = 0; lane < k; ++lane) {
+            const double *in = amps;
+            if (perLane) {
+                for (size_t cyc = 0; cyc < n; ++cyc)
+                    colBuf_[cyc] = amps[cyc * k + lane];
+                in = colBuf_.data();
+            }
+            sims_[lane].stepMany(in, n, rowBuf_.data());
+            for (size_t cyc = 0; cyc < n; ++cyc)
+                volts[cyc * k + lane] = rowBuf_[cyc];
+        }
+    }
+
     std::vector<PdnSim> sims_;
     std::vector<double> rowBuf_;  ///< one lane's voltage row
     std::vector<double> colBuf_;  ///< one lane's current column
@@ -126,11 +108,14 @@ class ScalarPdnBackend final : public PdnBackend
 // ------------------------------------------------------------ batched
 
 /**
- * Structure-of-arrays engine: lane `l`'s copy of coefficient `q` lives
- * at q[... * stride_ + l], with stride_ = lanes rounded up to
- * simd::kPackWidth so every pack load is in-bounds. Padding lanes
- * clone the last real lane's coefficients and state — they compute
- * real (discarded) values, never NaNs that could trap.
+ * Structure-of-arrays engine over packs of W = simd::kPackWidth lanes.
+ * Lanes are padded to stride_, a multiple of W, so every pack load is
+ * in-bounds; padding lanes take the last real lane's scenario, so they
+ * compute real (discarded) values, never NaNs that could trap. Storage
+ * is pack-major: each pack owns one block of slots, each slot holding
+ * W lane values of one coefficient (or state), so every coefficient of
+ * a pack sits at a fixed offset from one pointer and a one-cycle step
+ * needs no per-array address set-up.
  *
  * The kernel follows DiscreteStateSpaceN::stepBlock2's canonical
  * summation order term for term (state-major, then inputs in index
@@ -144,34 +129,14 @@ class BatchedPdnBackend final : public PdnBackend
     explicit BatchedPdnBackend(const std::vector<LaneConfig> &lanes)
         : k_(lanes.size())
     {
-        VGUARD_CHECK(!lanes.empty());
-        stride_ = ((k_ + simd::kPackWidth - 1) / simd::kPackWidth) *
-                  simd::kPackWidth;
-
-        {
-            PackageModel first(lanes[0].package);
-            ns_ = first.discrete().states();
-        }
+        stride_ = (k_ + W - 1) / W * W;
+        ns_ = PackageModel(lanes[0].package).discrete().states();
         VGUARD_CHECK(ns_ >= 1 && ns_ <= kMaxStates);
 
-        ad_.assign(size_t{ns_} * ns_ * stride_, 0.0);
-        bd0_.assign(size_t{ns_} * stride_, 0.0);
-        bd1_.assign(size_t{ns_} * stride_, 0.0);
-        c_.assign(size_t{ns_} * stride_, 0.0);
-        d0_.assign(stride_, 0.0);
-        d1_.assign(stride_, 0.0);
-        vdd_.assign(stride_, 0.0);
-        x_.assign(size_t{ns_} * stride_, 0.0);
-        xTrim_.assign(size_t{ns_} * stride_, 0.0);
-        ampsPad_.assign(stride_, 0.0);
-        voltsPad_.assign(stride_, 0.0);
-
-        for (size_t lane = 0; lane < k_; ++lane)
-            fillLane(lane, lanes[lane]);
-        // Padding lanes replicate the last real scenario.
-        for (size_t lane = k_; lane < stride_; ++lane)
-            copyLane(lane, k_ - 1);
-
+        coef_.assign(stride_ * slots(ns_), 0.0);
+        xTrim_.assign(stride_ * ns_, 0.0);
+        for (size_t lane = 0; lane < stride_; ++lane)
+            fillLane(lane, lanes[std::min(lane, k_ - 1)]);
         x_ = xTrim_;
     }
 
@@ -179,73 +144,71 @@ class BatchedPdnBackend final : public PdnBackend
 
     size_t lanes() const override { return k_; }
 
-    double vddSetPoint(size_t lane) const override { return vdd_[lane]; }
+    double vddSetPoint(size_t lane) const override
+    {
+        return coef_[at(lane, slots(ns_), vddSlot(ns_))];
+    }
 
     void reset() override { x_ = xTrim_; }
 
-  protected:
     // vlint: hot
-    void doStepShared(const double *amps, size_t n,
-                      double *volts) override
+    void stepShared(const double *amps, size_t n, double *volts) override
     {
         if (ns_ == 3)
-            sharedKernel<3>(amps, n, volts);
+            kernel<3, false>(amps, n, volts);
         else
-            sharedKernel<0>(amps, n, volts);
+            kernel<0, false>(amps, n, volts);
     }
 
-  public:
-
-    void stepCycle(const double *ampsPerLane,
-                   double *voltsPerLane) override
-    {
-        for (size_t lane = 0; lane < k_; ++lane)
-            ampsPad_[lane] = ampsPerLane[lane];
-        for (size_t lane = k_; lane < stride_; ++lane)
-            ampsPad_[lane] = ampsPerLane[k_ - 1];
-        if (ns_ == 3)
-            cycleKernel<3>();
-        else
-            cycleKernel<0>();
-        for (size_t lane = 0; lane < k_; ++lane)
-            voltsPerLane[lane] = voltsPad_[lane];
-    }
-
-  protected:
     // vlint: hot
-    void doStepPerLane(const double *amps, size_t n,
-                       double *volts) override
+    void stepPerLane(const double *amps, size_t n,
+                     double *volts) override
     {
         // Full packs load straight from the caller's cycle-major
         // buffer (DoublePack::load is unaligned on every target), so
         // only the tail pack — the one containing padding lanes —
         // needs a repack. Padding lanes clone the last real lane's
-        // draw (as in stepCycle) so they keep computing real,
-        // discarded values. Against the old full-block repack this
-        // removes an n*stride_ copy per block, which dominated the
-        // many-core per-lane path (see bench_simloop chipBatched).
+        // draw so they keep computing real, discarded values.
         if (stride_ != k_) {
-            const size_t base = stride_ - simd::kPackWidth;
+            const size_t base = stride_ - W;
             const size_t live = k_ - base;
-            if (tailBlk_.size() < n * simd::kPackWidth)
+            if (tailBlk_.size() < n * W)
                 // vlint: allow(alloc-hot) grow-once scratch, first block only
-                tailBlk_.resize(n * simd::kPackWidth);
+                tailBlk_.resize(n * W);
             for (size_t cyc = 0; cyc < n; ++cyc) {
-                double *dst = tailBlk_.data() + cyc * simd::kPackWidth;
+                double *dst = tailBlk_.data() + cyc * W;
                 const double *src = amps + cyc * k_;
                 for (size_t lane = 0; lane < live; ++lane)
                     dst[lane] = src[base + lane];
-                for (size_t lane = live; lane < simd::kPackWidth; ++lane)
+                for (size_t lane = live; lane < W; ++lane)
                     dst[lane] = src[k_ - 1];
             }
         }
         if (ns_ == 3)
-            perLaneKernel<3>(amps, n, volts);
+            kernel<3, true>(amps, n, volts);
         else
-            perLaneKernel<0>(amps, n, volts);
+            kernel<0, true>(amps, n, volts);
     }
 
   private:
+    static constexpr size_t W = simd::kPackWidth;
+
+    // A pack's coefficient block: Ad row-major, the Bd columns for
+    // u0 = Vdd and u1 = I_cpu, c, then d0, d1 and the set point Vdd.
+    static constexpr size_t bd0Slot(unsigned ns) { return size_t{ns} * ns; }
+    static constexpr size_t bd1Slot(unsigned ns) { return bd0Slot(ns) + ns; }
+    static constexpr size_t cSlot(unsigned ns) { return bd1Slot(ns) + ns; }
+    static constexpr size_t d0Slot(unsigned ns) { return cSlot(ns) + ns; }
+    static constexpr size_t vddSlot(unsigned ns) { return d0Slot(ns) + 2; }
+    static constexpr size_t slots(unsigned ns) { return vddSlot(ns) + 1; }
+
+    /** Index of @p lane's value in @p slot of a per-pack block of
+        @p perPack slots. */
+    static size_t at(size_t lane, size_t perPack, size_t slot)
+    {
+        return (lane / W * perPack + slot) * W + lane % W;
+    }
+
     void fillLane(size_t lane, const LaneConfig &lc)
     {
         PackageModel model(lc.package);
@@ -256,172 +219,92 @@ class BatchedPdnBackend final : public PdnBackend
         VGUARD_CHECK(dss.states() == ns_);
         VGUARD_CHECK(dss.inputs() == 2);
 
-        for (unsigned i = 0; i < ns_; ++i) {
-            for (unsigned j = 0; j < ns_; ++j)
-                ad_[(size_t{i} * ns_ + j) * stride_ + lane] =
-                    dss.ad().at(i, j);
-            bd0_[size_t{i} * stride_ + lane] = dss.bd()[i * 2 + 0];
-            bd1_[size_t{i} * stride_ + lane] = dss.bd()[i * 2 + 1];
-            c_[size_t{i} * stride_ + lane] = dss.c()[i];
-            xTrim_[size_t{i} * stride_ + lane] = sim.state()[i];
+        const unsigned ns = ns_;
+        auto coef = [&](size_t slot) -> double & {
+            return coef_[at(lane, slots(ns), slot)];
+        };
+        for (unsigned i = 0; i < ns; ++i) {
+            for (unsigned j = 0; j < ns; ++j)
+                coef(size_t{i} * ns + j) = dss.ad().at(i, j);
+            coef(bd0Slot(ns) + i) = dss.bd()[i * 2 + 0];
+            coef(bd1Slot(ns) + i) = dss.bd()[i * 2 + 1];
+            coef(cSlot(ns) + i) = dss.c()[i];
+            xTrim_[at(lane, ns, i)] = sim.state()[i];
         }
-        d0_[lane] = dss.d()[0];
-        d1_[lane] = dss.d()[1];
-        vdd_[lane] = sim.vddSetPoint();
-    }
-
-    void copyLane(size_t dst, size_t src)
-    {
-        for (unsigned i = 0; i < ns_; ++i) {
-            for (unsigned j = 0; j < ns_; ++j) {
-                const size_t row = (size_t{i} * ns_ + j) * stride_;
-                ad_[row + dst] = ad_[row + src];
-            }
-            bd0_[size_t{i} * stride_ + dst] = bd0_[size_t{i} * stride_ + src];
-            bd1_[size_t{i} * stride_ + dst] = bd1_[size_t{i} * stride_ + src];
-            c_[size_t{i} * stride_ + dst] = c_[size_t{i} * stride_ + src];
-            xTrim_[size_t{i} * stride_ + dst] =
-                xTrim_[size_t{i} * stride_ + src];
-        }
-        d0_[dst] = d0_[src];
-        d1_[dst] = d1_[src];
-        vdd_[dst] = vdd_[src];
+        coef(d0Slot(ns)) = dss.d()[0];
+        coef(d0Slot(ns) + 1) = dss.d()[1];
+        coef(vddSlot(ns)) = sim.vddSetPoint();
     }
 
     /**
-     * Shared-trace block kernel, chunk-outer / cycle-inner so each
-     * chunk's coefficient and state packs stay in registers across the
-     * whole block. NS_HINT = compile-time state count (3 is the PDN
-     * fast path); NS_HINT = 0 falls back to the runtime dimension.
+     * The one stepping body, pack-outer / cycle-inner: each pack's
+     * state stays in registers across the block, while coefficients
+     * are loaded every cycle, each at a fixed offset from the pack's
+     * block (hoisting them into stack arrays buys no block throughput
+     * and makes a one-cycle step several times slower). NS_HINT =
+     * compile-time state count (3 is the PDN fast path; 0 falls back
+     * to the runtime dimension). PER_LANE selects u1: a broadcast of
+     * the shared amps[cyc], or a per-lane load — straight from the
+     * caller's cycle-major buffer for full packs, from the padded
+     * tailBlk_ for the one pack that straddles k_.
      */
-    template <unsigned NS_HINT>
+    template <unsigned NS_HINT, bool PER_LANE>
     // vlint: hot
-    void sharedKernel(const double *amps, size_t n, double *volts)
+    void kernel(const double *amps, size_t n, double *volts)
     {
         using simd::DoublePack;
         const unsigned ns = NS_HINT ? NS_HINT : ns_;
-        for (size_t base = 0; base < stride_; base += simd::kPackWidth) {
-            DoublePack A[kMaxStates * kMaxStates];
-            DoublePack B0[kMaxStates], B1[kMaxStates], C[kMaxStates];
+        for (size_t base = 0; base < stride_; base += W) {
+            const double *q = coef_.data() + base * slots(ns);
+            auto co = [q](size_t slot) {
+                return DoublePack::load(q + slot * W);
+            };
+            double *xs = x_.data() + base * ns;
             DoublePack x[kMaxStates], nx[kMaxStates];
-            for (unsigned i = 0; i < ns; ++i) {
-                C[i] = DoublePack::load(&c_[size_t{i} * stride_ + base]);
-                B0[i] = DoublePack::load(&bd0_[size_t{i} * stride_ + base]);
-                B1[i] = DoublePack::load(&bd1_[size_t{i} * stride_ + base]);
-                for (unsigned j = 0; j < ns; ++j)
-                    A[i * ns + j] = DoublePack::load(
-                        &ad_[(size_t{i} * ns + j) * stride_ + base]);
-                x[i] = DoublePack::load(&x_[size_t{i} * stride_ + base]);
-            }
-            const DoublePack d0 = DoublePack::load(&d0_[base]);
-            const DoublePack d1 = DoublePack::load(&d1_[base]);
-            const DoublePack u0 = DoublePack::load(&vdd_[base]);
-
-            const bool full = base + simd::kPackWidth <= k_;
-            const size_t live = full ? simd::kPackWidth : k_ - base;
-            double tail[simd::kPackWidth];
-
-            for (size_t cyc = 0; cyc < n; ++cyc) {
-                const DoublePack u1 = DoublePack::broadcast(amps[cyc]);
-
-                DoublePack out = DoublePack::zero();
-                for (unsigned i = 0; i < ns; ++i)
-                    out = out + C[i] * x[i];
-                out = out + d0 * u0;
-                out = out + d1 * u1;
-
-                double *dst = volts + cyc * k_ + base;
-                if (full) {
-                    out.store(dst);
-                } else {
-                    out.store(tail);
-                    for (size_t l = 0; l < live; ++l)
-                        dst[l] = tail[l];
-                }
-
-                for (unsigned i = 0; i < ns; ++i) {
-                    DoublePack acc = DoublePack::zero();
-                    for (unsigned j = 0; j < ns; ++j)
-                        acc = acc + A[i * ns + j] * x[j];
-                    acc = acc + B0[i] * u0;
-                    acc = acc + B1[i] * u1;
-                    nx[i] = acc;
-                }
-                for (unsigned i = 0; i < ns; ++i)
-                    x[i] = nx[i];
-            }
-
             for (unsigned i = 0; i < ns; ++i)
-                x[i].store(&x_[size_t{i} * stride_ + base]);
-        }
-    }
+                x[i] = DoublePack::load(xs + i * W);
 
-    /**
-     * Per-lane-trace block kernel: identical to sharedKernel — same
-     * loop structure, same term order, so the bit-identity argument
-     * carries over unchanged — except u1 is a per-lane pack load
-     * instead of a broadcast: straight from the caller's cycle-major
-     * buffer for full packs, from the padded tailBlk_ for the one
-     * pack that straddles k_. Either way the loaded doubles are the
-     * exact values the old full-block repack staged.
-     */
-    template <unsigned NS_HINT>
-    // vlint: hot
-    void perLaneKernel(const double *amps, size_t n, double *volts)
-    {
-        using simd::DoublePack;
-        const unsigned ns = NS_HINT ? NS_HINT : ns_;
-        for (size_t base = 0; base < stride_; base += simd::kPackWidth) {
-            DoublePack A[kMaxStates * kMaxStates];
-            DoublePack B0[kMaxStates], B1[kMaxStates], C[kMaxStates];
-            DoublePack x[kMaxStates], nx[kMaxStates];
-            for (unsigned i = 0; i < ns; ++i) {
-                C[i] = DoublePack::load(&c_[size_t{i} * stride_ + base]);
-                B0[i] = DoublePack::load(&bd0_[size_t{i} * stride_ + base]);
-                B1[i] = DoublePack::load(&bd1_[size_t{i} * stride_ + base]);
-                for (unsigned j = 0; j < ns; ++j)
-                    A[i * ns + j] = DoublePack::load(
-                        &ad_[(size_t{i} * ns + j) * stride_ + base]);
-                x[i] = DoublePack::load(&x_[size_t{i} * stride_ + base]);
-            }
-            const DoublePack d0 = DoublePack::load(&d0_[base]);
-            const DoublePack d1 = DoublePack::load(&d1_[base]);
-            const DoublePack u0 = DoublePack::load(&vdd_[base]);
+            const bool full = base + W <= k_;
+            const size_t live = full ? W : k_ - base;
+            double tail[W];
 
-            const bool full = base + simd::kPackWidth <= k_;
-            const size_t live = full ? simd::kPackWidth : k_ - base;
-            double tail[simd::kPackWidth];
-
-            // Loop-invariant input addressing: (pointer, stride)
-            // selected per pack keeps the cycle loop branch-free.
-            const double *uSrc = full ? amps + base : tailBlk_.data();
-            const size_t uStride = full ? k_ : simd::kPackWidth;
+            // Loop-invariant per-lane input addressing: (pointer,
+            // stride) selected per pack keeps the cycle loop
+            // branch-free. Unused for a shared trace.
+            const double *uSrc =
+                PER_LANE && full ? amps + base : tailBlk_.data();
+            const size_t uStride = full ? k_ : W;
 
             for (size_t cyc = 0; cyc < n; ++cyc) {
+                const DoublePack u0 = co(vddSlot(ns));
                 const DoublePack u1 =
-                    DoublePack::load(uSrc + cyc * uStride);
+                    PER_LANE ? DoublePack::load(uSrc + cyc * uStride)
+                             : DoublePack::broadcast(amps[cyc]);
 
                 DoublePack out = DoublePack::zero();
                 for (unsigned i = 0; i < ns; ++i)
-                    out = out + C[i] * x[i];
-                out = out + d0 * u0;
-                out = out + d1 * u1;
+                    out = out + co(cSlot(ns) + i) * x[i];
+                out = out + co(d0Slot(ns)) * u0;
+                out = out + co(d0Slot(ns) + 1) * u1;
 
                 double *dst = volts + cyc * k_ + base;
                 if (full) {
                     out.store(dst);
                 } else {
+                    // A fixed trip count keeps this from becoming a
+                    // memcpy call, which would spill every live pack.
                     out.store(tail);
-                    for (size_t l = 0; l < live; ++l)
-                        dst[l] = tail[l];
+                    for (size_t l = 0; l < W; ++l)
+                        if (l < live)
+                            dst[l] = tail[l];
                 }
 
                 for (unsigned i = 0; i < ns; ++i) {
                     DoublePack acc = DoublePack::zero();
                     for (unsigned j = 0; j < ns; ++j)
-                        acc = acc + A[i * ns + j] * x[j];
-                    acc = acc + B0[i] * u0;
-                    acc = acc + B1[i] * u1;
+                        acc = acc + co(size_t{i} * ns + j) * x[j];
+                    acc = acc + co(bd0Slot(ns) + i) * u0;
+                    acc = acc + co(bd1Slot(ns) + i) * u1;
                     nx[i] = acc;
                 }
                 for (unsigned i = 0; i < ns; ++i)
@@ -429,71 +312,18 @@ class BatchedPdnBackend final : public PdnBackend
             }
 
             for (unsigned i = 0; i < ns; ++i)
-                x[i].store(&x_[size_t{i} * stride_ + base]);
-        }
-    }
-
-    /** One cycle with per-lane currents from ampsPad_ into voltsPad_. */
-    template <unsigned NS_HINT>
-    // vlint: hot
-    void cycleKernel()
-    {
-        using simd::DoublePack;
-        const unsigned ns = NS_HINT ? NS_HINT : ns_;
-        for (size_t base = 0; base < stride_; base += simd::kPackWidth) {
-            DoublePack x[kMaxStates], nx[kMaxStates];
-            for (unsigned i = 0; i < ns; ++i)
-                x[i] = DoublePack::load(&x_[size_t{i} * stride_ + base]);
-            const DoublePack u0 = DoublePack::load(&vdd_[base]);
-            const DoublePack u1 = DoublePack::load(&ampsPad_[base]);
-
-            DoublePack out = DoublePack::zero();
-            for (unsigned i = 0; i < ns; ++i)
-                out = out +
-                      DoublePack::load(&c_[size_t{i} * stride_ + base]) *
-                          x[i];
-            out = out + DoublePack::load(&d0_[base]) * u0;
-            out = out + DoublePack::load(&d1_[base]) * u1;
-            out.store(&voltsPad_[base]);
-
-            for (unsigned i = 0; i < ns; ++i) {
-                DoublePack acc = DoublePack::zero();
-                for (unsigned j = 0; j < ns; ++j)
-                    acc = acc +
-                          DoublePack::load(
-                              &ad_[(size_t{i} * ns + j) * stride_ + base]) *
-                              x[j];
-                acc = acc + DoublePack::load(&bd0_[size_t{i} * stride_ +
-                                                  base]) *
-                                u0;
-                acc = acc + DoublePack::load(&bd1_[size_t{i} * stride_ +
-                                                  base]) *
-                                u1;
-                nx[i] = acc;
-            }
-            for (unsigned i = 0; i < ns; ++i)
-                nx[i].store(&x_[size_t{i} * stride_ + base]);
+                x[i].store(xs + i * W);
         }
     }
 
     size_t k_;          ///< real scenario lanes
-    size_t stride_ = 0; ///< k_ rounded up to simd::kPackWidth
+    size_t stride_ = 0; ///< k_ rounded up to W
     unsigned ns_ = 0;   ///< state count (3 for the PDN model)
 
-    // SoA coefficient arrays, lane-fastest: q[slot * stride_ + lane].
-    std::vector<double> ad_;   ///< (i*ns+j) slots
-    std::vector<double> bd0_;  ///< Bd column for u0 = Vdd
-    std::vector<double> bd1_;  ///< Bd column for u1 = I_cpu
-    std::vector<double> c_;
-    std::vector<double> d0_, d1_;
-    std::vector<double> vdd_;  ///< per-lane regulator set point
-
-    std::vector<double> x_;      ///< live state, i slots
-    std::vector<double> xTrim_;  ///< DC trim state
-
-    std::vector<double> ampsPad_;   ///< stepCycle input scratch
-    std::vector<double> voltsPad_;  ///< stepCycle output scratch
-    std::vector<double> tailBlk_;   ///< stepPerLane tail-pack scratch
+    std::vector<double> coef_;     ///< per pack, slots(ns_) slots
+    std::vector<double> x_;        ///< live state, per pack ns_ slots
+    std::vector<double> xTrim_;    ///< DC trim state, same layout
+    std::vector<double> tailBlk_;  ///< stepPerLane tail-pack scratch
 };
 
 } // namespace

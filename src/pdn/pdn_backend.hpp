@@ -7,16 +7,17 @@
  * *same* captured current trace through many package configurations.
  * A PdnBackend steps K such scenarios — "lanes" — in lockstep:
  *
- *  - ScalarPdnBackend: one PdnSim per lane, stepped lane-major. This
- *    is the bit-exact golden reference; its per-lane output is by
- *    construction identical to PdnSim::stepMany / stepBlock2.
- *  - BatchedPdnBackend: structure-of-arrays state stepped cycle-major
- *    through simd::DoublePack, kPackWidth lanes per instruction. It
- *    follows stepBlock2's canonical FP summation order term for term
- *    (see linsys/matn.hpp), so its output is bit-identical to the
- *    scalar backend — not approximately equal; tests/test_backend_diff
- *    asserts byte equality across presets, lane counts and block
- *    sizes.
+ *  - ScalarPdnBackend: one PdnSim per lane, each block one
+ *    PdnSim::stepMany (stepBlock2) call per lane. This is the
+ *    bit-exact golden reference.
+ *  - BatchedPdnBackend: structure-of-arrays state stepped through
+ *    simd::DoublePack, kPackWidth lanes per instruction, by one kernel
+ *    template whose only variation is a broadcast (shared) or a
+ *    per-lane load of the current. It follows stepBlock2's canonical
+ *    FP summation order term for term (see linsys/matn.hpp), so its
+ *    output is bit-identical to the scalar backend — not
+ *    approximately equal; tests/test_backend_diff asserts byte
+ *    equality across presets, lane counts and block sizes.
  *
  * Output layout is cycle-major: volts[k * lanes() + lane] is lane
  * `lane`'s die voltage on cycle k. Cycle-major keeps the batched
@@ -50,7 +51,21 @@ enum class BackendKind
     Batched,  ///< cycle-major SoA + simd::DoublePack
 };
 
-/** K PDN scenarios stepped in lockstep over a shared clock. */
+/**
+ * K PDN scenarios stepped in lockstep over a shared clock.
+ *
+ * Two block entry points, one per input shape; there is no separate
+ * per-cycle call. A per-cycle caller (the threshold solver's lanes,
+ * closed-loop chips) calls stepPerLane with n = 1. Each engine has one
+ * stepping body behind both entry points, so a block of n cycles is
+ * bit-identical to n one-cycle calls, and the two entry points
+ * compose on one instance.
+ *
+ * Neither entry point is traced here: pdn sits below obs in the
+ * layering (vlint layer-dag), so the per-block spans
+ * (pdn.backend.step_shared / step_per_lane) are emitted by the
+ * core-layer call sites, and per-cycle callers emit none.
+ */
 class PdnBackend
 {
   public:
@@ -72,59 +87,31 @@ class PdnBackend
      * trace @p amps (the shared-trace sweep case). Writes cycle-major:
      * volts[k * lanes() + lane]. Callable repeatedly to stream a long
      * trace through in blocks; lane state carries across calls.
-     *
-     * Non-virtual entry point delegating to doStepShared. The
-     * per-block trace spans (pdn.backend.step_shared) are emitted by
-     * the core-layer call sites, not here — pdn sits below obs in the
-     * layering (vlint layer-dag), so this library must not include
-     * the tracer. The per-cycle stepCycle stays untraced either way;
-     * the solver makes millions of those calls.
      */
-    void stepShared(const double *amps, size_t n, double *volts)
-    {
-        doStepShared(amps, n, volts);
-    }
+    virtual void stepShared(const double *amps, size_t n,
+                            double *volts) = 0;
 
     /**
-     * Advance one cycle with per-lane currents (the closed-loop solver
-     * case, where each lane's controller picks its own draw).
-     * @p ampsPerLane and @p voltsPerLane have lanes() entries.
-     * Deliberately untraced: this is the per-cycle hot path.
+     * Advance @p n cycles with a distinct current trace per lane: one
+     * chip's summed rail draw per lane, or one solver scenario's
+     * controlled draw. Both @p amps and @p volts are cycle-major:
+     * amps[k * lanes() + lane] is lane `lane`'s draw on cycle k. Like
+     * stepShared, callable repeatedly in blocks with lane state
+     * carrying across calls.
      */
-    virtual void stepCycle(const double *ampsPerLane,
-                           double *voltsPerLane) = 0;
-
-    /**
-     * Advance @p n cycles with a distinct current trace per lane (the
-     * shared-rail multicore case: every lane is one chip's rail, fed
-     * by that chip's summed per-core draw). Both @p amps and @p volts
-     * are cycle-major: amps[k * lanes() + lane] is lane `lane`'s draw
-     * on cycle k. Like stepShared, callable repeatedly in blocks with
-     * lane state carrying across calls; bit-identical to n successive
-     * stepCycle calls over the same currents. Traced at the core
-     * call sites like stepShared (pdn.backend.step_per_lane).
-     */
-    void stepPerLane(const double *amps, size_t n, double *volts)
-    {
-        doStepPerLane(amps, n, volts);
-    }
-
-  protected:
-    /** Engine implementations of the block-stepping entry points. */
-    virtual void doStepShared(const double *amps, size_t n,
-                              double *volts) = 0;
-    virtual void doStepPerLane(const double *amps, size_t n,
-                               double *volts) = 0;
+    virtual void stepPerLane(const double *amps, size_t n,
+                             double *volts) = 0;
 };
 
 /**
  * Golden reference: one PdnSim per lane.
  *
- * Both factories validate every lane up front (VGUARD_CHECK): a
- * finite trim current and positive finite package reactances,
- * nominal voltage and clock. A degenerate lane would otherwise feed
- * NaNs or a singular design into the trim solve and poison every
- * lane-batched artifact downstream.
+ * Both factories check (VGUARD_CHECK) that there is at least one lane
+ * and that every trim current is finite. Each lane's package is
+ * checked where every rail's is: by the PackageModel both engines
+ * build per lane. A degenerate lane would otherwise feed NaNs or a
+ * singular design into the trim solve and poison every lane-batched
+ * artifact downstream.
  */
 std::unique_ptr<PdnBackend>
 makeScalarBackend(const std::vector<LaneConfig> &lanes);

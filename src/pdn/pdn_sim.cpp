@@ -21,18 +21,6 @@ PdnSim::trimToCurrent(double iRef)
     x_ = xTrim_;
 }
 
-double
-PdnSim::step(double amps)
-{
-    // u_ is a member so the per-cycle hot path allocates nothing.
-    u_[0] = vdd_;
-    u_[1] = amps;
-    const double v = dss_.output(x_, u_);
-    dss_.next(x_, u_);
-    ++steps_;
-    return v;
-}
-
 // vlint: hot
 void
 PdnSim::stepMany(const double *amps, size_t n, double *volts)
@@ -49,14 +37,6 @@ PdnSim::run(const std::vector<double> &amps)
     std::vector<double> vs(amps.size());
     stepMany(amps.data(), amps.size(), vs.data());
     return vs;
-}
-
-double
-PdnSim::outputAt(double amps) const
-{
-    u_[0] = vdd_;
-    u_[1] = amps;
-    return dss_.output(x_, u_);
 }
 
 void

@@ -39,25 +39,27 @@ class PdnSim
     void trimToCurrent(double iRef);
 
     /**
-     * Advance one CPU cycle with the processor drawing @p amps; returns
-     * the die voltage during that cycle.
-     */
-    double step(double amps);
-
-    /**
      * Advance @p n cycles from a flat current trace, writing the die
-     * voltage of each cycle to @p volts. Bit-identical to n calls of
-     * step() — same discretised arithmetic in the same order — but
-     * allocation-free and without the per-call vector stores (the
-     * batched back-end of trace replay; see core/trace_cache.hpp).
+     * voltage of each cycle to @p volts: the one stepping loop
+     * (DiscreteStateSpaceN::stepBlock2). Allocation-free; a block of
+     * n cycles is bit-identical to n one-cycle calls.
      */
     void stepMany(const double *amps, size_t n, double *volts);
 
+    /**
+     * Advance one CPU cycle with the processor drawing @p amps; returns
+     * the die voltage during that cycle. stepMany over one cycle.
+     */
+    double
+    step(double amps)
+    {
+        double v = 0.0;
+        stepMany(&amps, 1, &v);
+        return v;
+    }
+
     /** Run a whole current trace; returns the voltage trace. */
     std::vector<double> run(const std::vector<double> &amps);
-
-    /** Die voltage for the current state given a held current draw. */
-    double outputAt(double amps) const;
 
     /** Reset state to the DC operating point of the last trim. */
     void reset();
@@ -89,8 +91,6 @@ class PdnSim
     linsys::DiscreteStateSpaceN dss_;
     std::vector<double> x_;      ///< [v_bulk, i_L, v_dcap]
     std::vector<double> xTrim_;  ///< DC state at the trim point
-    /** Reused [Vdd, I] input vector: step() must not allocate. */
-    mutable std::vector<double> u_{0.0, 0.0};
     double vdd_;                 ///< regulator set point
     double iTrim_ = 0.0;
     uint64_t steps_ = 0;

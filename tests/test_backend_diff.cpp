@@ -23,6 +23,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.hpp"
@@ -175,8 +176,8 @@ TEST(BackendDiff, PerCycleStepMatchesScalar)
     for (size_t cyc = 0; cyc < 2000; ++cyc) {
         for (size_t lane = 0; lane < k; ++lane)
             amps[lane] = rng.uniform(0.0, 50.0);
-        scalar->stepCycle(amps.data(), vs.data());
-        batched->stepCycle(amps.data(), vb.data());
+        scalar->stepPerLane(amps.data(), 1, vs.data());
+        batched->stepPerLane(amps.data(), 1, vb.data());
         for (size_t lane = 0; lane < k; ++lane)
             ASSERT_EQ(vs[lane], vb[lane])
                 << "cycle " << cyc << " lane " << lane;
@@ -221,12 +222,12 @@ TEST(BackendDiff, LanePaddingInvariance)
 // ------------------------------------------------- FP summation order
 
 /**
- * Regression pin for the canonical summation order (ISSUE 6 satellite:
- * the audit found output()/next()/stepBlock2 already share one order —
- * this test keeps it that way). The alternating ±large trace makes the
- * accumulations cancellation-heavy, so *any* reassociation, a swapped
- * term, or an FMA contraction shifts low-order bits and fails the
- * EXPECT_EQs below.
+ * Regression pin for the canonical summation order: output()/next()
+ * and stepBlock2 share one order, and this test keeps it that way.
+ * The alternating ±large trace makes the accumulations
+ * cancellation-heavy, so *any* reassociation, a swapped term, or an
+ * FMA contraction shifts low-order bits and fails the EXPECT_EQs
+ * below.
  */
 TEST(BackendDiff, StepBlockSummationOrderPinned)
 {
@@ -238,17 +239,26 @@ TEST(BackendDiff, StepBlockSummationOrderPinned)
         amps[i] = (i % 2 ? 1.0 : -1.0) * rng.uniform(30.0, 50.0) +
                   rng.uniform(-1e-6, 1e-6);
 
-    PdnSim simBlock(model), simCycle(model);
-    simBlock.trimToCurrent(10.0);
-    simCycle.trimToCurrent(10.0);
+    // The trim operating point: regulator set point and DC state.
+    PdnSim trimmed(model);
+    trimmed.trimToCurrent(10.0);
+    const double vdd = trimmed.vddSetPoint();
 
-    // stepBlock2 (via stepMany) vs per-cycle output()+next() (via
-    // step): documented bit-identical.
+    // stepBlock2 vs the per-cycle output()+next() pair of the same
+    // discretisation: documented bit-identical. (PdnSim::step is
+    // stepBlock2 over one cycle, so comparing with it would pin
+    // nothing.)
+    const linsys::DiscreteStateSpaceN dss = model.discrete();
+    std::vector<double> xBlock = trimmed.state();
+    std::vector<double> xCycle = trimmed.state();
     std::vector<double> blockV(amps.size());
-    simBlock.stepMany(amps.data(), amps.size(), blockV.data());
-    for (size_t cyc = 0; cyc < amps.size(); ++cyc)
-        ASSERT_EQ(blockV[cyc], simCycle.step(amps[cyc]))
-            << "cycle " << cyc;
+    dss.stepBlock2(xBlock, vdd, amps.data(), amps.size(), blockV.data());
+    std::vector<double> u{vdd, 0.0};
+    for (size_t cyc = 0; cyc < amps.size(); ++cyc) {
+        u[1] = amps[cyc];
+        ASSERT_EQ(blockV[cyc], dss.output(xCycle, u)) << "cycle " << cyc;
+        dss.next(xCycle, u);
+    }
 
     // And the batched kernel at K=1 equals both.
     const std::vector<LaneConfig> one{{model.params(), 10.0}};
@@ -434,8 +444,8 @@ TEST(BackendDiff, PerLaneTracesBitExactAcrossLaneCountsAndBlocks)
 
 TEST(BackendDiff, PerLaneStepMatchesPerCycleStream)
 {
-    // Contract: stepPerLane(n) is bit-identical to n stepCycle calls,
-    // including when the two interleave on one backend instance.
+    // Contract: stepPerLane(n) is bit-identical to n one-cycle
+    // stepPerLane calls, the shape every per-cycle caller uses.
     const size_t k = 5;
     const auto lanes = lanesFor(k);
     const auto traces = perLaneTraces(3000, k);
@@ -456,8 +466,8 @@ TEST(BackendDiff, PerLaneStepMatchesPerCycleStream)
             blocked->stepPerLane(traces.data() + done * k, chunk,
                                  vBlk.data() + done * k);
             for (size_t cyc = 0; cyc < chunk; ++cyc)
-                cyclic->stepCycle(traces.data() + (done + cyc) * k,
-                                  vCyc.data() + (done + cyc) * k);
+                cyclic->stepPerLane(traces.data() + (done + cyc) * k, 1,
+                                    vCyc.data() + (done + cyc) * k);
             done += chunk;
         }
         expectBitIdentical(vBlk, vCyc, k,
@@ -543,6 +553,42 @@ TEST(BackendDiffDeathTest, ReplaySweepRejectsInvertedHistogramRange)
 
 TEST(BackendDiffDeathTest, BackendFactoriesRejectDegeneratePackages)
 {
+    // PackageModel's constructor is the one PackageParams check, so a
+    // non-finite field dies the same way on every path that builds a
+    // rail: a bare PdnSim, the VoltageSim ctor, both backend factories
+    // and the MulticoreSim ctor.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const isa::Program program = workloads::phasedKernel(400);
+    const std::vector<std::pair<double pdn::PackageParams::*, double>>
+        bad = {{&pdn::PackageParams::lPkg, nan},
+               {&pdn::PackageParams::rEsr, nan},
+               {&pdn::PackageParams::cDie, inf},
+               {&pdn::PackageParams::vNominal, nan},
+               {&pdn::PackageParams::clockHz, inf}};
+    for (size_t i = 0; i < bad.size(); ++i) {
+        SCOPED_TRACE("degenerate field " + std::to_string(i));
+        pdn::PackageParams pkg = referencePackage(2.0);
+        pkg.*bad[i].first = bad[i].second;
+
+        EXPECT_DEATH({ PdnSim sim{PackageModel(pkg)}; }, "check failed");
+
+        VoltageSimConfig cfg;
+        cfg.package = pkg;
+        EXPECT_DEATH({ VoltageSim sim(cfg, program); }, "check failed");
+
+        for (const BackendKind kind :
+             {BackendKind::Scalar, BackendKind::Batched})
+            EXPECT_DEATH(pdn::makeBackend(kind, {{pkg, 5.0}}),
+                         "check failed");
+
+        ChipSpec chip;
+        chip.package = pkg;
+        chip.iTrim = 5.0;
+        chip.cores.resize(1);
+        EXPECT_DEATH({ MulticoreSim sim({chip}); }, "check failed");
+    }
+
     for (const BackendKind kind :
          {BackendKind::Scalar, BackendKind::Batched}) {
         {

@@ -151,14 +151,14 @@ TEST_P(BackendFuzz, RandomTracesAndBlockBoundariesNeverDiverge)
         ASSERT_EQ(ref[i], got[i])
             << "cycle " << i / k << " lane " << i % k;
 
-    // Interleave per-cycle stepping on both, continuing from the
-    // streamed state — the two entry points must compose.
+    // Interleave one-cycle per-lane steps on both, continuing from
+    // the streamed state — the two entry points must compose.
     std::vector<double> cur(k), vs(k), vb(k);
     for (size_t cyc = 0; cyc < 64; ++cyc) {
         for (size_t lane = 0; lane < k; ++lane)
             cur[lane] = rng.uniform(0.0, 60.0);
-        scalar->stepCycle(cur.data(), vs.data());
-        batched->stepCycle(cur.data(), vb.data());
+        scalar->stepPerLane(cur.data(), 1, vs.data());
+        batched->stepPerLane(cur.data(), 1, vb.data());
         for (size_t lane = 0; lane < k; ++lane)
             ASSERT_EQ(vs[lane], vb[lane])
                 << "post-stream cycle " << cyc << " lane " << lane;
@@ -184,11 +184,13 @@ TEST_P(BackendFuzz, PerLaneTracesAndBlockBoundariesNeverDiverge)
     for (double &a : amps)
         a = rng.uniform(0.0, 60.0);
 
-    // Scalar reference: per-cycle stepping (the simplest entry point).
+    // Scalar reference: one cycle per call (the per-cycle callers'
+    // shape).
     const auto scalar = pdn::makeScalarBackend(lanes);
     std::vector<double> ref(amps.size());
     for (size_t cyc = 0; cyc < cycles; ++cyc)
-        scalar->stepCycle(amps.data() + cyc * k, ref.data() + cyc * k);
+        scalar->stepPerLane(amps.data() + cyc * k, 1,
+                            ref.data() + cyc * k);
 
     // Batched stepPerLane fed in randomly-sized chunks (state must
     // carry across calls exactly).
@@ -207,13 +209,14 @@ TEST_P(BackendFuzz, PerLaneTracesAndBlockBoundariesNeverDiverge)
         ASSERT_EQ(ref[i], got[i])
             << "cycle " << i / k << " lane " << i % k;
 
-    // Interleave the three entry points on both backends, continuing
-    // from the streamed state — they all must compose.
+    // Interleave one-cycle per-lane and shared steps on both
+    // backends, continuing from the streamed state — they must
+    // compose.
     std::vector<double> cur(k), vs(k), vb(k);
     for (size_t round = 0; round < 16; ++round) {
         for (size_t lane = 0; lane < k; ++lane)
             cur[lane] = rng.uniform(0.0, 60.0);
-        scalar->stepCycle(cur.data(), vs.data());
+        scalar->stepPerLane(cur.data(), 1, vs.data());
         batched->stepPerLane(cur.data(), 1, vb.data());
         for (size_t lane = 0; lane < k; ++lane)
             ASSERT_EQ(vs[lane], vb[lane])

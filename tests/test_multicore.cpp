@@ -14,8 +14,10 @@
  *  - zero-length traces park a core at its gate current;
  *  - a grant-everything governor is bit-identical to no governor, a
  *    restrictive one actually denies and stays deterministic;
- *  - a checked-in mini chip sweep golden (regenerable with
- *    VGUARD_UPDATE_GOLDEN=1) pins the whole pipeline's bytes.
+ *  - two checked-in mini chip sweep goldens (regenerable with
+ *    VGUARD_UPDATE_GOLDEN=1) pin the whole pipeline's bytes: one of
+ *    open-loop chips, one of sensed and governed chips beside an
+ *    open one, down to every core's actuation counters.
  */
 
 #include <gtest/gtest.h>
@@ -419,28 +421,19 @@ miniChipSweepJsonl(BackendKind kind)
     return out;
 }
 
-} // namespace
-
 /**
- * Byte-pinned golden of the chip sweep, produced by the batched
- * backend and cross-checked against the scalar rendering. Regenerate
- * deliberately with
- *   VGUARD_UPDATE_GOLDEN=1 ./tests/test_multicore \
- *       --gtest_filter=Multicore.MiniChipSweepGolden
+ * Check @p actual against the checked-in golden @p file, or rewrite
+ * the golden when VGUARD_UPDATE_GOLDEN is set.
  */
-TEST(Multicore, MiniChipSweepGolden)
+void
+expectGolden(const std::string &file, const std::string &actual)
 {
     const std::string goldenPath =
-        std::string(VGUARD_GOLDEN_DIR) + "/mini_chip_sweep.jsonl";
-    const std::string batched = miniChipSweepJsonl(BackendKind::Batched);
-    const std::string scalar = miniChipSweepJsonl(BackendKind::Scalar);
-    EXPECT_EQ(batched, scalar)
-        << "batched and scalar chip sweeps render different bytes";
-
+        std::string(VGUARD_GOLDEN_DIR) + "/" + file;
     if (std::getenv("VGUARD_UPDATE_GOLDEN")) {
         std::ofstream out(goldenPath, std::ios::binary);
         ASSERT_TRUE(out.good()) << "cannot write " << goldenPath;
-        out << batched;
+        out << actual;
         GTEST_SKIP() << "golden updated: " << goldenPath;
     }
 
@@ -452,8 +445,8 @@ TEST(Multicore, MiniChipSweepGolden)
     buf << in.rdbuf();
     const std::string expected = buf.str();
 
-    if (expected != batched) {
-        std::istringstream ea(expected), aa(batched);
+    if (expected != actual) {
+        std::istringstream ea(expected), aa(actual);
         std::string el, al;
         int line = 1;
         while (std::getline(ea, el) && std::getline(aa, al) && el == al)
@@ -462,5 +455,115 @@ TEST(Multicore, MiniChipSweepGolden)
                       << "\n  expected: " << el
                       << "\n  actual:   " << al;
     }
-    SUCCEED();
+}
+
+} // namespace
+
+/**
+ * Byte-pinned golden of the chip sweep, produced by the batched
+ * backend and cross-checked against the scalar rendering. Regenerate
+ * deliberately with
+ *   VGUARD_UPDATE_GOLDEN=1 ./tests/test_multicore \
+ *       --gtest_filter=Multicore.MiniChipSweepGolden
+ */
+TEST(Multicore, MiniChipSweepGolden)
+{
+    const std::string batched = miniChipSweepJsonl(BackendKind::Batched);
+    const std::string scalar = miniChipSweepJsonl(BackendKind::Scalar);
+    EXPECT_EQ(batched, scalar)
+        << "batched and scalar chip sweeps render different bytes";
+    expectGolden("mini_chip_sweep.jsonl", batched);
+}
+
+namespace {
+
+/**
+ * Deterministic JSONL for a closed-loop chip sweep: cores ×
+ * alignment, every chip sensed, half of them governed, plus one
+ * open-loop chip sharing the run. Each line carries the rail tally,
+ * the control counters and every core's actuation counters.
+ */
+std::string
+miniGovernedChipSweepJsonl(BackendKind kind)
+{
+    const CapturedTrace trace = noisyTrace(8192, 60, 42);
+    ChipGovernorConfig restrictive;
+    restrictive.kp = 0.25;
+    restrictive.ki = 0.01;
+
+    std::vector<ChipSpec> chips;
+    std::vector<std::string> labels;
+    bool govern = true;
+    for (const size_t n : {1u, 2u, 4u}) {
+        for (const bool synced : {true, false}) {
+            chips.push_back(chipOf(trace, n, synced ? 0 : 30 / n, 3e-3));
+            chips.back().sensor = testSensor();
+            if (govern)
+                chips.back().governor = restrictive;
+            labels.push_back(std::to_string(n) +
+                             (synced ? ":synced" : ":staggered") +
+                             (govern ? ":governed" : ":sensed"));
+            govern = !govern;
+        }
+        // Alternate which alignment is governed per core count.
+        govern = !govern;
+    }
+    chips.push_back(chipOf(trace, 2, 0, 3e-3));
+    labels.push_back("2:synced:open");
+
+    const auto results = runChips(chips, 8192, kind);
+
+    std::string out;
+    for (size_t i = 0; i < results.size(); ++i) {
+        const ChipResult &r = results[i];
+        JsonWriter w;
+        w.beginObject();
+        w.field("config", labels[i]);
+        w.field("cycles", r.cycles);
+        w.field("minV", r.minV);
+        w.field("maxV", r.maxV);
+        w.field("lowEmergencyCycles", r.lowEmergencyCycles);
+        w.field("highEmergencyCycles", r.highEmergencyCycles);
+        w.key("hist").beginArray();
+        for (size_t b = 0; b < r.voltageHist.bins(); ++b)
+            w.value(r.voltageHist.count(b));
+        w.endArray();
+        w.field("gateGrants", r.gateGrants);
+        w.field("gateDenials", r.gateDenials);
+        w.field("gateFairness", r.gateFairness);
+        w.key("cores").beginArray();
+        for (const CoreStats &cs : r.cores) {
+            w.beginObject();
+            w.field("gated", cs.gatedCycles);
+            w.field("phantom", cs.phantomCycles);
+            w.field("requests", cs.gateRequests);
+            w.field("denials", cs.gateDenials);
+            w.endObject();
+        }
+        w.endArray();
+        w.endObject();
+        out += w.take();
+        out += '\n';
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * Byte-pinned golden of closed-loop chips (sensors, governors and
+ * an open chip in one run), cross-checked against the scalar
+ * rendering. Regenerate deliberately with
+ *   VGUARD_UPDATE_GOLDEN=1 ./tests/test_multicore \
+ *       --gtest_filter=Multicore.MiniGovernedChipSweepGolden
+ */
+TEST(Multicore, MiniGovernedChipSweepGolden)
+{
+    const std::string batched =
+        miniGovernedChipSweepJsonl(BackendKind::Batched);
+    const std::string scalar =
+        miniGovernedChipSweepJsonl(BackendKind::Scalar);
+    EXPECT_EQ(batched, scalar)
+        << "batched and scalar governed sweeps render different bytes";
+    expectGolden("mini_governed_chip_sweep.jsonl", batched);
 }

@@ -7,6 +7,7 @@
  */
 
 #include <cmath>
+#include <cstddef>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -332,7 +333,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchedBackend,
  * differential suite). Each seed draws 1–4 chips with random core
  * counts (including 1), random phase offsets, occasional parked
  * cores and an optional governor, then asserts that the batched
- * backend matches scalar exactly and that the run is deterministic.
+ * backend matches scalar exactly, that the run is deterministic and
+ * that open chips run the same beside a governed chip as alone.
  */
 class MulticoreChip : public ::testing::TestWithParam<uint64_t>
 {
@@ -486,6 +488,68 @@ TEST_P(MulticoreChip, SplitRunsMatchOneLongRun)
                   first[c].highEmergencyCycles +
                       second[c].highEmergencyCycles)
             << "chip " << c;
+    }
+}
+
+TEST_P(MulticoreChip, OpenChipsUnmovedByAGovernedNeighbour)
+{
+    // Property: lanes are arithmetically independent, so a governed
+    // chip joining the run (which makes it step one cycle at a time)
+    // leaves every open chip's result unchanged, field for field.
+    const Draw d = draw(GetParam());
+    std::vector<core::ChipSpec> open = d.chips;
+    for (core::ChipSpec &chip : open) {
+        chip.sensor.reset();
+        chip.governor.reset();
+    }
+
+    core::ChipSpec governed = d.chips.front();
+    core::SensorConfig sc;
+    sc.vLow = 0.96;
+    sc.vHigh = 1.04;
+    sc.delayCycles = 1;
+    governed.sensor = sc;
+    governed.governor = core::ChipGovernorConfig{};
+
+    // The governed chip takes a seed-dependent lane, so open chips
+    // shift lanes (and pack slots) between the two runs.
+    const size_t at = GetParam() % (open.size() + 1);
+    std::vector<core::ChipSpec> mixed = open;
+    mixed.insert(mixed.begin() + static_cast<std::ptrdiff_t>(at),
+                 governed);
+
+    const auto alone = core::runChips(open, d.cycles);
+    const auto beside = core::runChips(mixed, d.cycles);
+    ASSERT_EQ(beside.size(), alone.size() + 1);
+    for (size_t c = 0; c < alone.size(); ++c) {
+        const core::ChipResult &a = alone[c];
+        const core::ChipResult &b = beside[c < at ? c : c + 1];
+        ASSERT_EQ(a.cycles, b.cycles) << "chip " << c;
+        ASSERT_EQ(a.minV, b.minV) << "chip " << c;
+        ASSERT_EQ(a.maxV, b.maxV) << "chip " << c;
+        ASSERT_EQ(a.lowEmergencyCycles, b.lowEmergencyCycles)
+            << "chip " << c;
+        ASSERT_EQ(a.highEmergencyCycles, b.highEmergencyCycles)
+            << "chip " << c;
+        ASSERT_EQ(a.voltageHist.underflow(), b.voltageHist.underflow())
+            << "chip " << c;
+        ASSERT_EQ(a.voltageHist.overflow(), b.voltageHist.overflow())
+            << "chip " << c;
+        for (size_t bin = 0; bin < a.voltageHist.bins(); ++bin)
+            ASSERT_EQ(a.voltageHist.count(bin),
+                      b.voltageHist.count(bin))
+                << "chip " << c << " bin " << bin;
+        ASSERT_EQ(a.gateGrants, b.gateGrants) << "chip " << c;
+        ASSERT_EQ(a.gateDenials, b.gateDenials) << "chip " << c;
+        ASSERT_EQ(a.gateFairness, b.gateFairness) << "chip " << c;
+        ASSERT_EQ(a.cores.size(), b.cores.size()) << "chip " << c;
+        for (size_t i = 0; i < a.cores.size(); ++i) {
+            ASSERT_EQ(a.cores[i].gatedCycles, b.cores[i].gatedCycles);
+            ASSERT_EQ(a.cores[i].phantomCycles,
+                      b.cores[i].phantomCycles);
+            ASSERT_EQ(a.cores[i].gateRequests, b.cores[i].gateRequests);
+            ASSERT_EQ(a.cores[i].gateDenials, b.cores[i].gateDenials);
+        }
     }
 }
 

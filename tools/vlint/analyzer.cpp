@@ -560,8 +560,8 @@ ruleMetricName(FileCtx &ctx)
     if (!startsWith(ctx.relpath, "src/"))
         return;
     static const std::set<std::string> registrars = {
-        "counter", "gauge",        "histogram", "derivedCounter",
-        "derivedGauge", "formula", "bind"};
+        "counter", "gauge", "histogram", "derivedCounter",
+        "derivedGauge", "bind"};
     const auto &toks = ctx.lf.tokens;
     for (size_t i = 0; i + 2 < toks.size(); ++i) {
         if (toks[i].kind != Tok::Ident ||

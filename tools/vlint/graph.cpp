@@ -72,9 +72,8 @@ memberStoplist()
 bool
 isDetRoot(const std::string &qual)
 {
-    static const std::vector<std::string> steps = {
-        "::stepShared", "::stepPerLane", "::doStepShared",
-        "::doStepPerLane"};
+    static const std::vector<std::string> steps = {"::stepShared",
+                                                   "::stepPerLane"};
     static const std::vector<std::string> classes = {
         "TraceCache::", "TraceStore::"};
     if (endsWithComponent(qual, "CampaignEngine::run"))
