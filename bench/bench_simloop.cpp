@@ -4,18 +4,26 @@
  * speedup (and its bit-exactness) in a machine-readable artifact so CI
  * can watch for regressions.
  *
- * Times four ways of producing the same open-loop voltage trace:
+ * Times four ways of producing the same open-loop voltage trace, and
+ * two ways of producing the same closed-loop one:
  *
  *   full-core      — coupled core + Wattch + PDN run (capturing the
  *                    trace as it goes);
  *   replay/1       — trace replay stepped one cycle at a time;
  *   replay/block   — trace replay through the batched block pipeline;
- *   closed-loop    — full coupled run with the threshold controller,
- *                    for context (replay is never legal there).
+ *   closed-loop    — full coupled run with the threshold controller;
+ *   passive replay — the same closed loop through runWorkload with the
+ *                    open-loop trace warm in the cache: the controller
+ *                    never acts on this program, so the run replays
+ *                    the trace through the real sensor.
  *
- * The replayed result is cross-checked against the full-core run:
+ * The replayed results are cross-checked against the full-core runs:
  * every scalar field, the stats snapshot JSON, and the emergency-event
- * JSONL must match exactly (replay_identical).
+ * JSONL must match exactly (replayIdentical, passiveReplayIdentical;
+ * the latter also requires that the controller never gated or
+ * phantom-fired, so the row measures the passive path). The two
+ * closed-loop rows are timed interleaved, best of 5 each, and their
+ * ratio is reported as passiveReplaySpeedup.
  *
  * It then times the multi-scenario sweep engines: the same trace
  * through K = 8 packages, once lane-by-lane with scalar PdnSim
@@ -30,9 +38,9 @@
  * scalar vs batched stepPerLane, with exact per-lane agreement
  * reported as chipLanesIdentical (CI floor) and the throughput ratio
  * as chipBatchedSpeedup. Both sweep sections time their scalar and
- * batched legs interleaved; the floors gate the best-of-N ratios, and
- * the *SpeedupMedian fields report the median ratios beside them.
- * Writes BENCH_simloop.json.
+ * batched legs interleaved after one discarded warm-up pair; the
+ * floors gate the best-of-N ratios, and the *SpeedupMedian fields
+ * report the median ratios beside them. Writes BENCH_simloop.json.
  *
  * Usage:
  *   bench_simloop [cycles] [--jsonl FILE]
@@ -95,18 +103,23 @@ struct LegTimes
 };
 
 /**
- * Times a scalar leg @p a and a batched leg @p b interleaved, A B A B
- * ..., @p reps times each. Host speed drifts over the bench's lifetime;
- * back-to-back pairs see the same conditions, so the drift lands on
- * both legs alike instead of on whichever block it hit. The legs are
- * short enough that one scheduler hiccup can swamp a repetition, so
- * the speedup floors are enforced on the best of each; the medians
- * show the spread.
+ * Times two legs of one comparison — scalar @p a against batched @p b,
+ * or the full closed loop against its passive replay — interleaved,
+ * A B A B ..., @p reps times each, after one discarded warm-up pair
+ * (the first pass after a build pays page faults and cold caches that
+ * a steady-state ratio must not see). Host speed drifts over the bench's
+ * lifetime; back-to-back pairs see the same conditions, so the drift
+ * lands on both legs alike instead of on whichever block it hit. The
+ * legs are short enough that one scheduler hiccup can swamp a
+ * repetition, so the speedup floors are enforced on the best of each;
+ * the medians show the spread.
  */
 template <typename FnA, typename FnB>
 std::pair<LegTimes, LegTimes>
 timeInterleaved(int reps, FnA &&a, FnB &&b)
 {
+    a();
+    b();
     std::vector<double> ta, tb;
     for (int r = 0; r < reps; ++r) {
         ta.push_back(timeIt(a));
@@ -182,11 +195,12 @@ main(int argc, char **argv)
     // on the percentage via benchdiff).
     // Interleave the two variants (machine speed drifts over the
     // bench's lifetime; back-to-back pairs see the same conditions)
-    // and keep the best of each. enable()/disable() sit outside the
-    // timed regions: ring allocation is a one-off cost, not the
-    // per-event overhead this guard pins, and each enable() starts
-    // from an empty (never-dropping) ring.
-    constexpr int kOverheadReps = 9;
+    // and keep the best of each; the first pair is a discarded
+    // warm-up. enable()/disable() sit outside the timed regions: ring
+    // allocation is a one-off cost, not the per-event overhead this
+    // guard pins, and each enable() starts from an empty
+    // (never-dropping) ring.
+    constexpr int kOverheadReps = 15;
     obs::Tracer::instance().enable();
     {
         // Prewarm: force the per-thread ring allocation outside the
@@ -196,7 +210,7 @@ main(int argc, char **argv)
     }
     obs::Tracer::instance().disable();
     double untracedSecs = 0.0, tracedSecs = 0.0;
-    for (int r = 0; r < kOverheadReps; ++r) {
+    for (int r = -1; r < kOverheadReps; ++r) {
         const double u = timeIt([&] {
             VoltageSim sim(openCfg, program);
             blkRes = sim.runReplay(trace);
@@ -207,6 +221,8 @@ main(int argc, char **argv)
             blkRes = sim.runReplay(trace);
         });
         obs::Tracer::instance().disable();
+        if (r < 0)
+            continue;
         untracedSecs = r == 0 ? u : std::min(untracedSecs, u);
         tracedSecs = r == 0 ? t : std::min(tracedSecs, t);
     }
@@ -215,16 +231,28 @@ main(int argc, char **argv)
             ? (tracedSecs / untracedSecs - 1.0) * 100.0
             : 0.0;
 
-    // Closed-loop context: the controller path replay can never take.
+    // Closed loop: the full coupled run, interleaved with the same run
+    // through runWorkload with the open-loop trace of its key warm in
+    // the cache. The controller never acts on this program at this
+    // config, so the second leg replays the trace through the sensor.
+    constexpr int kClosedReps = 5;
     RunSpec closed;
     closed.controllerEnabled = true;
     closed.maxCycles = cycles;
     const VoltageSimConfig closedCfg = makeSimConfig(closed);
-    VoltageSimResult ctlRes;
-    const double ctlSecs = timeIt([&] {
-        VoltageSim sim(closedCfg, program);
-        ctlRes = sim.run(closed.maxCycles);
-    });
+    TraceCache::instance().setEnabled(true);
+    runWorkload(program, open);
+    VoltageSimResult ctlRes, passiveRes;
+    const auto [ctlSecs, passiveSecs] = timeInterleaved(
+        kClosedReps,
+        [&] {
+            VoltageSim sim(closedCfg, program);
+            ctlRes = sim.run(closed.maxCycles);
+        },
+        [&] { passiveRes = runWorkload(program, closed); });
+    const bool passiveSame =
+        identical(passiveRes, ctlRes) &&
+        ctlRes.gatedCycles + ctlRes.phantomCycles == 0;
 
     // ---- multi-scenario sweep: K packages over the captured trace --
     const size_t laneCount = 8;
@@ -240,7 +268,7 @@ main(int argc, char **argv)
     // Scalar sweep baseline: lane-major PdnSim::stepMany passes, each
     // writing its own contiguous row (no scatter cost charged), against
     // the batched sweep: all lanes per pass, blocked like a replay.
-    constexpr int kSweepReps = 7;
+    constexpr int kSweepReps = 15;
     std::vector<double> scalarRows(nTrace * laneCount);
     std::vector<double> batchedVolts(nTrace * laneCount);
     const auto [scalarLaneSecs, batchedLaneSecs] = timeInterleaved(
@@ -344,7 +372,10 @@ main(int argc, char **argv)
     const double fullRate = rate(fullRes.cycles, fullSecs);
     const double cycRate = rate(cycRes.cycles, cycSecs);
     const double blkRate = rate(blkRes.cycles, blkSecs);
-    const double ctlRate = rate(ctlRes.cycles, ctlSecs);
+    const double ctlRate = rate(ctlRes.cycles, ctlSecs.best);
+    const double passiveRate = rate(passiveRes.cycles, passiveSecs.best);
+    const double passiveSpeedup =
+        ctlRate > 0.0 ? passiveRate / ctlRate : 0.0;
     const double speedup = fullRate > 0.0 ? blkRate / fullRate : 0.0;
     const bool cycSame = identical(cycRes, fullRes);
     const bool blkSame = identical(blkRes, fullRes);
@@ -359,8 +390,13 @@ main(int argc, char **argv)
                 speedup);
     std::printf("%-22s %14.6g %9.2fx\n", "closed-loop", ctlRate,
                 fullRate > 0.0 ? ctlRate / fullRate : 0.0);
-    std::printf("replay identical: per-cycle=%s block=%s\n",
-                cycSame ? "yes" : "NO", blkSame ? "yes" : "NO");
+    std::printf("%-22s %14.6g %9.2fx\n", "passive replay",
+                passiveRate, fullRate > 0.0 ? passiveRate / fullRate : 0.0);
+    std::printf("replay identical: per-cycle=%s block=%s passive=%s\n",
+                cycSame ? "yes" : "NO", blkSame ? "yes" : "NO",
+                passiveSame ? "yes" : "NO");
+    std::printf("passive replay speedup over closed loop: %.2fx\n",
+                passiveSpeedup);
     std::printf("traced replay overhead: %.3f%%\n",
                 tracedReplayOverheadPct);
 
@@ -402,6 +438,9 @@ main(int argc, char **argv)
     w.field("replayCyclesPerSec", cycRate);
     w.field("blockReplayCyclesPerSec", blkRate);
     w.field("closedLoopCyclesPerSec", ctlRate);
+    w.field("passiveReplayCyclesPerSec", passiveRate);
+    w.field("passiveReplaySpeedup", passiveSpeedup);
+    w.field("passiveReplayIdentical", passiveSame);
     w.field("replaySpeedup", speedup);
     w.field("replayIdentical", cycSame && blkSame);
     w.field("tracedReplayOverheadPct", tracedReplayOverheadPct);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -219,6 +220,15 @@ referenceThresholds(double impedanceScale, unsigned delayCycles,
 VoltageSimConfig
 makeSimConfig(const RunSpec &spec)
 {
+    // referenceThresholds keys on lround() of the scale and the error,
+    // which NaN or an out-of-range value would feed garbage before any
+    // sensor exists to refuse it.
+    VGUARD_CHECK(std::isfinite(spec.impedanceScale) &&
+                 spec.impedanceScale > 0.0 &&
+                 spec.impedanceScale <= 1e6);
+    VGUARD_CHECK(std::isfinite(spec.sensorError) &&
+                 spec.sensorError >= 0.0 && spec.sensorError <= 1.0);
+    VGUARD_CHECK(spec.delayCycles <= kMaxSensorDelayCycles);
     const Machine m = referenceMachine();
     VoltageSimConfig cfg;
     cfg.cpu = m.cpu;
@@ -246,9 +256,26 @@ runWorkload(const isa::Program &program, const RunSpec &spec)
     const VoltageSimConfig cfg = makeSimConfig(spec);
     TraceCache &tc = TraceCache::instance();
 
-    // Closed-loop runs need the real core (actuation feedback); they
-    // always take the full coupled path.
-    if (cfg.sensor || !tc.enabled()) {
+    // Closed loop: while the sensor reads Normal the run is the
+    // open-loop run of the same key, so replay that trace through the
+    // real sensor if an open-loop leg already left it in the cache
+    // (compareControlled's baseline leg has just done so). The lookup
+    // is hit-only: a closed loop never captures to speculate. At the
+    // first reading that is not Normal the actuator needs the real
+    // core, so the full coupled loop runs from cycle 0 instead.
+    if (cfg.sensor) {
+        if (const CapturedTrace *trace = tc.find(
+                traceKey(program, cfg.cpu, cfg.power, spec.maxCycles,
+                         spec.maxInsts))) {
+            VoltageSim sim(cfg, program);
+            if (std::optional<VoltageSimResult> res =
+                    sim.runSensedReplay(*trace))
+                return std::move(*res);
+        }
+        VoltageSim sim(cfg, program);
+        return sim.run(spec.maxCycles, spec.maxInsts);
+    }
+    if (!tc.enabled()) {
         VoltageSim sim(cfg, program);
         return sim.run(spec.maxCycles, spec.maxInsts);
     }
@@ -315,6 +342,38 @@ fetchTrace(const isa::Program &program, const RunSpec &spec,
     return *trace;
 }
 
+namespace {
+
+/**
+ * Instructions the open-loop run of (program, spec) commits. Only the
+ * count is read, so a cached trace answers without a PDN replay; a
+ * miss captures the trace exactly as runWorkload would.
+ */
+uint64_t
+openLoopCommitted(const isa::Program &program, const RunSpec &spec)
+{
+    const VoltageSimConfig cfg = makeSimConfig(spec);
+    std::optional<uint64_t> mine;
+    const CapturedTrace *trace = TraceCache::instance().fetchOrCapture(
+        traceKey(program, cfg.cpu, cfg.power, spec.maxCycles,
+                 spec.maxInsts),
+        [&] {
+            CapturedTrace t;
+            VoltageSim sim(cfg, program);
+            mine = sim.run(spec.maxCycles, spec.maxInsts, &t).committed;
+            return t;
+        });
+    if (trace)
+        return trace->committed;
+    if (mine)
+        return *mine;
+    // Cache off, or over budget for a non-capturing caller.
+    VoltageSim sim(cfg, program);
+    return sim.run(spec.maxCycles, spec.maxInsts).committed;
+}
+
+} // namespace
+
 Comparison
 compareControlled(const isa::Program &program, const RunSpec &spec)
 {
@@ -326,7 +385,7 @@ compareControlled(const isa::Program &program, const RunSpec &spec)
     // memory latency).
     RunSpec probe = spec;
     probe.controllerEnabled = false;
-    const uint64_t work = runWorkload(program, probe).committed;
+    const uint64_t work = openLoopCommitted(program, probe);
 
     RunSpec base = spec;
     base.controllerEnabled = false;

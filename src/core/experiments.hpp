@@ -97,7 +97,12 @@ struct RunSpec
     bool profiling = false;
 };
 
-/** Build the full VoltageSimConfig for a RunSpec. */
+/**
+ * Build the full VoltageSimConfig for a RunSpec: the boundary where a
+ * RunSpec enters. Panics on a non-finite or out-of-range
+ * impedanceScale (0, 1e6] or sensorError [0, 1 V], or a delay past
+ * kMaxSensorDelayCycles.
+ */
 VoltageSimConfig makeSimConfig(const RunSpec &spec);
 
 /** Run a program under a RunSpec. */

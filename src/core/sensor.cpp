@@ -1,19 +1,27 @@
 #include "core/sensor.hpp"
 
+#include <cmath>
+
 #include "util/logging.hpp"
 
 namespace vguard::core {
 
 ThresholdSensor::ThresholdSensor(const SensorConfig &cfg)
-    : cfg_(cfg), history_(cfg.delayCycles + 1, cfg.vNominal),
-      rng_(cfg.seed)
+    : cfg_(cfg), rng_(cfg.seed), lastReading_(cfg.vNominal)
 {
-    lastReading_ = cfg.vNominal;
+    // NaN passes both range rules below: a NaN vLow would never read
+    // Low (protection silently lost) and a NaN noise magnitude would
+    // run noiseless. An unbounded delay wraps the delay line's size.
+    VGUARD_CHECK(std::isfinite(cfg_.vLow) && std::isfinite(cfg_.vHigh));
+    VGUARD_CHECK(std::isfinite(cfg_.noiseMagnitude));
+    VGUARD_CHECK(std::isfinite(cfg_.vNominal));
+    VGUARD_CHECK(cfg_.delayCycles <= kMaxSensorDelayCycles);
     if (cfg_.vLow >= cfg_.vHigh)
         fatal("ThresholdSensor: vLow (%g) must be below vHigh (%g)",
               cfg_.vLow, cfg_.vHigh);
     if (cfg_.noiseMagnitude < 0.0)
         fatal("ThresholdSensor: negative noise magnitude");
+    history_.assign(cfg_.delayCycles + 1, cfg_.vNominal);
 }
 
 VoltageLevel

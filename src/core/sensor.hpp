@@ -44,12 +44,22 @@ enum class VoltageLevel : uint8_t { Low, Normal, High };
  */
 enum class SensorNoiseKind : uint8_t { Uniform, Gaussian };
 
+/**
+ * Longest sensor delay a sensor, the threshold solver or a RunSpec
+ * accepts [cycles]. The paper sweeps 0-6 and one resonance period of
+ * the reference package is 60 cycles, so this is far past any useful
+ * delay, yet it keeps every `delay + 1` delay-line size from wrapping
+ * (UINT_MAX + 1 == 0) or ballooning.
+ */
+constexpr unsigned kMaxSensorDelayCycles = 1024;
+
 /** Sensor parameters. */
 struct SensorConfig
 {
     double vLow = 0.0;          ///< low threshold [V]
     double vHigh = 1e9;         ///< high threshold [V]
-    unsigned delayCycles = 1;   ///< reading age (0..6 in the paper)
+    /** Reading age (0..6 in the paper; at most kMaxSensorDelayCycles). */
+    unsigned delayCycles = 1;
     /** Error scale [V]: half-width (Uniform) or sigma (Gaussian). */
     double noiseMagnitude = 0.0;
     /** Error distribution; Uniform matches the paper's Fig. 16 runs. */

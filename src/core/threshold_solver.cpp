@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "core/sensor.hpp"
 #include "linsys/worst_case.hpp"
 #include "obs/tracing.hpp"
 #include "pdn/impulse.hpp"
@@ -218,6 +219,18 @@ closedLoopExtremes(const ThresholdSpec &spec, double vLow, double vHigh,
 Thresholds
 solveThresholds(const ThresholdSpec &spec)
 {
+    // The scenarios size delay lines as d + 1 (per lane, too), which
+    // an unbounded delay wraps; NaN passes the `<`-style rules below.
+    VGUARD_CHECK(spec.delayCycles <= kMaxSensorDelayCycles);
+    VGUARD_CHECK(std::isfinite(spec.sensorError) &&
+                 spec.sensorError >= 0.0);
+    VGUARD_CHECK(std::isfinite(spec.guardBandV) &&
+                 spec.guardBandV >= 0.0);
+    VGUARD_CHECK(std::isfinite(spec.band) && spec.band >= 0.0);
+    VGUARD_CHECK(std::isfinite(spec.iMin) && std::isfinite(spec.iMax) &&
+                 std::isfinite(spec.iGate) &&
+                 std::isfinite(spec.iPhantom) &&
+                 std::isfinite(spec.iTrim));
     if (!(spec.iMax > spec.iMin))
         fatal("solveThresholds: need iMax > iMin");
     if (spec.zPeakOhms <= spec.rDc)

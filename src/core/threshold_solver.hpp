@@ -40,7 +40,8 @@ struct ThresholdSpec
     double iGate = -1.0;       ///< fully-gated current (default iMin)
     double iPhantom = -1.0;    ///< phantom-fire current (default iMax)
     double iTrim = -1.0;       ///< regulator trim point (default iGate)
-    unsigned delayCycles = 0;  ///< sensor/controller loop delay
+    /** Sensor/controller loop delay (at most kMaxSensorDelayCycles). */
+    unsigned delayCycles = 0;
     double sensorError = 0.0;  ///< bounded reading error [V]
     double guardBandV = 0.0;   ///< extra safety margin inside the band
 

@@ -309,6 +309,21 @@ TraceCache::fetchOrCapture(const std::string &key,
     return e->retained ? &e->trace : nullptr;
 }
 
+const CapturedTrace *
+TraceCache::find(const std::string &key) const
+{
+    if (!enabled())
+        return nullptr;
+    // retain() sets `retained` under m_ after the trace is final, so
+    // reading it under m_ publishes the whole trace without touching
+    // the once_flag (which cannot be queried).
+    std::lock_guard<std::mutex> lock(m_);
+    const auto it = map_.find(key);
+    if (it == map_.end() || !it->second->retained)
+        return nullptr;
+    return &it->second->trace;
+}
+
 void
 TraceCache::retain(Entry *e)
 {

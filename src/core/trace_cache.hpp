@@ -32,6 +32,15 @@
  * pointers stay stable across rebalancing inserts, and are immutable
  * once the once_flag is done — replays share them read-only.
  *
+ * Closed-loop runs read the cache through find(), a hit-only lookup:
+ * while the controller stays passive a closed loop is the open-loop
+ * run of the same key (DESIGN.md "Trace replay"), so it may replay a
+ * trace some open-loop leg already left here, but it must never
+ * capture one just to speculate. A once_flag cannot be queried, so
+ * find() reads the entry's `retained` bit under the map mutex instead:
+ * retain() sets it under that mutex after the trace is final, which
+ * publishes the trace to find() as a release/acquire pair would.
+ *
  * Environment knobs: VGUARD_TRACE_CACHE=0 (or "off") disables the
  * cache entirely; VGUARD_TRACE_CACHE_MB caps retained trace bytes
  * (default 1024 MB — a 200k-cycle trace is ~7 MB).
@@ -185,6 +194,14 @@ class TraceCache
     const CapturedTrace *fetchOrCapture(const std::string &key,
                                         const CaptureFn &capture);
 
+    /**
+     * Hit-only lookup: the trace cached under @p key if its capture
+     * or store load has finished and the trace was retained, else
+     * nullptr. Never captures, never loads from the store, never
+     * consumes the key's once_flag and never counts a capture, hit or
+     * miss, so the counters describe open-loop traffic alone.
+     */
+    const CapturedTrace *find(const std::string &key) const;
 
     bool enabled() const;
     /** Tests/benches toggle the cache to compare against full runs. */
@@ -221,7 +238,11 @@ class TraceCache
     {
         std::once_flag once;
         CapturedTrace trace;
-        /** False when the trace blew the byte budget and was freed. */
+        /**
+         * False when the trace blew the byte budget and was freed.
+         * Written under m_ once `trace` is final, so find() reads it
+         * under m_ in place of the once_flag.
+         */
         bool retained = false;
     };
 

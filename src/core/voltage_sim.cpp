@@ -272,33 +272,60 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
 VoltageSimResult
 VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
 {
-    // Replay is only defined for open-loop configs: a controller would
-    // need the real core to actuate, which the trace has elided.
+    // Open-loop replay: a controller would need the real core to
+    // actuate, which the trace has elided (runSensedReplay replays a
+    // closed loop only while it stays passive).
     VGUARD_CHECK(!controller_);
+    return *replay(trace, blockCycles);
+}
+
+std::optional<VoltageSimResult>
+VoltageSim::runSensedReplay(const CapturedTrace &trace)
+{
+    // The trace starts from a reset core: only a fresh sim's sensor,
+    // PDN and cycle count line up with it.
+    VGUARD_CHECK(controller_ && cycle_ == 0);
+    return replay(trace, kBlockCycles);
+}
+
+std::optional<VoltageSimResult>
+VoltageSim::replay(const CapturedTrace &trace, size_t blockCycles)
+{
     VGUARD_CHECK(blockCycles > 0);
     VGUARD_CHECK(trace.mapping ||
                  trace.amps.size() == trace.activity.size());
 
     // One Wall span for the whole replay (block loop below runs
-    // thousands of cycles per iteration — no per-cycle events).
-    obs::TraceSpan span("replay.run", obs::TraceClass::Wall);
+    // thousands of cycles per iteration — no per-cycle events). Wall,
+    // not Det: whether a closed-loop job finds a trace to replay
+    // depends on which open-loop legs other workers finished first.
+    obs::TraceSpan span(controller_ ? "replay.sensed" : "replay.run",
+                        obs::TraceClass::Wall);
     span.arg("cycles", uint64_t{trace.cycles()});
 
     obs::Snapshot before;
     VoltageSimResult res = beginRun(before);
-    replayBlocks(trace, blockCycles, res);
+    const size_t done = replayBlocks(trace, blockCycles, res);
+    if (done < trace.cycles()) {
+        // The sensor left Normal: the actuator would act from the
+        // next cycle on, which the trace cannot show.
+        span.arg("abort_cycle", uint64_t{done});
+        return std::nullopt;
+    }
     finishRun(res, before, trace.committed);
 
     // The live diff reports zeroed cpu.*/power.* entries (the core and
     // power model never stepped); splice the capture run's front-end
     // entries in verbatim so the snapshot matches a full-core run.
+    // A passive controller never gated or phantom-fired, so the
+    // actuation counts keep their zero defaults.
     for (const auto &e : trace.frontEnd.entries())
         res.stats.upsertEntry(e);
     return res;
 }
 
 // vlint: hot
-void
+size_t
 VoltageSim::replayBlocks(const CapturedTrace &trace, size_t blockCycles,
                          VoltageSimResult &res)
 {
@@ -306,25 +333,46 @@ VoltageSim::replayBlocks(const CapturedTrace &trace, size_t blockCycles,
     voltsBuf_.resize(blockCycles);
     obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
 
+    // A passive closed loop records what runClosedLoop would: level
+    // Normal, this cycle's reading, no gating, no phantom firing.
+    obs::EmergencyTracker::ControlState passive;
+    passive.sensorLevel = static_cast<int>(VoltageLevel::Normal);
+
     const size_t total = trace.cycles();
     size_t done = 0;
     while (done < total) {
         const size_t n = std::min(blockCycles, total - done);
         const double *amps = trace.ampsData() + done;
+        const obs::ActivityRow *rows = trace.activityData() + done;
         {
             obs::ScopedTimer t(p, obs::Phase::Pdn);
             pdn_.stepMany(amps, n, voltsBuf_.data());
         }
         {
             obs::ScopedTimer t(p, obs::Phase::Events);
-            account(cycle_, amps, voltsBuf_.data(),
-                    trace.activityData() + done, n, {}, res);
+            if (!controller_) {
+                account(cycle_, amps, voltsBuf_.data(), rows, n, {},
+                        res);
+            } else {
+                for (size_t k = 0; k < n; ++k) {
+                    // On Normal the actuator only clears gates that
+                    // were never set; anything else ends the replay.
+                    controller_->step(voltsBuf_[k], core_);
+                    if (controller_->lastLevel() != VoltageLevel::Normal)
+                        return done + k;
+                    passive.sensorReading =
+                        controller_->sensor().lastReading();
+                    account(cycle_ + k, amps + k, voltsBuf_.data() + k,
+                            rows + k, 1, passive, res);
+                }
+            }
             cycle_ += n;
         }
         if (p)
             p->countBlock(n);
         done += n;
     }
+    return done;
 }
 
 } // namespace vguard::core

@@ -8,8 +8,8 @@
  * convolution-with-impulse-response pipeline computes the same
  * voltages; tests keep pdn::Convolver as the oracle for that identity.
  *
- * Two fast paths exist for runs without a controller (open loop, no
- * actuation feedback), both bit-identical to the per-cycle loop:
+ * Three fast paths skip work the per-cycle loop would do, each
+ * bit-identical to it:
  *
  *  - run() automatically batches open-loop runs: activity vectors are
  *    gathered in blocks, converted to amps by WattchModel::currentBlock
@@ -19,9 +19,16 @@
  *  - runReplay() skips the core and power model entirely, driving the
  *    PDN + accountant from a captured trace; front-end stats are
  *    spliced in from the capture.
+ *  - runSensedReplay() does the same for a closed loop while its
+ *    controller stays passive: each replayed voltage also passes
+ *    through the real sensor. On a Normal level the actuator only
+ *    clears gates that were never set, so until the first reading
+ *    that is not Normal the closed loop *is* the open-loop run; at
+ *    that reading the replay gives up and the caller runs the full
+ *    loop (runWorkload in experiments.cpp).
  *
- * All three loops share one accountant (energy, core::RailTally and
- * the emergency-episode tracker) and one begin/finish per run.
+ * All loops share one accountant (energy, core::RailTally and the
+ * emergency-episode tracker) and one begin/finish per run.
  */
 
 #ifndef VGUARD_CORE_VOLTAGE_SIM_HPP
@@ -146,6 +153,19 @@ class VoltageSim
     VoltageSimResult runReplay(const CapturedTrace &trace,
                                size_t blockCycles = kBlockCycles);
 
+    /**
+     * Replay a captured open-loop trace through this fresh
+     * closed-loop sim's PDN, its real ThresholdController (delay line,
+     * noise stream and counters) and the accountant, skipping the core
+     * and power model. The trace must come from the open-loop run of
+     * the same (program, cpu, power, limits). Returns the result — the
+     * full closed loop's, byte for byte — if the sensor read Normal on
+     * every cycle, and nullopt at the first cycle it did not; the sim
+     * is then spent and the caller runs the full loop in a fresh one.
+     */
+    std::optional<VoltageSimResult>
+    runSensedReplay(const CapturedTrace &trace);
+
     bool halted() const { return core_.halted(); }
     const cpu::OoOCore &core() const { return core_; }
     /** Mutable core access for external controllers (e.g. PID). */
@@ -166,9 +186,17 @@ class VoltageSim
     /** Batched gather → currentBlock → stepMany open-loop pipeline. */
     void runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
                      VoltageSimResult &res, CapturedTrace *capture);
-    /** The replay's block loop: stepMany over the captured amps. */
-    void replayBlocks(const CapturedTrace &trace, size_t blockCycles,
-                      VoltageSimResult &res);
+    /** Both replays: nullopt when the sensor left Normal. */
+    std::optional<VoltageSimResult> replay(const CapturedTrace &trace,
+                                           size_t blockCycles);
+    /**
+     * The replay's block loop: stepMany over the captured amps, each
+     * cycle through the sensor when there is a controller. Returns the
+     * cycles accounted — short of trace.cycles() at the first cycle
+     * whose level is not Normal.
+     */
+    size_t replayBlocks(const CapturedTrace &trace, size_t blockCycles,
+                        VoltageSimResult &res);
     /**
      * The accounting every loop shares: energy, rail tally and episode
      * tracker for @p n cycles starting at cycle @p first, all under

@@ -1,6 +1,7 @@
 #include "power/wattch.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hpp"
 
@@ -46,6 +47,17 @@ WattchModel::WattchModel(const PowerConfig &pcfg,
                          const cpu::CpuConfig &ccfg)
     : pcfg_(pcfg), ccfg_(ccfg)
 {
+    // NaN passes the range rules below and would only surface as NaN
+    // currents, so every field must be finite first.
+    VGUARD_CHECK(std::isfinite(pcfg_.vdd));
+    for (double p : pcfg_.pMax)
+        VGUARD_CHECK(std::isfinite(p));
+    VGUARD_CHECK(std::isfinite(pcfg_.idleFrac) &&
+                 std::isfinite(pcfg_.idleFracL2) &&
+                 std::isfinite(pcfg_.gatedFrac) &&
+                 std::isfinite(pcfg_.clockFixedFrac));
+    VGUARD_CHECK(std::isfinite(pcfg_.sBase) &&
+                 std::isfinite(pcfg_.sRange));
     if (pcfg_.vdd <= 0.0)
         fatal("WattchModel: vdd must be positive");
     for (double p : pcfg_.pMax)

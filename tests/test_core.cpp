@@ -8,6 +8,7 @@
  */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -155,6 +156,37 @@ TEST(Sensor, RejectsInvertedThresholds)
     sc.vHigh = 0.95;
     EXPECT_EXIT(ThresholdSensor{sc}, ::testing::ExitedWithCode(1),
                 "vLow");
+}
+
+// NaN passes `vLow >= vHigh` and `noiseMagnitude < 0`: a NaN vLow
+// never reads Low and a NaN noise magnitude runs noiseless. A delay
+// of UINT_MAX wraps the delay line's size to zero.
+TEST(SensorDeathTest, RejectsNonFiniteAndOverflowingConfigs)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    SensorConfig sc;
+    sc.vLow = 0.95;
+    sc.vHigh = 1.05;
+
+    SensorConfig bad = sc;
+    bad.vLow = nan;
+    EXPECT_DEATH(ThresholdSensor{bad}, "check failed");
+    bad = sc;
+    bad.vHigh = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(ThresholdSensor{bad}, "check failed");
+    bad = sc;
+    bad.noiseMagnitude = nan;
+    EXPECT_DEATH(ThresholdSensor{bad}, "check failed");
+    bad = sc;
+    bad.delayCycles = std::numeric_limits<unsigned>::max();
+    EXPECT_DEATH(ThresholdSensor{bad}, "check failed");
+    bad.delayCycles = kMaxSensorDelayCycles + 1;
+    EXPECT_DEATH(ThresholdSensor{bad}, "check failed");
+
+    // The bound itself is accepted.
+    bad.delayCycles = kMaxSensorDelayCycles;
+    ThresholdSensor longest(bad);
+    EXPECT_EQ(longest.observe(0.9), VoltageLevel::Normal);
 }
 
 // ----------------------------------------------------------- actuator
@@ -340,6 +372,38 @@ TEST(Solver, RejectsBadCurrents)
     spec.iMax = spec.iMin;
     EXPECT_EXIT(solveThresholds(spec), ::testing::ExitedWithCode(1),
                 "iMax");
+}
+
+// The scenarios size their delay lines d + 1, which UINT_MAX wraps.
+TEST(SolverDeathTest, RejectsOverflowingDelayAndNonFiniteError)
+{
+    auto spec = solverSpec(0);
+    spec.delayCycles = std::numeric_limits<unsigned>::max();
+    EXPECT_DEATH(solveThresholds(spec), "check failed");
+    spec = solverSpec(0);
+    spec.sensorError = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(solveThresholds(spec), "check failed");
+    spec = solverSpec(0);
+    spec.iGate = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(solveThresholds(spec), "check failed");
+}
+
+// A RunSpec enters at makeSimConfig: a NaN sensor error would reach
+// referenceThresholds' lround() key before any sensor could refuse it.
+TEST(RunSpecDeathTest, MakeSimConfigRejectsMalformedSpecs)
+{
+    RunSpec rs;
+    rs.sensorError = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(makeSimConfig(rs), "check failed");
+    rs = RunSpec{};
+    rs.sensorError = -0.005;
+    EXPECT_DEATH(makeSimConfig(rs), "check failed");
+    rs = RunSpec{};
+    rs.impedanceScale = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_DEATH(makeSimConfig(rs), "check failed");
+    rs = RunSpec{};
+    rs.delayCycles = std::numeric_limits<unsigned>::max();
+    EXPECT_DEATH(makeSimConfig(rs), "check failed");
 }
 
 // --------------------------------------------------------- VoltageSim

@@ -4,6 +4,8 @@
  * activity scaling, min/max bounds and integration with the core.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "cpu/core.hpp"
@@ -161,6 +163,22 @@ TEST(Wattch, RejectsBadVdd)
     pc.vdd = 0.0;
     EXPECT_EXIT(WattchModel(pc, CpuConfig{}),
                 ::testing::ExitedWithCode(1), "vdd");
+}
+
+// NaN passes `vdd <= 0` and `pMax < 0` and would only surface as NaN
+// currents.
+TEST(WattchDeathTest, RejectsNonFiniteConfig)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    PowerConfig pc;
+    pc.vdd = nan;
+    EXPECT_DEATH(WattchModel(pc, CpuConfig{}), "check failed");
+    pc = PowerConfig{};
+    pc.pMax[3] = nan;
+    EXPECT_DEATH(WattchModel(pc, CpuConfig{}), "check failed");
+    pc = PowerConfig{};
+    pc.gatedFrac = std::numeric_limits<double>::infinity();
+    EXPECT_DEATH(WattchModel(pc, CpuConfig{}), "check failed");
 }
 
 // Integration: run a real program and check the current trace spans a

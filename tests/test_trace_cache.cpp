@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the open-loop trace-replay fast path (core/trace_cache):
+ * Tests for the trace-replay fast paths (core/trace_cache):
  * replayed results must be bit-identical to full-core runs at any
  * block size, concurrent first calls on one cache key must collapse
  * to a single capture, campaign artifacts must stay byte-identical
@@ -9,13 +9,21 @@
  * and back-to-back VoltageSim::run() calls must continue the PDN
  * state exactly like one long run.
  *
+ * The passive closed loop (VoltageSim::runSensedReplay behind
+ * runWorkload) must serve passive legs and give up on acting ones at
+ * their first non-Normal cycle, with results, stats and events equal
+ * to the full closed loop's; the hit-only lookup must never capture
+ * and never expose a half-written trace.
+ *
  * Labeled `campaign` so the suite runs under TSan via
  *   cmake -B build-tsan -DVGUARD_SANITIZE=thread
  *   ctest --test-dir build-tsan -L campaign
  */
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +36,7 @@
 #include "core/trace_cache.hpp"
 #include "core/trace_store.hpp"
 #include "core/voltage_sim.hpp"
+#include "fuzz_inputs.hpp"
 #include "pdn/package_model.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/spec_proxy.hpp"
@@ -54,6 +63,19 @@ expectSameSim(const VoltageSimResult &a, const VoltageSimResult &b)
     ASSERT_EQ(a.voltageHist.bins(), b.voltageHist.bins());
     for (size_t i = 0; i < a.voltageHist.bins(); ++i)
         EXPECT_EQ(a.voltageHist.count(i), b.voltageHist.count(i));
+}
+
+/** expectSameSim plus the actuation counts, stats and events. */
+void
+expectSameRun(const VoltageSimResult &a, const VoltageSimResult &b)
+{
+    expectSameSim(a, b);
+    EXPECT_EQ(a.gatedCycles, b.gatedCycles);
+    EXPECT_EQ(a.phantomCycles, b.phantomCycles);
+    EXPECT_EQ(a.lowTriggers, b.lowTriggers);
+    EXPECT_EQ(a.highTriggers, b.highTriggers);
+    EXPECT_EQ(a.stats.json(), b.stats.json());
+    EXPECT_EQ(a.events.jsonl(), b.events.jsonl());
 }
 
 // ------------------------------------------------------------- key
@@ -252,6 +274,295 @@ TEST(TraceCacheConcurrency, ConcurrentFirstCallsCaptureOnce)
         EXPECT_EQ(full.stats.json(), r.stats.json());
         EXPECT_EQ(full.events.jsonl(), r.events.jsonl());
     }
+}
+
+TEST(TraceCacheConcurrency, FindNeverSeesAPartialTrace)
+{
+    TraceCache &tc = TraceCache::instance();
+    tc.setEnabled(true);
+    TraceStore::instance().configure("", 0);
+
+    // A synthetic trace, long enough that a reader racing the capture
+    // would catch it half-written if find() did not synchronize.
+    const std::string key = "find-race-test-key";
+    const size_t n = 200000;
+    const auto capture = [&] {
+        CapturedTrace t;
+        for (size_t i = 0; i < n; ++i) {
+            t.amps.push_back(static_cast<double>(i));
+            t.activity.emplace_back();
+        }
+        t.committed = n / 2;
+        return t;
+    };
+    const auto complete = [&](const CapturedTrace *t) {
+        if (t->cycles() != n || t->committed != n / 2)
+            return false;
+        for (size_t i = 0; i < n; i += 997)
+            if (t->ampsData()[i] != static_cast<double>(i))
+                return false;
+        return true;
+    };
+
+    EXPECT_EQ(tc.find(key), nullptr);
+    std::atomic<bool> done{false};
+    size_t seen = 0;
+    bool allComplete = true;
+    std::thread reader([&] {
+        while (!done.load()) {
+            if (const CapturedTrace *t = tc.find(key)) {
+                ++seen;
+                allComplete = allComplete && complete(t);
+            }
+        }
+    });
+    std::vector<std::thread> writers;
+    for (int w = 0; w < 8; ++w)
+        writers.emplace_back([&] { tc.fetchOrCapture(key, capture); });
+    for (auto &t : writers)
+        t.join();
+    done.store(true);
+    reader.join();
+
+    EXPECT_TRUE(allComplete) << seen << " lookups hit";
+    const CapturedTrace *t = tc.find(key);
+    ASSERT_NE(t, nullptr);
+    EXPECT_TRUE(complete(t));
+}
+
+// ------------------------------------------------- passive closed loop
+
+/** Closed-loop spec of the passive-loop tests. */
+RunSpec
+closedSpec(unsigned delay, double error, ActuatorKind actuator,
+           uint64_t cycles)
+{
+    RunSpec rs;
+    rs.impedanceScale = 2.0;
+    rs.delayCycles = delay;
+    rs.sensorError = error;
+    rs.actuator = actuator;
+    rs.maxCycles = cycles;
+    return rs;
+}
+
+/** Open-loop trace of (program, spec's limits), captured directly. */
+CapturedTrace
+captureOpenLoop(const isa::Program &prog, RunSpec rs)
+{
+    rs.controllerEnabled = false;
+    CapturedTrace t;
+    VoltageSim sim(makeSimConfig(rs), prog);
+    sim.run(rs.maxCycles, rs.maxInsts, &t);
+    return t;
+}
+
+/**
+ * The first cycle whose sensor level is not Normal in the closed loop
+ * of (prog, rs), or rs.maxCycles if none: the actuator acts from the
+ * next cycle, so the core reports gating or phantom firing one cycle
+ * after that level.
+ */
+uint64_t
+firstActingCycle(const isa::Program &prog, const RunSpec &rs,
+                 bool &gatedFirst)
+{
+    VoltageSim sim(makeSimConfig(rs), prog);
+    for (uint64_t c = 0; c < rs.maxCycles && !sim.halted(); ++c) {
+        const TraceSample s = sim.step();
+        if (s.gated || s.phantom) {
+            gatedFirst = s.gated;
+            return c - 1;
+        }
+    }
+    return rs.maxCycles;
+}
+
+/**
+ * The sensed replay serves a leg whose sensor stays Normal and gives
+ * up on one that acts, exactly at its first non-Normal cycle: limited
+ * to that cycle the leg still replays, one cycle later it does not,
+ * and the full loop then reports the single trigger the actuator
+ * counted on that last cycle.
+ */
+TEST(PassiveClosedLoop, SensedReplayServesPassiveAndAbortsAtFirstAct)
+{
+    const uint64_t cycles = 3000;
+    size_t passive = 0, acting = 0, lowEdge = 0;
+    for (const auto &name : workloads::emergencySetNames()) {
+        const isa::Program prog = workloads::buildSpecProxy(name);
+        for (const double error : {0.0, 0.020}) {
+            const RunSpec rs =
+                closedSpec(2, error, ActuatorKind::Ideal, cycles);
+            const VoltageSimConfig cfg = makeSimConfig(rs);
+            bool gatedFirst = false;
+            const uint64_t f = firstActingCycle(prog, rs, gatedFirst);
+            SCOPED_TRACE(name + " error " + std::to_string(error) +
+                         " first act " + std::to_string(f));
+
+            VoltageSim full(cfg, prog);
+            const VoltageSimResult ref = full.run(cycles);
+            VoltageSim rep(cfg, prog);
+            const std::optional<VoltageSimResult> got =
+                rep.runSensedReplay(captureOpenLoop(prog, rs));
+            if (f >= ref.cycles) {
+                ++passive;
+                EXPECT_EQ(ref.lowTriggers + ref.highTriggers, 0u);
+                ASSERT_TRUE(got.has_value());
+                expectSameRun(ref, *got);
+                continue;
+            }
+            ++acting;
+            EXPECT_FALSE(got.has_value());
+
+            // Up to the acting cycle the leg is still passive.
+            RunSpec upTo = rs;
+            upTo.maxCycles = f;
+            VoltageSim fullUpTo(cfg, prog);
+            const VoltageSimResult refUpTo = fullUpTo.run(f);
+            VoltageSim repUpTo(cfg, prog);
+            const std::optional<VoltageSimResult> gotUpTo =
+                repUpTo.runSensedReplay(captureOpenLoop(prog, upTo));
+            ASSERT_TRUE(gotUpTo.has_value());
+            expectSameRun(refUpTo, *gotUpTo);
+
+            // One cycle more: the last cycle acts, so the replay gives
+            // up, and the full loop counts one trigger and one cycle.
+            RunSpec edge = rs;
+            edge.maxCycles = f + 1;
+            VoltageSim repEdge(cfg, prog);
+            EXPECT_FALSE(
+                repEdge.runSensedReplay(captureOpenLoop(prog, edge))
+                    .has_value());
+            VoltageSim fullEdge(cfg, prog);
+            const VoltageSimResult refEdge = fullEdge.run(f + 1);
+            EXPECT_EQ(refEdge.lowTriggers, gatedFirst ? 1u : 0u);
+            EXPECT_EQ(refEdge.highTriggers, gatedFirst ? 0u : 1u);
+            EXPECT_EQ(refEdge.gatedCycles + refEdge.phantomCycles, 1u);
+            lowEdge += gatedFirst ? 1 : 0;
+        }
+    }
+    EXPECT_GT(passive, 0u) << "no passive leg: the replay never served";
+    EXPECT_GT(acting, 0u) << "no acting leg: the abort never ran";
+    EXPECT_GT(lowEdge, 0u) << "no leg first acted on a Low reading";
+}
+
+/**
+ * The last-cycle edge through runWorkload: with the open-loop trace
+ * warm, a leg whose last cycle is its first non-Normal one falls back
+ * to the full loop and reports lowTriggers 1, as the cold path does.
+ */
+TEST(PassiveClosedLoop, LastCycleActFallsBackToFullLoop)
+{
+    TraceCache &tc = TraceCache::instance();
+    tc.setEnabled(true);
+    TraceStore::instance().configure("", 0);
+
+    const isa::Program prog = workloads::buildSpecProxy("swim");
+    RunSpec rs = closedSpec(2, 0.020, ActuatorKind::Ideal, 3000);
+    bool gatedFirst = false;
+    const uint64_t f = firstActingCycle(prog, rs, gatedFirst);
+    ASSERT_LT(f, rs.maxCycles) << "20 mV legs act within a few cycles";
+    ASSERT_TRUE(gatedFirst);
+    rs.maxCycles = f + 1;
+
+    RunSpec open = rs;
+    open.controllerEnabled = false;
+    runWorkload(prog, open);
+    ASSERT_NE(tc.find(traceKey(prog, referenceMachine().cpu,
+                               referenceMachine().power, rs.maxCycles,
+                               rs.maxInsts)),
+              nullptr);
+
+    const VoltageSimResult warm = runWorkload(prog, rs);
+    tc.setEnabled(false);
+    const VoltageSimResult off = runWorkload(prog, rs);
+    tc.setEnabled(true);
+    EXPECT_EQ(warm.cycles, f + 1);
+    EXPECT_EQ(warm.lowTriggers, 1u);
+    EXPECT_EQ(warm.gatedCycles, 1u);
+    expectSameRun(off, warm);
+}
+
+TEST(PassiveClosedLoop, ColdCacheMakesNoCaptures)
+{
+    TraceCache &tc = TraceCache::instance();
+    tc.setEnabled(true);
+    TraceStore::instance().configure("", 0);
+    const isa::Program prog = workloads::buildSpecProxy("gcc");
+    const RunSpec rs = closedSpec(1, 0.0, ActuatorKind::Ideal, 2111);
+    // Warm the shared experiment caches (thresholds, the virus trace)
+    // so the counts below belong to the closed-loop run alone.
+    const VoltageSimConfig cfg = makeSimConfig(rs);
+    const std::string key = traceKey(prog, cfg.cpu, cfg.power,
+                                     rs.maxCycles, rs.maxInsts);
+    ASSERT_EQ(tc.find(key), nullptr);
+
+    const uint64_t captures = tc.captures();
+    const uint64_t hits = tc.hits();
+    const uint64_t misses = tc.misses();
+    const size_t entries = tc.entries();
+    runWorkload(prog, rs);
+    EXPECT_EQ(tc.captures(), captures);
+    EXPECT_EQ(tc.hits(), hits);
+    EXPECT_EQ(tc.misses(), misses);
+    EXPECT_EQ(tc.entries(), entries);
+    EXPECT_EQ(tc.find(key), nullptr);
+}
+
+/**
+ * compareControlled and a plain closed-loop runWorkload over SPEC-8
+ * proxies and random programs x delays 0-6 x sensor error 0/5/20 mV x
+ * the four actuators: with the cache warm (passive legs replayed) and
+ * with it off (every leg on the full core) every result field, stats
+ * snapshot and event log must match.
+ */
+TEST(PassiveClosedLoop, MatchesFullLoopAcrossDelaysErrorsActuators)
+{
+    TraceCache &tc = TraceCache::instance();
+    TraceStore::instance().configure("", 0);
+    std::vector<std::pair<std::string, isa::Program>> programs;
+    for (const auto &name : workloads::emergencySetNames())
+        programs.emplace_back(name, workloads::buildSpecProxy(name));
+    for (const uint64_t seed : {11u, 29u})
+        programs.emplace_back("random" + std::to_string(seed),
+                              fuzz::randomProgram(seed));
+
+    size_t passive = 0, acting = 0;
+    for (const auto &[name, prog] : programs)
+        for (unsigned delay = 0; delay <= 6; ++delay)
+            for (const double error : {0.0, 0.005, 0.020})
+                for (const ActuatorKind act :
+                     {ActuatorKind::Ideal, ActuatorKind::Fu,
+                      ActuatorKind::FuDl1, ActuatorKind::FuDl1Il1}) {
+                    const RunSpec rs =
+                        closedSpec(delay, error, act, 2000);
+                    SCOPED_TRACE(name + " d" + std::to_string(delay) +
+                                 " e" + std::to_string(error) + " " +
+                                 actuatorName(act));
+                    tc.setEnabled(false);
+                    const Comparison cmpOff = compareControlled(prog, rs);
+                    const VoltageSimResult plainOff =
+                        runWorkload(prog, rs);
+                    tc.setEnabled(true);
+                    const Comparison cmpWarm =
+                        compareControlled(prog, rs);
+                    const VoltageSimResult plainWarm =
+                        runWorkload(prog, rs);
+
+                    expectSameRun(cmpOff.baseline, cmpWarm.baseline);
+                    expectSameRun(cmpOff.controlled, cmpWarm.controlled);
+                    EXPECT_EQ(cmpOff.perfLossPct, cmpWarm.perfLossPct);
+                    EXPECT_EQ(cmpOff.energyIncreasePct,
+                              cmpWarm.energyIncreasePct);
+                    expectSameRun(plainOff, plainWarm);
+
+                    const VoltageSimResult &c = cmpWarm.controlled;
+                    (c.lowTriggers + c.highTriggers == 0 ? passive
+                                                         : acting)++;
+                }
+    EXPECT_GT(passive, 0u);
+    EXPECT_GT(acting, 0u);
 }
 
 // ------------------------------------------------ campaign determinism
