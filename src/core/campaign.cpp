@@ -9,6 +9,7 @@
 #include <deque>
 #include <limits>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "core/actuator.hpp"
@@ -46,10 +47,11 @@ CampaignEngine::forEach(size_t count,
         return;
     }
 
-    // One deque per worker, sharded round-robin so every worker
-    // starts with a contiguous-ish slice of the submission order.
-    // Owners pop from the front; thieves steal from the back, which
-    // keeps stolen work far from what the owner touches next.
+    // One deque per worker, dealt round-robin: worker w holds
+    // indices w, w + n, w + 2n, ..., so the workers' first jobs are
+    // the first n indices, interleaved. Owners pop from the front;
+    // thieves steal from the back, which keeps stolen work far from
+    // what the owner touches next.
     struct WorkerQueue
     {
         std::mutex m;
@@ -152,6 +154,27 @@ aggregateCampaignRuns(CampaignResult &out)
     }
 }
 
+/**
+ * Capture-first dispatch order (see campaign.hpp): for each trace key
+ * the first job that can capture it (open loop, or a compare job's
+ * probe leg), then every other job, each group in submission order.
+ */
+std::vector<size_t>
+captureFirstOrder(const std::vector<CampaignJob> &jobs)
+{
+    std::vector<size_t> order, rest;
+    std::set<std::string> keys;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const CampaignJob &job = jobs[i];
+        const bool leads =
+            (job.compare || !job.spec.controllerEnabled) &&
+            keys.insert(openLoopKey(job.program, job.spec)).second;
+        (leads ? order : rest).push_back(i);
+    }
+    order.insert(order.end(), rest.begin(), rest.end());
+    return order;
+}
+
 } // namespace
 
 CampaignResult
@@ -168,8 +191,10 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
         std::min<size_t>(threads(), std::max<size_t>(jobs.size(), 1)));
     out.runs.resize(jobs.size());
 
+    const std::vector<size_t> order = captureFirstOrder(jobs);
     std::atomic<size_t> completed{0};
-    forEach(jobs.size(), [&](size_t i) {
+    forEach(jobs.size(), [&](size_t k) {
+        const size_t i = order[k];
         const CampaignJob &job = jobs[i];
         RunResult &rr = out.runs[i];
         rr.index = i;

@@ -20,6 +20,16 @@
  *    happens serially over that order after the pool drains.
  *
  * Thread count therefore only changes wall-clock time, never results.
+ *
+ * Capture-first dispatch: run() hands the pool each trace key's first
+ * job that can capture it (an open-loop job, or a compare job, whose
+ * probe leg captures) before all other jobs, each group in
+ * submission order. Workers then capture distinct keys side by side
+ * instead of queueing on one key's capture, and a closed-loop job
+ * finds its key's trace cached. The order cannot reach the results:
+ * a replay is byte-identical to the run it replays, a sensed replay
+ * to the full closed loop, and a run's seed and result slot come
+ * from its submission index, never from when it ran.
  */
 
 #ifndef VGUARD_CORE_CAMPAIGN_HPP
@@ -138,7 +148,10 @@ class CampaignEngine
     CampaignEngine() : CampaignEngine(Options{}) {}
     explicit CampaignEngine(Options opts);
 
-    /** Execute all jobs and aggregate; blocks until complete. */
+    /**
+     * Execute all jobs, capture leaders first (see file comment), and
+     * aggregate in submission order; blocks until complete.
+     */
     CampaignResult run(std::vector<CampaignJob> jobs) const;
 
     /**

@@ -250,11 +250,26 @@ makeSimConfig(const RunSpec &spec)
     return cfg;
 }
 
+std::string
+openLoopKey(const isa::Program &program, const RunSpec &spec)
+{
+    // makeSimConfig puts exactly these cpu/power configs in every
+    // VoltageSimConfig, so this is the key of the run it configures.
+    const Machine m = referenceMachine();
+    return traceKey(program, m.cpu, m.power, spec.maxCycles,
+                    spec.maxInsts);
+}
+
 VoltageSimResult
 runWorkload(const isa::Program &program, const RunSpec &spec)
 {
     const VoltageSimConfig cfg = makeSimConfig(spec);
     TraceCache &tc = TraceCache::instance();
+    if (!tc.enabled()) {
+        VoltageSim sim(cfg, program);
+        return sim.run(spec.maxCycles, spec.maxInsts);
+    }
+    const std::string key = openLoopKey(program, spec);
 
     // Closed loop: while the sensor reads Normal the run is the
     // open-loop run of the same key, so replay that trace through the
@@ -264,9 +279,7 @@ runWorkload(const isa::Program &program, const RunSpec &spec)
     // first reading that is not Normal the actuator needs the real
     // core, so the full coupled loop runs from cycle 0 instead.
     if (cfg.sensor) {
-        if (const CapturedTrace *trace = tc.find(
-                traceKey(program, cfg.cpu, cfg.power, spec.maxCycles,
-                         spec.maxInsts))) {
+        if (const CapturedTrace *trace = tc.find(key)) {
             VoltageSim sim(cfg, program);
             if (std::optional<VoltageSimResult> res =
                     sim.runSensedReplay(*trace))
@@ -275,17 +288,11 @@ runWorkload(const isa::Program &program, const RunSpec &spec)
         VoltageSim sim(cfg, program);
         return sim.run(spec.maxCycles, spec.maxInsts);
     }
-    if (!tc.enabled()) {
-        VoltageSim sim(cfg, program);
-        return sim.run(spec.maxCycles, spec.maxInsts);
-    }
 
     // Open loop: first call per key runs the full sim once (capturing
     // the trace and returning its own result); every later call —
     // other packages in a sweep, other noise seeds, baseline legs —
     // replays the trace against its own PDN, byte-identically.
-    const std::string key = traceKey(program, cfg.cpu, cfg.power,
-                                     spec.maxCycles, spec.maxInsts);
     std::optional<VoltageSimResult> mine;
     const CapturedTrace *trace = tc.fetchOrCapture(key, [&] {
         CapturedTrace t;
@@ -323,15 +330,14 @@ fetchTrace(const isa::Program &program, const RunSpec &spec,
         fallback = capture();
         return fallback;
     }
-    const std::string key = traceKey(program, cfg.cpu, cfg.power,
-                                     spec.maxCycles, spec.maxInsts);
     bool captured = false;
-    const CapturedTrace *trace = tc.fetchOrCapture(key, [&] {
-        CapturedTrace t = capture();
-        fallback = t;
-        captured = true;
-        return t;
-    });
+    const CapturedTrace *trace =
+        tc.fetchOrCapture(openLoopKey(program, spec), [&] {
+            CapturedTrace t = capture();
+            fallback = t;
+            captured = true;
+            return t;
+        });
     if (captured)
         return fallback;
     if (!trace) {
@@ -355,9 +361,7 @@ openLoopCommitted(const isa::Program &program, const RunSpec &spec)
     const VoltageSimConfig cfg = makeSimConfig(spec);
     std::optional<uint64_t> mine;
     const CapturedTrace *trace = TraceCache::instance().fetchOrCapture(
-        traceKey(program, cfg.cpu, cfg.power, spec.maxCycles,
-                 spec.maxInsts),
-        [&] {
+        openLoopKey(program, spec), [&] {
             CapturedTrace t;
             VoltageSim sim(cfg, program);
             mine = sim.run(spec.maxCycles, spec.maxInsts, &t).committed;

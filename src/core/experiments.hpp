@@ -105,6 +105,15 @@ struct RunSpec
  */
 VoltageSimConfig makeSimConfig(const RunSpec &spec);
 
+/**
+ * Trace-cache key of the open-loop run of (program, spec) on the
+ * reference machine: the trace an open-loop run captures or replays,
+ * a compare job's probe leg captures, and a closed-loop run of the
+ * same spec replays while its sensor reads Normal. Reads only the
+ * program and the run limits, so it never solves thresholds.
+ */
+std::string openLoopKey(const isa::Program &program, const RunSpec &spec);
+
 /** Run a program under a RunSpec. */
 VoltageSimResult runWorkload(const isa::Program &program,
                              const RunSpec &spec);

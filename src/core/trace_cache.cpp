@@ -247,24 +247,31 @@ TraceCache::TraceCache()
 {
 }
 
-TraceCache::Entry *
-TraceCache::entryFor(const std::string &key)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &slot = map_[key];
-    if (!slot)
-        slot = std::make_unique<Entry>();
-    return slot.get();
-}
-
 const CapturedTrace *
 TraceCache::fetchOrCapture(const std::string &key,
                            const CaptureFn &capture)
 {
     if (!enabled())
         return nullptr;
-    Entry *e = entryFor(key);
+    Entry *e = nullptr;
+    bool retainedAtLookup = false;
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        auto &slot = map_[key];
+        if (!slot)
+            slot = std::make_unique<Entry>();
+        e = slot.get();
+        // Read under m_ as find() does: once set, the trace is final
+        // and call_once has no capture left to wait for.
+        retainedAtLookup = e->retained;
+    }
     bool captured = false;
+    // A fetch that may wait in call_once, on its own capture or on
+    // another worker's, runs inside a Wall span so the wait shows up
+    // by name; hits on retained entries stay span-free.
+    std::optional<obs::TraceSpan> fetch;
+    if (!retainedAtLookup)
+        fetch.emplace("trace_cache.fetch", obs::TraceClass::Wall);
     // The expensive capture runs outside the map mutex: concurrent
     // first calls on *this* key serialize on the once_flag; other keys
     // capture in parallel (referenceThresholds() pattern).
@@ -295,6 +302,10 @@ TraceCache::fetchOrCapture(const std::string &key,
         TraceStore::instance().save(key, e->trace);
         retain(e);
     });
+    if (fetch) {
+        fetch->arg("captured", uint64_t{captured});
+        fetch.reset();
+    }
     if (!captured) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         if (e->retained) {

@@ -189,7 +189,10 @@ class TraceCache
      * Returns nullptr when the cache is disabled, or when the capture
      * exceeded the byte budget and the caller was not the capturing
      * thread (the capturer still learns its own result; see
-     * runWorkload in experiments.cpp).
+     * runWorkload in experiments.cpp). A call that finds the entry
+     * not yet retained runs call_once inside a Wall span
+     * `trace_cache.fetch` (arg `captured`: 1 on the capturing call),
+     * so time spent waiting on another worker's capture is named.
      */
     const CapturedTrace *fetchOrCapture(const std::string &key,
                                         const CaptureFn &capture);
@@ -246,7 +249,6 @@ class TraceCache
         bool retained = false;
     };
 
-    Entry *entryFor(const std::string &key);
     /** Charge e->trace to the byte budget; drop it when over. */
     void retain(Entry *e);
 

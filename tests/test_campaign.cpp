@@ -4,8 +4,9 @@
  * (thread count never changes results or JSONL bytes), the
  * thread-safety of the shared experiment caches (single solver
  * invocation per key under concurrent first calls), per-run seed
- * derivation, CLI parsing, and a committed golden-trace regression
- * that pins the stressmark mini-campaign byte-for-byte.
+ * derivation, capture-first dispatch order, CLI parsing, and a
+ * committed golden-trace regression that pins the stressmark
+ * mini-campaign byte-for-byte.
  *
  * Run the `campaign` ctest label under TSan via
  *   cmake -B build-tsan -DVGUARD_SANITIZE=thread
@@ -23,6 +24,9 @@
 
 #include "core/campaign.hpp"
 #include "core/experiments.hpp"
+#include "core/trace_cache.hpp"
+#include "obs/tracing.hpp"
+#include "util/json_parse.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
 #include "workloads/spec_proxy.hpp"
@@ -332,6 +336,69 @@ TEST(Campaign, ForEachPropagatesExceptions)
                              throw std::runtime_error("job 37");
                      }),
                  std::runtime_error);
+}
+
+TEST(Campaign, CaptureLeadersDispatchFirst)
+{
+    // Three programs x three scales share one trace key per program;
+    // a closed-loop swim job sits ahead of swim's open-loop jobs.
+    std::vector<CampaignJob> jobs;
+    for (const std::string name : {"gzip", "swim", "mcf"}) {
+        const isa::Program prog = workloads::buildSpecProxy(name);
+        RunSpec rs;
+        rs.controllerEnabled = false;
+        rs.maxCycles = 3000;
+        if (name == "swim") {
+            RunSpec ctl = rs;
+            ctl.controllerEnabled = true;
+            ctl.delayCycles = 2;
+            jobs.push_back({"swim-ctl", prog, ctl, false});
+        }
+        for (const int pct : {100, 200, 300}) {
+            rs.impedanceScale = pct / 100.0;
+            jobs.push_back({name + "@" + std::to_string(pct) + "%", prog,
+                            rs, false});
+        }
+    }
+
+    TraceCache::instance().setEnabled(true);
+    TraceCache::instance().clear();
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.enable();
+    CampaignEngine::Options o;
+    o.threads = 1;
+    CampaignEngine(o).run(jobs);
+    tracer.disable();
+    std::string err;
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(tracer.chromeJson(), doc, err)) << err;
+    tracer.reset();
+
+    // One thread runs the jobs in dispatch order. A run's spans close
+    // before its own campaign.run span, so a replay.sensed seen since
+    // the previous campaign.run belongs to the next one.
+    std::vector<size_t> order;
+    std::vector<size_t> sensedRuns;
+    bool sensed = false;
+    for (const JsonValue &ev : doc.find("traceEvents")->items) {
+        const std::string &name = ev.find("name")->str;
+        if (name == "replay.sensed")
+            sensed = true;
+        if (name != "campaign.run")
+            continue;
+        const size_t index = static_cast<size_t>(
+            ev.find("args")->find("index")->number);
+        order.push_back(index);
+        if (sensed)
+            sensedRuns.push_back(index);
+        sensed = false;
+    }
+    // Leaders (each key's first open-loop job: gzip@1, swim@1, mcf@1)
+    // first, then the rest, each in submission order.
+    EXPECT_EQ(order, (std::vector<size_t>{0, 4, 7, 1, 2, 3, 5, 6, 8, 9}));
+    // The closed-loop job runs after swim's capture, so it replays the
+    // cached trace through the sensor instead of a cold full loop.
+    EXPECT_EQ(sensedRuns, std::vector<size_t>{3});
 }
 
 // --------------------------------------------- cache thread-safety smoke

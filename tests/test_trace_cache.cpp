@@ -469,10 +469,7 @@ TEST(PassiveClosedLoop, LastCycleActFallsBackToFullLoop)
     RunSpec open = rs;
     open.controllerEnabled = false;
     runWorkload(prog, open);
-    ASSERT_NE(tc.find(traceKey(prog, referenceMachine().cpu,
-                               referenceMachine().power, rs.maxCycles,
-                               rs.maxInsts)),
-              nullptr);
+    ASSERT_NE(tc.find(openLoopKey(prog, rs)), nullptr);
 
     const VoltageSimResult warm = runWorkload(prog, rs);
     tc.setEnabled(false);
@@ -493,9 +490,8 @@ TEST(PassiveClosedLoop, ColdCacheMakesNoCaptures)
     const RunSpec rs = closedSpec(1, 0.0, ActuatorKind::Ideal, 2111);
     // Warm the shared experiment caches (thresholds, the virus trace)
     // so the counts below belong to the closed-loop run alone.
-    const VoltageSimConfig cfg = makeSimConfig(rs);
-    const std::string key = traceKey(prog, cfg.cpu, cfg.power,
-                                     rs.maxCycles, rs.maxInsts);
+    makeSimConfig(rs);
+    const std::string key = openLoopKey(prog, rs);
     ASSERT_EQ(tc.find(key), nullptr);
 
     const uint64_t captures = tc.captures();
