@@ -10,6 +10,7 @@
 #include "core/experiments.hpp"
 #include "core/threshold_solver.hpp"
 #include "cpu/core.hpp"
+#include "obs/tracing.hpp"
 #include "pdn/impulse.hpp"
 #include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
@@ -118,16 +119,17 @@ BM_CoupledVoltageSim(benchmark::State &state)
 }
 BENCHMARK(BM_CoupledVoltageSim);
 
-/** Same coupled step with phase profiling on — compare against
-    BM_CoupledVoltageSim to check the <=5 % overhead budget. */
+/** Same coupled step with the tracer on, so the sim samples its
+    phases — compare against BM_CoupledVoltageSim to check the <=5 %
+    overhead budget. */
 static void
 BM_CoupledVoltageSimProfiled(benchmark::State &state)
 {
-    RunSpec spec;
-    spec.profiling = true;
-    VoltageSim sim(makeSimConfig(spec), workloads::busyKernel());
+    obs::Tracer::instance().enable();
+    VoltageSim sim(makeSimConfig(RunSpec{}), workloads::busyKernel());
     for (auto _ : state)
         benchmark::DoNotOptimize(sim.step());
+    obs::Tracer::instance().disable();
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoupledVoltageSimProfiled);

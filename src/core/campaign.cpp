@@ -125,7 +125,7 @@ namespace {
 
 /**
  * Fill every aggregate field of @p out (totals, min/max V, IPC
- * distribution, merged histogram/stats/profile) from out.runs.
+ * distribution, merged histogram/stats) from out.runs.
  */
 void
 aggregateCampaignRuns(CampaignResult &out)
@@ -150,7 +150,6 @@ aggregateCampaignRuns(CampaignResult &out)
         out.ipc.add(rr.sim.ipc);
         out.mergedHist.merge(rr.sim.voltageHist);
         out.mergedStats.merge(rr.sim.stats);
-        out.profile.merge(rr.sim.profile);
     }
 }
 
@@ -180,10 +179,13 @@ captureFirstOrder(const std::vector<CampaignJob> &jobs)
 CampaignResult
 CampaignEngine::run(std::vector<CampaignJob> jobs) const
 {
-    // Whole-campaign wall time through the profiler's whitelisted
-    // wall-clock zone (vlint det-wallclock); feeds only the
-    // machine-dependent wallSeconds field, never the JSONL artifacts.
-    const obs::StopWatch wall;
+    // Whole-campaign wall time on the tracer's clock (vlint
+    // det-wallclock); feeds only the machine-dependent wallSeconds
+    // field and the progress line, never the JSONL artifacts.
+    const uint64_t t0 = obs::Tracer::now();
+    const auto seconds = [t0] {
+        return static_cast<double>(obs::Tracer::now() - t0) * 1e-9;
+    };
 
     CampaignResult out;
     out.campaignSeed = opts_.campaignSeed;
@@ -201,8 +203,6 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
         rr.name = job.name;
         RunSpec spec = job.spec;
         spec.noiseSeed = deriveRunSeed(opts_.campaignSeed, i);
-        if (opts_.profiling)
-            spec.profiling = true;
         rr.spec = spec;
         {
             // Detached: which worker executes run i is scheduling;
@@ -226,7 +226,7 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
             // from concurrent workers never tear.
             const size_t done =
                 completed.fetch_add(1, std::memory_order_relaxed) + 1;
-            const double secs = wall.seconds();
+            const double secs = seconds();
             const double rate =
                 secs > 0.0 ? static_cast<double>(done) / secs : 0.0;
             const double etaS =
@@ -240,7 +240,7 @@ CampaignEngine::run(std::vector<CampaignJob> jobs) const
 
     aggregateCampaignRuns(out);
 
-    out.wallSeconds = wall.seconds();
+    out.wallSeconds = seconds();
     return out;
 }
 
@@ -402,7 +402,7 @@ CampaignResult::statsJson() const
     // machine/thread dependent; tooling comparing artifacts across
     // thread counts must only look at "campaign" and "stats".
     out += ",\"profile\":";
-    out += profile.json();
+    out += obs::Tracer::instance().profile().json();
     // Trace-cache counters live in the machine-dependent zone too:
     // the cache persists in-process across campaigns, so hit/capture
     // splits depend on what ran before in this process.
@@ -513,9 +513,6 @@ parseCampaignCli(int argc, char **argv)
             cli.statsJsonPath = takeValue("--stats-json");
             if (cli.statsJsonPath.empty())
                 fatal("--stats-json: missing value");
-            // The stats document carries the profile section, so
-            // asking for it turns phase profiling on.
-            cli.options.profiling = true;
         } else if (arg == "--events") {
             cli.eventsPath = takeValue("--events");
             if (cli.eventsPath.empty())
@@ -535,8 +532,10 @@ parseCampaignCli(int argc, char **argv)
         }
     }
     // Recording must cover the campaign itself, so the tracer turns
-    // on here — at CLI-parse time, before any job runs.
-    if (!cli.tracePath.empty() || !cli.traceCanonicalPath.empty())
+    // on here — at CLI-parse time, before any job runs. The stats
+    // document carries the tracer's phase profile.
+    if (!cli.tracePath.empty() || !cli.traceCanonicalPath.empty() ||
+        !cli.statsJsonPath.empty())
         obs::Tracer::instance().enable();
     return cli;
 }

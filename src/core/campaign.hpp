@@ -43,7 +43,6 @@
 #include "core/experiments.hpp"
 #include "isa/program.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "util/stats.hpp"
 
 namespace vguard::core {
@@ -92,8 +91,6 @@ struct CampaignResult
      * any thread count.
      */
     obs::Snapshot mergedStats;
-    /** Summed wall-clock phase profile (nondeterministic). */
-    obs::ProfileData profile;
 
     /** Wall-clock measurement; informational only — deliberately NOT
         part of the JSONL artifact, which must be thread-count
@@ -111,9 +108,10 @@ struct CampaignResult
 
     /**
      * The --stats-json document: {"campaign": summary, "stats":
-     * mergedStats nested by dotted group, "profile": phases,
-     * "wall_seconds": t}. Everything except "profile"/"wall_seconds"
-     * is byte-deterministic for any thread count (DESIGN.md §6).
+     * mergedStats nested by dotted group, "profile": the tracer's
+     * phase profile, "wall_seconds": t}. Everything except
+     * "profile"/"wall_seconds" is byte-deterministic for any thread
+     * count (DESIGN.md §6).
      */
     std::string statsJson() const;
 
@@ -135,11 +133,6 @@ class CampaignEngine
         unsigned threads = 0;
         /** Root seed for per-run noise-seed derivation. */
         uint64_t campaignSeed = 0x5e11507;
-        /**
-         * Force RunSpec::profiling on for every job (wall-clock phase
-         * sampling; results untouched). Set by --stats-json.
-         */
-        bool profiling = false;
         /** Print a progress line as each run completes (--progress).
             Completion order is nondeterministic; artifacts are not. */
         bool progress = false;
@@ -187,10 +180,11 @@ struct CampaignCli
 
 /**
  * Parse the shared campaign flags out of argv: `--threads N`,
- * `--seed S`, `--jsonl FILE`, `--stats-json FILE` (implies
- * profiling), `--events FILE`, `--trace FILE` (Chrome trace-event
- * JSON; enables the obs::Tracer), `--trace-canonical FILE` (the
- * wall-clock-stripped canonical form; also enables the tracer),
+ * `--seed S`, `--jsonl FILE`, `--stats-json FILE` (enables the
+ * obs::Tracer, whose phase profile the document carries), `--events
+ * FILE`, `--trace FILE` (Chrome trace-event JSON; enables the
+ * tracer), `--trace-canonical FILE` (the wall-clock-stripped
+ * canonical form; also enables the tracer),
  * `--progress` (also `--flag=value` forms). Unknown arguments are
  * returned as positionals in order; malformed values are fatal().
  * Shared by the bench binaries and examples so every sweep exposes

@@ -235,7 +235,6 @@ makeSimConfig(const RunSpec &spec)
     cfg.power = m.power;
     cfg.package = referencePackage(spec.impedanceScale);
     cfg.actuator = spec.actuator;
-    cfg.profiling = spec.profiling;
     if (spec.controllerEnabled) {
         const Thresholds &th = referenceThresholds(
             spec.impedanceScale, spec.delayCycles, spec.sensorError);

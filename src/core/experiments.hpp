@@ -89,12 +89,6 @@ struct RunSpec
      * share a noise stream (see campaign.hpp and EXPERIMENTS.md).
      */
     uint64_t noiseSeed = 0x5e11507;
-    /**
-     * Collect sampled wall-clock phase profiles (obs/profile). Only
-     * affects the nondeterministic profile section of --stats-json,
-     * never simulation results.
-     */
-    bool profiling = false;
 };
 
 /**

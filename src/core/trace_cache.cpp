@@ -12,6 +12,14 @@ namespace vguard::core {
 
 namespace {
 
+/**
+ * What one spliced front-end stats entry costs besides its strings. A
+ * constant, not sizeof(obs::SnapshotEntry): a trace's byte count is a
+ * canonical-trace arg (tests/golden/mini_trace.jsonl), so it must not
+ * move with the record's layout or the standard library's string size.
+ */
+constexpr size_t kStatsEntryBytes = 104;
+
 // The key is an in-process map key only (never persisted), so native
 // endianness/width via memcpy is fine; what matters is that distinct
 // configurations produce distinct byte strings. Fields are appended
@@ -138,7 +146,7 @@ CapturedTrace::bytes() const
     size_t b = cycles() * sizeof(double);
     b += cycles() * sizeof(obs::ActivityRow);
     for (const auto &e : frontEnd.entries())
-        b += sizeof(e) + e.name.size() + e.desc.size();
+        b += kStatsEntryBytes + e.name.size() + e.desc.size();
     return b;
 }
 

@@ -23,7 +23,7 @@ namespace vguard::core {
 namespace {
 
 constexpr char kMagic[8] = {'V', 'G', 'T', 'R', 'S', 'T', '0', '1'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderBytes = 64;
 constexpr size_t kActivityEntryBytes = sizeof(obs::ActivityRow);
 
@@ -186,8 +186,7 @@ makeDirs(const std::string &path)
 
 /**
  * Serialize a stats snapshot to the store's blob format (count, then
- * per entry: name/desc, kind, merge rule, values, optional dense
- * histogram).
+ * per entry: name/desc, kind, merge rule, values).
  */
 std::string
 encodeSnapshot(const obs::Snapshot &snap)
@@ -201,17 +200,6 @@ encodeSnapshot(const obs::Snapshot &snap)
         putU8(out, static_cast<uint8_t>(e.rule));
         putU64(out, e.u);
         putF64(out, e.d);
-        putU8(out, e.hist ? 1 : 0);
-        if (e.hist) {
-            putF64(out, e.hist->lo());
-            putF64(out, e.hist->hi());
-            putU64(out, e.hist->bins());
-            for (size_t i = 0; i < e.hist->bins(); ++i)
-                putU64(out, e.hist->count(i));
-            putU64(out, e.hist->underflow());
-            putU64(out, e.hist->overflow());
-            putU64(out, e.hist->total());
-        }
     }
     return out;
 }
@@ -228,37 +216,13 @@ decodeSnapshot(const char *data, size_t size, obs::Snapshot &out)
         e.desc = r.str();
         const uint8_t kind = r.u8();
         const uint8_t rule = r.u8();
-        if (kind > uint8_t(obs::SnapshotEntry::Kind::Hist) ||
+        if (kind > uint8_t(obs::SnapshotEntry::Kind::Gauge) ||
             rule > uint8_t(obs::MergeRule::Last))
             return false;
         e.kind = static_cast<obs::SnapshotEntry::Kind>(kind);
         e.rule = static_cast<obs::MergeRule>(rule);
         e.u = r.u64();
         e.d = r.f64();
-        if (r.u8() != 0) {
-            const double lo = r.f64();
-            const double hi = r.f64();
-            const uint64_t bins = r.u64();
-            // Histogram's own constructor invariants, checked here so
-            // a corrupt blob rejects instead of fatal()ing; the size
-            // bound keeps a corrupt count from a giant allocation.
-            if (!r.ok() || !(hi > lo) || bins == 0 ||
-                bins > size / sizeof(uint64_t))
-                return false;
-            std::vector<uint64_t> counts(bins);
-            uint64_t sum = 0;
-            for (uint64_t b = 0; b < bins; ++b) {
-                counts[b] = r.u64();
-                sum += counts[b];
-            }
-            const uint64_t under = r.u64();
-            const uint64_t over = r.u64();
-            const uint64_t total = r.u64();
-            if (!r.ok() || sum + under + over != total)
-                return false;
-            e.hist = std::make_shared<const Histogram>(Histogram::restore(
-                lo, hi, std::move(counts), under, over, total));
-        }
         if (!r.ok())
             return false;
         out.upsertEntry(std::move(e));

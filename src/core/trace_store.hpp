@@ -21,7 +21,7 @@
  * hash and is recaptured):
  *
  *   byte 0   char[8]  magic "VGTRST01"
- *   byte 8   u32      version (1)
+ *   byte 8   u32      version (2)
  *   byte 12  u32      reserved (0)
  *   byte 16  u64      keyBytes
  *   byte 24  u64      cycles

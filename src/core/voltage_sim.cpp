@@ -15,7 +15,7 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
             cfg.histBins),
       tracker_(life_.vLo(), life_.vHi(), obs::kFingerprintWindow,
                obs::kMaxEvents),
-      profiling_(cfg.profiling)
+      sampling_(obs::Tracer::instance().enabled())
 {
     // Paper regulator convention: the die sits at nominal voltage when
     // the processor draws its minimum (fully gated) current.
@@ -62,36 +62,44 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
                            obs::MergeRule::Max);
 }
 
+VoltageSim::~VoltageSim()
+{
+    // Every cycle this sim ran counts, whatever result its caller
+    // kept (an abandoned sensed replay too).
+    if (sampling_)
+        obs::Tracer::instance().addCycles(cycle_, sampledCycles_);
+}
+
 TraceSample
 VoltageSim::step()
 {
-    // Sampled profiling: p is nullptr on unsampled cycles (and always
-    // when profiling is off), making every ScopedTimer below trivial.
-    obs::Profiler *p =
-        profiling_ ? profiler_.beginCycle(cycle_) : nullptr;
-    lastProf_ = p;
+    // While sampling, time 1 cycle in 64; every other cycle's timers
+    // are inert.
+    timed_ = sampling_ && cycle_ % obs::Tracer::kSampleEvery == 0;
+    if (timed_)
+        ++sampledCycles_;
 
     const cpu::ActivityVector *av;
     {
-        obs::ScopedTimer t(p, obs::Phase::CpuStep);
+        obs::PhaseTimer t(timed_, obs::Phase::CpuStep);
         av = &core_.cycle();
     }
     lastAv_ = av;
 
     double amps;
     {
-        obs::ScopedTimer t(p, obs::Phase::Power);
+        obs::PhaseTimer t(timed_, obs::Phase::Power);
         amps = power_.current(*av);
     }
 
     double volts;
     {
-        obs::ScopedTimer t(p, obs::Phase::Pdn);
+        obs::PhaseTimer t(timed_, obs::Phase::Pdn);
         volts = pdn_.step(amps);
     }
 
     if (controller_) {
-        obs::ScopedTimer t(p, obs::Phase::Control);
+        obs::PhaseTimer t(timed_, obs::Phase::Control);
         controller_->step(volts, core_);
     }
 
@@ -127,7 +135,7 @@ VoltageSim::runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
            core_.stats().committed < maxInsts) {
         const TraceSample s = step();
 
-        obs::ScopedTimer t(lastProf_, obs::Phase::Events);
+        obs::PhaseTimer t(timed_, obs::Phase::Events);
         obs::EmergencyTracker::ControlState ctrl;
         if (controller_) {
             ctrl.sensorLevel =
@@ -149,16 +157,22 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
     ampsBuf_.resize(kBlockCycles);
     voltsBuf_.resize(kBlockCycles);
     rowBuf_.resize(kBlockCycles);
-    obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
 
     while (res.cycles < maxCycles && !core_.halted() &&
            core_.stats().committed < maxInsts) {
+        // Decided on the block's length before the gather, which may
+        // end it early if the core halts or maxInsts binds.
+        const bool timed =
+            sampling_ &&
+            obs::Tracer::sampleBlock(
+                std::min<uint64_t>(kBlockCycles, maxCycles - res.cycles),
+                kBlockCycles);
         // Gather a block of activity vectors, re-checking the loop
         // bounds before every core cycle exactly like the per-cycle
         // path (the limits may bind mid-block).
         size_t n = 0;
         {
-            obs::ScopedTimer t(p, obs::Phase::CpuStep);
+            obs::PhaseTimer t(timed, obs::Phase::CpuStep);
             while (n < kBlockCycles && res.cycles + n < maxCycles &&
                    !core_.halted() &&
                    core_.stats().committed < maxInsts) {
@@ -170,15 +184,15 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
             break;
 
         {
-            obs::ScopedTimer t(p, obs::Phase::Power);
+            obs::PhaseTimer t(timed, obs::Phase::Power);
             power_.currentBlock(avBuf_.data(), n, ampsBuf_.data());
         }
         {
-            obs::ScopedTimer t(p, obs::Phase::Pdn);
+            obs::PhaseTimer t(timed, obs::Phase::Pdn);
             pdn_.stepMany(ampsBuf_.data(), n, voltsBuf_.data());
         }
         {
-            obs::ScopedTimer t(p, obs::Phase::Events);
+            obs::PhaseTimer t(timed, obs::Phase::Events);
             for (size_t k = 0; k < n; ++k)
                 rowBuf_[k] = obs::fpChannelCounts(avBuf_[k]);
             // Without a controller nothing gates or phantom-fires, so
@@ -196,8 +210,8 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
                                          rowBuf_.begin() + n);
             }
         }
-        if (p)
-            p->countBlock(n);
+        if (timed)
+            sampledCycles_ += n;
     }
 }
 
@@ -207,7 +221,6 @@ VoltageSim::beginRun(obs::Snapshot &before)
     // Per-run observability windows: events restart fresh; registry
     // counters are cumulative, so diff a snapshot taken here.
     tracker_.clear();
-    profiler_.clear();
     before = registry_.snapshot();
     return VoltageSimResult(cfg_.package.vNominal, cfg_.band, cfg_.histLo,
                             cfg_.histHi, cfg_.histBins);
@@ -229,7 +242,6 @@ VoltageSim::finishRun(VoltageSimResult &res, const obs::Snapshot &before,
         res.cycles ? res.energyJ / (res.cycles * dt) : 0.0;
     res.stats = registry_.snapshot().diff(before);
     res.events = tracker_.log();
-    res.profile = profiler_.data();
 }
 
 VoltageSimResult
@@ -331,7 +343,6 @@ VoltageSim::replayBlocks(const CapturedTrace &trace, size_t blockCycles,
 {
     // vlint: allow(alloc-hot) block scratch sized once per replay
     voltsBuf_.resize(blockCycles);
-    obs::Profiler *p = profiling_ ? &profiler_ : nullptr;
 
     // A passive closed loop records what runClosedLoop would: level
     // Normal, this cycle's reading, no gating, no phantom firing.
@@ -344,12 +355,14 @@ VoltageSim::replayBlocks(const CapturedTrace &trace, size_t blockCycles,
         const size_t n = std::min(blockCycles, total - done);
         const double *amps = trace.ampsData() + done;
         const obs::ActivityRow *rows = trace.activityData() + done;
+        const bool timed =
+            sampling_ && obs::Tracer::sampleBlock(n, blockCycles);
         {
-            obs::ScopedTimer t(p, obs::Phase::Pdn);
+            obs::PhaseTimer t(timed, obs::Phase::Pdn);
             pdn_.stepMany(amps, n, voltsBuf_.data());
         }
         {
-            obs::ScopedTimer t(p, obs::Phase::Events);
+            obs::PhaseTimer t(timed, obs::Phase::Events);
             if (!controller_) {
                 account(cycle_, amps, voltsBuf_.data(), rows, n, {},
                         res);
@@ -368,8 +381,8 @@ VoltageSim::replayBlocks(const CapturedTrace &trace, size_t blockCycles,
             }
             cycle_ += n;
         }
-        if (p)
-            p->countBlock(n);
+        if (timed)
+            sampledCycles_ += n;
         done += n;
     }
     return done;

@@ -29,6 +29,10 @@
  *
  * All loops share one accountant (energy, core::RailTally and the
  * emergency-episode tracker) and one begin/finish per run.
+ *
+ * A sim built while the obs::Tracer is on also times its phases into
+ * the tracer's profile: 1 cycle in 64 of the per-cycle loop, 1 block
+ * in 64 of the batched paths (obs/tracing.hpp).
  */
 
 #ifndef VGUARD_CORE_VOLTAGE_SIM_HPP
@@ -42,7 +46,6 @@
 #include "cpu/core.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "pdn/pdn_sim.hpp"
 #include "power/wattch.hpp"
 
@@ -66,9 +69,6 @@ struct VoltageSimConfig
     double histLo = 0.90;
     double histHi = 1.10;
     size_t histBins = 80;
-
-    /** Enable sampled wall-clock phase profiling (see obs/profile). */
-    bool profiling = false;
 };
 
 /** Results of a run: the rail tally plus the core-side outcome. */
@@ -89,9 +89,6 @@ struct VoltageSimResult : RailTally
     obs::Snapshot stats;
     /** Emergency episodes of this run, each with its fingerprint. */
     obs::EventLog events;
-    /** Sampled wall-clock phases (empty unless profiling enabled);
-        nondeterministic — never part of deterministic artifacts. */
-    obs::ProfileData profile;
 
     double
     emergencyFrequency() const
@@ -116,6 +113,8 @@ class VoltageSim
 {
   public:
     VoltageSim(const VoltageSimConfig &cfg, isa::Program program);
+    /** Adds every cycle it ran to the tracer's profile when sampling. */
+    ~VoltageSim();
 
     // The stats registry binds callbacks to component addresses, so
     // the sim must stay put.
@@ -177,7 +176,7 @@ class VoltageSim
     /** Open a run: fresh result and event window, stats baseline. */
     VoltageSimResult beginRun(obs::Snapshot &before);
     /** Close a run: fold it into the lifetime tally, derive rates and
-        take the run's stats, events and profile. */
+        take the run's stats and events. */
     void finishRun(VoltageSimResult &res, const obs::Snapshot &before,
                    uint64_t committed);
     /** The original per-cycle loop (controller in the loop). */
@@ -218,15 +217,18 @@ class VoltageSim
     RailTally life_;
 
     // Observability: registry over all components, per-run emergency
-    // episode tracker, sampled phase profiler.
+    // episode tracker.
     obs::Registry registry_;
     obs::EmergencyTracker tracker_;
-    obs::Profiler profiler_;
-    bool profiling_ = false;
-    /** This cycle's activity / sampled-profiler handle (set by
-        step(), consumed by run()'s event tracking). */
+    /** The tracer was on at construction. Read once, so with the
+        tracer off no cycle reads it or calls into it. */
+    bool sampling_ = false;
+    /** Cycles inside a timed cycle or block. */
+    uint64_t sampledCycles_ = 0;
+    /** This cycle's activity and whether it is timed (set by step(),
+        consumed by run()'s event tracking). */
     const cpu::ActivityVector *lastAv_ = nullptr;
-    obs::Profiler *lastProf_ = nullptr;
+    bool timed_ = false;
 
     /** Block scratch for the batched pipelines (sized once per run). */
     std::vector<cpu::ActivityVector> avBuf_;

@@ -2,45 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <limits>
 
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::obs {
-
-const char *
-mergeRuleName(MergeRule rule)
-{
-    switch (rule) {
-      case MergeRule::Sum:  return "sum";
-      case MergeRule::Min:  return "min";
-      case MergeRule::Max:  return "max";
-      case MergeRule::Last: return "last";
-    }
-    return "???";
-}
-
-Gauge::Gauge() : v_(std::numeric_limits<double>::quiet_NaN()) {}
-
-HistStat::HistStat(double lo, double hi, size_t bins) : h_(lo, hi, bins)
-{
-}
-
-void
-HistStat::add(double x)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    h_.add(x);
-}
-
-Histogram
-HistStat::get() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return h_;
-}
 
 // ------------------------------------------------------------- Registry
 
@@ -53,10 +19,7 @@ struct Registry::Entry
     MergeRule rule = MergeRule::Sum;
     SnapshotEntry::Kind kind = SnapshotEntry::Kind::Counter;
 
-    // Exactly one of these is active, per kind / binding style.
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<HistStat> hist;
+    // Exactly one of these is set, per kind.
     std::function<uint64_t()> counterFn;
     std::function<double()> gaugeFn;
 };
@@ -114,37 +77,6 @@ Registry::add(std::string name, std::string desc, MergeRule rule)
     return ref;
 }
 
-Counter &
-Registry::counter(std::string name, std::string desc, MergeRule rule)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Counter;
-    e.counter = std::make_unique<Counter>();
-    return *e.counter;
-}
-
-Gauge &
-Registry::gauge(std::string name, std::string desc, MergeRule rule)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Gauge;
-    e.gauge = std::make_unique<Gauge>();
-    return *e.gauge;
-}
-
-HistStat &
-Registry::histogram(std::string name, std::string desc, double lo,
-                    double hi, size_t bins)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), MergeRule::Sum);
-    e.kind = SnapshotEntry::Kind::Hist;
-    e.hist = std::make_unique<HistStat>(lo, hi, bins);
-    return *e.hist;
-}
-
 void
 Registry::derivedCounter(std::string name, std::string desc,
                          std::function<uint64_t()> fn, MergeRule rule)
@@ -187,13 +119,10 @@ Registry::snapshot() const
         out.rule = e->rule;
         switch (e->kind) {
           case SnapshotEntry::Kind::Counter:
-            out.u = e->counter ? e->counter->get() : e->counterFn();
+            out.u = e->counterFn();
             break;
           case SnapshotEntry::Kind::Gauge:
-            out.d = e->gauge ? e->gauge->get() : e->gaugeFn();
-            break;
-          case SnapshotEntry::Kind::Hist:
-            out.hist = std::make_shared<const Histogram>(e->hist->get());
+            out.d = e->gaugeFn();
             break;
         }
         s.entries_.push_back(std::move(out));
@@ -241,29 +170,6 @@ combineCounter(uint64_t mine, uint64_t theirs, MergeRule rule)
       case MergeRule::Last: return theirs;
     }
     return theirs;
-}
-
-void
-emitHist(JsonWriter &w, const Histogram &h)
-{
-    w.beginObject();
-    w.field("lo", h.lo());
-    w.field("hi", h.hi());
-    w.field("bins", static_cast<uint64_t>(h.bins()));
-    w.field("underflow", h.underflow());
-    w.field("overflow", h.overflow());
-    w.field("total", h.total());
-    w.key("counts").beginArray();
-    for (size_t i = 0; i < h.bins(); ++i) {
-        if (h.count(i) == 0)
-            continue;
-        w.beginArray()
-            .value(static_cast<uint64_t>(i))
-            .value(h.count(i))
-            .endArray();
-    }
-    w.endArray();
-    w.endObject();
 }
 
 std::vector<std::string_view>
@@ -348,18 +254,6 @@ Snapshot::setGauge(std::string name, double value, MergeRule rule,
 }
 
 void
-Snapshot::setHist(std::string name, Histogram hist, std::string desc)
-{
-    SnapshotEntry e;
-    e.name = std::move(name);
-    e.desc = std::move(desc);
-    e.kind = SnapshotEntry::Kind::Hist;
-    e.rule = MergeRule::Sum;
-    e.hist = std::make_shared<const Histogram>(std::move(hist));
-    upsert(std::move(e));
-}
-
-void
 Snapshot::merge(const Snapshot &other)
 {
     for (const SnapshotEntry &theirs : other.entries_) {
@@ -381,14 +275,6 @@ Snapshot::merge(const Snapshot &other)
           case SnapshotEntry::Kind::Gauge:
             mine.d = combineGauge(mine.d, theirs.d, mine.rule);
             break;
-          case SnapshotEntry::Kind::Hist: {
-            // Clone before merging: hist payloads are shared between
-            // snapshot copies.
-            Histogram h = *mine.hist;
-            h.merge(*theirs.hist);
-            mine.hist = std::make_shared<const Histogram>(std::move(h));
-            break;
-          }
         }
     }
 }
@@ -432,7 +318,6 @@ Snapshot::json() const
         switch (e.kind) {
           case SnapshotEntry::Kind::Counter: w.value(e.u); break;
           case SnapshotEntry::Kind::Gauge:   w.value(e.d); break;
-          case SnapshotEntry::Kind::Hist:    emitHist(w, *e.hist); break;
         }
     }
     while (!open.empty()) {
@@ -441,45 +326,6 @@ Snapshot::json() const
     }
     w.endObject();
     return w.take();
-}
-
-std::string
-Snapshot::table() const
-{
-    size_t nameWidth = 4;
-    for (const SnapshotEntry &e : entries_)
-        nameWidth = std::max(nameWidth, e.name.size());
-
-    std::string out;
-    char line[512];
-    for (const SnapshotEntry &e : entries_) {
-        std::string value;
-        switch (e.kind) {
-          case SnapshotEntry::Kind::Counter:
-            value = std::to_string(e.u);
-            break;
-          case SnapshotEntry::Kind::Gauge: {
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "%.6g", e.d);
-            value = buf;
-            break;
-          }
-          case SnapshotEntry::Kind::Hist: {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "hist[%zu] total=%llu", e.hist->bins(),
-                          static_cast<unsigned long long>(
-                              e.hist->total()));
-            value = buf;
-            break;
-          }
-        }
-        std::snprintf(line, sizeof(line), "%-*s  %16s  %s\n",
-                      static_cast<int>(nameWidth), e.name.c_str(),
-                      value.c_str(), e.desc.c_str());
-        out += line;
-    }
-    return out;
 }
 
 } // namespace vguard::obs

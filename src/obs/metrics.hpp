@@ -10,14 +10,12 @@
  * registry is the uniform, inspectable view: a Snapshot freezes every
  * value, snapshots diff/merge deterministically (submission order in
  * campaigns), and export as canonical JSON (one nested object per
- * dotted group) or a human-readable table.
+ * dotted group).
  *
- * Thread-safety: registration and snapshot are mutex-guarded, and
- * registry-owned counters/gauges are atomic, so a registry may be
- * shared across campaign workers. Derived (callback-bound) entries
- * read component members and are safe whenever the component itself
- * is — in this codebase each run owns its components, so derived
- * reads happen on the owning thread only.
+ * Thread-safety: registration and snapshot are mutex-guarded. Entries
+ * are callback-bound: they read component members and are safe
+ * whenever the component itself is — in this codebase each run owns
+ * its components, so reads happen on the owning thread only.
  *
  * Determinism: a Snapshot's entries are sorted by name and rendered
  * with the deterministic JsonWriter, so equal values always produce
@@ -29,7 +27,6 @@
 #ifndef VGUARD_OBS_METRICS_HPP
 #define VGUARD_OBS_METRICS_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -39,71 +36,22 @@
 #include <string_view>
 #include <vector>
 
-#include "util/stats.hpp"
-
 namespace vguard::obs {
 
 /** How a value combines when snapshots of parallel runs merge. */
 enum class MergeRule : uint8_t { Sum, Min, Max, Last };
 
-/** Printable merge-rule name (for table export). */
-const char *mergeRuleName(MergeRule rule);
-
-/** Registry-owned monotonic counter (atomic; relaxed). */
-class Counter
-{
-  public:
-    void inc(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-    void set(uint64_t n) { v_.store(n, std::memory_order_relaxed); }
-    uint64_t get() const { return v_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<uint64_t> v_{0};
-};
-
-/**
- * Registry-owned gauge. Starts as NaN ("no sample yet") — the JSON
- * export renders non-finite values as string sentinels, never invalid
- * tokens (see util/jsonl.cpp).
- */
-class Gauge
-{
-  public:
-    Gauge();
-    void set(double x) { v_.store(x, std::memory_order_relaxed); }
-    double get() const { return v_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> v_;
-};
-
-/** Registry-owned histogram (mutex-guarded add/merge). */
-class HistStat
-{
-  public:
-    HistStat(double lo, double hi, size_t bins);
-
-    void add(double x);
-    /** Copy of the current contents. */
-    Histogram get() const;
-
-  private:
-    mutable std::mutex m_;
-    Histogram h_;
-};
-
 /** One frozen stat value. */
 struct SnapshotEntry
 {
-    enum class Kind : uint8_t { Counter, Gauge, Hist };
+    enum class Kind : uint8_t { Counter, Gauge };
 
     std::string name;
     std::string desc;
     Kind kind = Kind::Counter;
     MergeRule rule = MergeRule::Sum;
-    uint64_t u = 0;                          ///< Kind::Counter
-    double d = 0.0;                          ///< Kind::Gauge
-    std::shared_ptr<const Histogram> hist;   ///< Kind::Hist
+    uint64_t u = 0;    ///< Kind::Counter
+    double d = 0.0;    ///< Kind::Gauge
 };
 
 /**
@@ -141,8 +89,6 @@ class Snapshot
     void setGauge(std::string name, double value,
                   MergeRule rule = MergeRule::Last,
                   std::string desc = "");
-    void setHist(std::string name, Histogram hist,
-                 std::string desc = "");
 
     /**
      * Merge @p other into this snapshot entry-by-entry using each
@@ -155,21 +101,16 @@ class Snapshot
 
     /**
      * Interval semantics: counters become `this - earlier` (clamped
-     * at 0); gauges and histograms keep this snapshot's value.
-     * Entries absent from @p earlier pass through unchanged.
+     * at 0); gauges keep this snapshot's value. Entries absent from
+     * @p earlier pass through unchanged.
      */
     Snapshot diff(const Snapshot &earlier) const;
 
     /**
      * Canonical JSON: one nested object per dotted group, keys in
-     * sorted order, deterministic bytes for equal values. Histograms
-     * render as {lo, hi, bins, underflow, overflow, total, counts}
-     * with sparse [bin, count] pairs.
+     * sorted order, deterministic bytes for equal values.
      */
     std::string json() const;
-
-    /** Human-readable aligned `name  value  description` table. */
-    std::string table() const;
 
   private:
     friend class Registry;
@@ -191,22 +132,11 @@ class Registry
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
-    /** Register an owned counter; fatal on duplicate/conflicting name. */
-    Counter &counter(std::string name, std::string desc,
-                     MergeRule rule = MergeRule::Sum);
-
-    /** Register an owned gauge (starts NaN until first set()). */
-    Gauge &gauge(std::string name, std::string desc,
-                 MergeRule rule = MergeRule::Last);
-
-    /** Register an owned histogram. */
-    HistStat &histogram(std::string name, std::string desc, double lo,
-                        double hi, size_t bins);
-
     /**
      * Bind a component-owned counter: @p fn is evaluated at snapshot
      * time (the gem5 pattern — members stay on the hot path, the
-     * registry is the reporting surface).
+     * registry is the reporting surface). Fatal on a duplicate or
+     * conflicting name.
      */
     void derivedCounter(std::string name, std::string desc,
                         std::function<uint64_t()> fn,

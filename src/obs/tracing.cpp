@@ -10,25 +10,31 @@ namespace vguard::obs {
 
 namespace {
 
-/** Monotonic now() in ns (whitelisted wall-clock zone, like
-    profile.hpp: values feed only the Chrome export, never the
-    canonical form or any deterministic artifact). */
-uint64_t
-nowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
+constexpr const char *kPhaseNames[kNumPhases] = {
+    "cpu_step", "power", "pdn", "control", "events",
+};
 
 // Thread-local buffer cache: each thread owns its slot outright, so
 // no synchronisation question arises. The epoch check invalidates the
 // cached pointer whenever the tracer drops its buffers.
 thread_local void *tlsBuf = nullptr;
 thread_local uint64_t tlsEpoch = 0;
+// Batched cycles this thread has offered to sampleBlock().
+thread_local uint64_t tlsBatchedCycles = 0;
 
 } // namespace
+
+uint64_t
+Tracer::now()
+{
+    // The whitelisted wall-clock zone (vlint det-wallclock): values
+    // feed only the Chrome export, the profile and wall_seconds,
+    // never the canonical form or any deterministic artifact.
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
 
 Tracer &
 Tracer::instance()
@@ -48,7 +54,7 @@ Tracer::enable(size_t perThreadCapacity)
     capacity_ = perThreadCapacity > 0 ? perThreadCapacity : 1;
     buffers_.clear();
     epoch_.fetch_add(1, std::memory_order_relaxed);
-    t0_ = nowNs();
+    t0_ = now();
     enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -73,7 +79,7 @@ Tracer::reset()
     std::lock_guard<std::mutex> lock(m_);
     buffers_.clear();
     epoch_.fetch_add(1, std::memory_order_relaxed);
-    t0_ = nowNs();
+    t0_ = now();
 }
 
 uint32_t
@@ -97,7 +103,8 @@ Tracer::threadBuf()
         return static_cast<ThreadBuf *>(tlsBuf);
     std::lock_guard<std::mutex> lock(m_);
     auto buf = std::make_unique<ThreadBuf>();
-    buf->events.resize(capacity_);
+    // Reserved, not filled: untouched pages cost no memory.
+    buf->events.reserve(capacity_);
     ThreadBuf *raw = buf.get();
     buffers_.push_back(std::move(buf));
     tlsBuf = raw;
@@ -109,9 +116,9 @@ TraceEvent *
 Tracer::slot(ThreadBuf *&buf)
 {
     buf = threadBuf();
-    if (buf->count >= buf->events.size())
+    if (buf->events.size() == buf->events.capacity())
         return nullptr;
-    return &buf->events[buf->count++];
+    return &buf->events.emplace_back();
 }
 
 TraceEvent *
@@ -126,12 +133,11 @@ Tracer::beginSpan(uint32_t name, TraceClass cls, bool detached)
                                   : buf->droppedWall);
         return nullptr;
     }
-    *ev = TraceEvent{};
     ev->type = TraceEvent::Type::Begin;
     ev->cls = cls;
     ev->detached = detached;
     ev->name = name;
-    ev->ts = nowNs() - t0_;
+    ev->ts = now() - t0_;
     return ev;
 }
 
@@ -147,10 +153,9 @@ Tracer::endSpan(TraceClass cls)
                                   : buf->droppedWall);
         return;
     }
-    *ev = TraceEvent{};
     ev->type = TraceEvent::Type::End;
     ev->cls = cls;
-    ev->ts = nowNs() - t0_;
+    ev->ts = now() - t0_;
 }
 
 TraceEvent *
@@ -165,12 +170,11 @@ Tracer::instant(uint32_t name, TraceClass cls, bool detached)
                                   : buf->droppedWall);
         return nullptr;
     }
-    *ev = TraceEvent{};
     ev->type = TraceEvent::Type::Instant;
     ev->cls = cls;
     ev->detached = detached;
     ev->name = name;
-    ev->ts = nowNs() - t0_;
+    ev->ts = now() - t0_;
     return ev;
 }
 
@@ -185,12 +189,82 @@ Tracer::counter(uint32_t name, double value)
         ++buf->droppedWall;
         return;
     }
-    *ev = TraceEvent{};
     ev->type = TraceEvent::Type::Counter;
     ev->cls = TraceClass::Wall;
     ev->name = name;
-    ev->ts = nowNs() - t0_;
+    ev->ts = now() - t0_;
     ev->value = value;
+}
+
+bool
+Tracer::sampleBlock(uint64_t n, uint64_t blockCycles)
+{
+    // Counted from half a span, so a thread's first timed block is its
+    // 32nd, and a pool thread that runs a few spans' worth rounds to
+    // its share of samples instead of truncating.
+    const uint64_t span = kSampleEvery * blockCycles;
+    const uint64_t before = tlsBatchedCycles + span / 2;
+    tlsBatchedCycles += n;
+    return before / span != (before + n) / span;
+}
+
+void
+Tracer::addPhase(Phase phase, uint64_t ns)
+{
+    PhaseProfile &p = threadBuf()->phases;
+    p.ns[size_t(phase)] += ns;
+    ++p.samples[size_t(phase)];
+}
+
+void
+Tracer::addCycles(uint64_t total, uint64_t sampled)
+{
+    PhaseProfile &p = threadBuf()->phases;
+    p.cyclesTotal += total;
+    p.cyclesSampled += sampled;
+}
+
+PhaseProfile
+Tracer::profile() const
+{
+    std::lock_guard<std::mutex> lock(m_);
+    PhaseProfile sum;
+    for (const auto &buf : buffers_) {
+        const PhaseProfile &p = buf->phases;
+        for (size_t i = 0; i < kNumPhases; ++i) {
+            sum.ns[i] += p.ns[i];
+            sum.samples[i] += p.samples[i];
+        }
+        sum.cyclesTotal += p.cyclesTotal;
+        sum.cyclesSampled += p.cyclesSampled;
+    }
+    return sum;
+}
+
+std::string
+PhaseProfile::json() const
+{
+    uint64_t totalNs = 0;
+    for (uint64_t n : ns)
+        totalNs += n;
+
+    JsonWriter w;
+    w.beginObject();
+    w.field("cycles_total", cyclesTotal);
+    w.field("cycles_sampled", cyclesSampled);
+    w.key("phases").beginObject();
+    for (size_t i = 0; i < kNumPhases; ++i) {
+        w.key(kPhaseNames[i]).beginObject();
+        w.field("ns", ns[i]);
+        w.field("samples", samples[i]);
+        w.field("share", totalNs
+                             ? double(ns[i]) / double(totalNs)
+                             : 0.0);
+        w.endObject();
+    }
+    w.endObject();
+    w.endObject();
+    return w.take();
 }
 
 Tracer::Stats
@@ -200,7 +274,7 @@ Tracer::stats() const
     Stats s;
     s.threads = buffers_.size();
     for (const auto &buf : buffers_) {
-        s.events += buf->count;
+        s.events += buf->events.size();
         s.droppedDet += buf->droppedDet;
         s.droppedWall += buf->droppedWall;
     }
@@ -322,7 +396,7 @@ Tracer::chromeJson() const
             w.endObject();
             emit(w);
         };
-        for (size_t i = 0; i < buf.count; ++i) {
+        for (size_t i = 0; i < buf.events.size(); ++i) {
             const TraceEvent &ev = buf.events[i];
             lastTs = std::max(lastTs, ev.ts);
             switch (ev.type) {
@@ -440,7 +514,7 @@ Tracer::canonicalJsonl() const
             else
                 pool[stack.back()].children.push_back(node);
         };
-        for (size_t i = 0; i < buf.count; ++i) {
+        for (size_t i = 0; i < buf.events.size(); ++i) {
             const TraceEvent &ev = buf.events[i];
             if (ev.cls != TraceClass::Det)
                 continue;  // Wall events never shape the canon

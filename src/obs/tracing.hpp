@@ -11,13 +11,15 @@
  * points (magic-trace-style always-on ring recording, gem5's
  * stats/trace split):
  *
- *  - allocation-bounded: each thread records into a pre-sized buffer
- *    owned by the tracer (so it outlives the pool threads campaigns
- *    spawn per run). A full buffer stops recording and counts drops —
- *    it never wraps, so the *prefix* of every stream stays exact;
+ *  - allocation-bounded: each thread records into a buffer owned by
+ *    the tracer (so it outlives the pool threads campaigns spawn per
+ *    run), reserved to a fixed capacity and appended to, so it costs
+ *    memory only as it fills. A full buffer stops recording and
+ *    counts drops — it never wraps or grows, so the *prefix* of every
+ *    stream stays exact;
  *  - cheap: a disabled tracer costs one relaxed atomic load per
- *    record site; an enabled span is two steady_clock reads and a
- *    buffer slot write. Interned name ids keep records fixed-size;
+ *    record site; an enabled span is two clock reads and a buffer
+ *    append. Interned name ids keep records fixed-size;
  *  - two determinism classes. TraceClass::Det events describe *what
  *    the run computed* (campaign runs, solver solves/probes, cache
  *    captures) and appear in the canonical export; TraceClass::Wall
@@ -36,6 +38,14 @@
  * across thread counts whenever droppedDet() == 0 — goldenable like
  * the campaign JSONL (DESIGN.md §6).
  *
+ * Phase profile: the same switch samples the wall time of the coupled
+ * simulation's phases (paper Fig. 7: core, power, PDN, control, event
+ * bookkeeping). A VoltageSim built while the tracer is on times 1
+ * cycle in 64 of its per-cycle loop and 1 block in 64 of its batched
+ * paths into its thread's totals; profile() sums them for the
+ * `--stats-json` profile section. The tracer's clock, now(), is the
+ * only wall-clock read in src/ (vlint det-wallclock).
+ *
  * Thread contract: recording is lock-free per thread and safe from
  * any number of threads; enable/disable/reset and the exports must
  * run while no other thread is recording (campaigns join their pool
@@ -45,6 +55,7 @@
 #ifndef VGUARD_OBS_TRACING_HPP
 #define VGUARD_OBS_TRACING_HPP
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -94,7 +105,31 @@ struct TraceEvent
     TraceArg args[kMaxTraceArgs];
 };
 
-/** Process-wide tracer. All methods are no-ops until enable(). */
+/** The timed phases of one coupled-simulation cycle. */
+enum class Phase : uint8_t {
+    CpuStep,  ///< OoOCore::cycle()
+    Power,    ///< WattchModel::current() / currentBlock()
+    Pdn,      ///< PDN state-space step
+    Control,  ///< sensor observe + controller/actuator apply
+    Events,   ///< emergency tracking + activity window
+};
+
+constexpr size_t kNumPhases = 5;
+
+/** Sampled phase totals; wall-clock, so never a deterministic artifact. */
+struct PhaseProfile
+{
+    std::array<uint64_t, kNumPhases> ns{};       ///< timed wall time
+    std::array<uint64_t, kNumPhases> samples{};  ///< timed intervals
+    uint64_t cyclesTotal = 0;    ///< cycles simulated while tracing
+    uint64_t cyclesSampled = 0;  ///< cycles inside a timed interval
+
+    /** The --stats-json profile section: cycle counts, then per phase
+        {ns, samples, share of all timed ns}. */
+    std::string json() const;
+};
+
+/** Process-wide tracer. Records nothing until enable(). */
 class Tracer
 {
   public:
@@ -104,9 +139,10 @@ class Tracer
     static constexpr size_t kDefaultCapacity = size_t{1} << 15;
 
     /**
-     * Start recording. @p perThreadCapacity bounds every thread's
-     * buffer; a full buffer drops (and counts) instead of wrapping.
-     * Existing buffers are dropped (fresh recording epoch).
+     * Start recording spans and sampling phases. @p perThreadCapacity
+     * bounds every thread's buffer; a full buffer drops (and counts)
+     * instead of wrapping. Existing buffers and phase totals are
+     * dropped (fresh recording epoch).
      */
     void enable(size_t perThreadCapacity = kDefaultCapacity);
 
@@ -130,9 +166,10 @@ class Tracer
     }
 
     /**
-     * Drop every buffer and dropped-counter (test isolation). Interned
-     * names survive — ids cached in call-site statics stay valid.
-     * Caller must guarantee no concurrent recording.
+     * Drop every buffer, dropped-counter and phase total (test
+     * isolation). Interned names survive — ids cached in call-site
+     * statics stay valid. Caller must guarantee no concurrent
+     * recording.
      */
     void reset();
 
@@ -142,6 +179,34 @@ class Tracer
      * exports key on the *name string*, never the id.
      */
     uint32_t intern(std::string_view name);
+
+    // ----------------------------------------------- phase profile
+
+    /** Monotonic clock [ns]: the one wall-clock read in src/. */
+    static uint64_t now();
+
+    /** Phase sampling times 1 cycle or full block in this many. */
+    static constexpr uint64_t kSampleEvery = 64;
+
+    /**
+     * Whether the calling thread times its next batched block: @p n
+     * cycles of a loop that steps @p blockCycles at a time. A thread
+     * times the blocks that cross a multiple of kSampleEvery x
+     * blockCycles in its running count of batched cycles: 1 full block
+     * in 64, and partial ones in proportion. The count runs on across
+     * runs, so a short run is neither timed only at its cold first
+     * block nor, like its equal-length siblings, always at one block.
+     */
+    static bool sampleBlock(uint64_t n, uint64_t blockCycles);
+
+    /** Add one timed interval of @p phase to this thread's totals. */
+    void addPhase(Phase phase, uint64_t ns);
+
+    /** Add a simulation's cycle counts to this thread's totals. */
+    void addCycles(uint64_t total, uint64_t sampled);
+
+    /** Every thread's phase totals since enable(), summed. */
+    PhaseProfile profile() const;
 
     // ------------------------------------------------- record sites
     // All return nullptr / no-op when disabled or the buffer is full.
@@ -196,10 +261,12 @@ class Tracer
 
     struct ThreadBuf
     {
-        std::vector<TraceEvent> events;  ///< pre-sized, count_ used
-        size_t count = 0;
+        /** Reserved to the capacity and never appended past it, so
+            no append reallocates and a begin record stays put. */
+        std::vector<TraceEvent> events;
         uint64_t droppedDet = 0;
         uint64_t droppedWall = 0;
+        PhaseProfile phases;
     };
 
     ThreadBuf *threadBuf();
@@ -264,6 +331,34 @@ class TraceInstant
 
 /** Sample a counter track (no-op while the tracer is disabled). */
 void traceCounter(const char *track, double value);
+
+/**
+ * RAII timer of one phase into the calling thread's profile totals.
+ * Inert unless @p timed (a sampled cycle or block): no clock read and
+ * no call into the tracer.
+ */
+class PhaseTimer
+{
+  public:
+    PhaseTimer(bool timed, Phase phase)
+        : start_(timed ? Tracer::now() : 0), phase_(phase), timed_(timed)
+    {
+    }
+
+    ~PhaseTimer()
+    {
+        if (timed_)
+            Tracer::instance().addPhase(phase_, Tracer::now() - start_);
+    }
+
+    PhaseTimer(const PhaseTimer &) = delete;
+    PhaseTimer &operator=(const PhaseTimer &) = delete;
+
+  private:
+    uint64_t start_;
+    Phase phase_;
+    bool timed_;
+};
 
 } // namespace vguard::obs
 

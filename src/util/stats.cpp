@@ -105,27 +105,6 @@ Histogram::merge(const Histogram &other)
     total_ += other.total_;
 }
 
-Histogram
-Histogram::restore(double lo, double hi, std::vector<uint64_t> counts,
-                   uint64_t underflow, uint64_t overflow,
-                   uint64_t total)
-{
-    Histogram h(lo, hi, counts.size());
-    uint64_t sum = underflow + overflow;
-    for (const uint64_t c : counts)
-        sum += c;
-    if (sum != total)
-        fatal("Histogram::restore: inconsistent totals (%llu counted "
-              "vs %llu recorded)",
-              static_cast<unsigned long long>(sum),
-              static_cast<unsigned long long>(total));
-    h.counts_ = std::move(counts);
-    h.underflow_ = underflow;
-    h.overflow_ = overflow;
-    h.total_ = total;
-    return h;
-}
-
 double
 Histogram::binCenter(size_t i) const
 {

@@ -69,18 +69,6 @@ class Histogram
      */
     void merge(const Histogram &other);
 
-    /**
-     * Rebuild a histogram from serialized parts (the trace-store stats
-     * blob). @p total must equal the sum of @p counts plus
-     * @p underflow plus @p overflow — add() maintains that invariant,
-     * so a mismatch means a corrupt stream (fatal). @p counts must be
-     * non-empty.
-     */
-    static Histogram restore(double lo, double hi,
-                             std::vector<uint64_t> counts,
-                             uint64_t underflow, uint64_t overflow,
-                             uint64_t total);
-
     /** Number of in-range bins. */
     size_t bins() const { return counts_.size(); }
     double lo() const { return lo_; }

@@ -219,11 +219,9 @@ TEST(Campaign, StatsAndEventsThreadCountIndependent)
 {
     // The observability artifacts obey the same determinism contract
     // as the JSONL: merged stats and the campaign-wide event log are
-    // byte-identical for any thread count, with profiling enabled
-    // (profiling samples wall-clock but never touches results).
+    // byte-identical for any thread count.
     CampaignEngine::Options base;
     base.campaignSeed = 0xfeedface;
-    base.profiling = true;
 
     std::vector<CampaignResult> results;
     for (unsigned threads : {1u, 2u, 8u}) {
@@ -240,19 +238,6 @@ TEST(Campaign, StatsAndEventsThreadCountIndependent)
         EXPECT_EQ(results[r].eventsJsonl(), events0);
     }
 
-    // Profiling on vs off: the deterministic artifacts are untouched.
-    CampaignEngine::Options plain = base;
-    plain.profiling = false;
-    plain.threads = 2;
-    const CampaignResult unprofiled =
-        CampaignEngine(plain).run(mixedJobs());
-    EXPECT_EQ(unprofiled.jsonl(), results[0].jsonl());
-    EXPECT_EQ(unprofiled.mergedStats.json(), stats0);
-    EXPECT_EQ(unprofiled.eventsJsonl(), events0);
-    // ...while the profile section only exists when enabled.
-    EXPECT_TRUE(unprofiled.profile.empty());
-    EXPECT_FALSE(results[0].profile.empty());
-
     // The merged aggregate agrees with the headline totals.
     EXPECT_EQ(results[0].mergedStats.counterValue(
                   "pdn.emergencies.count"),
@@ -261,11 +246,76 @@ TEST(Campaign, StatsAndEventsThreadCountIndependent)
               results[0].totalCycles);
 }
 
+TEST(Campaign, TracerSamplesPhasesWithoutTouchingArtifacts)
+{
+    // The tracer's switch turns phase sampling on. With it off the
+    // profile stays all zeros; on or off, the JSONL, merged stats and
+    // events are the same bytes.
+    obs::Tracer &tracer = obs::Tracer::instance();
+    CampaignEngine::Options o;
+    o.threads = 2;
+    tracer.disable();
+    tracer.reset();
+    const CampaignResult off = CampaignEngine(o).run(mixedJobs());
+    EXPECT_NE(off.statsJson().find("\"profile\":" +
+                                   obs::PhaseProfile{}.json()),
+              std::string::npos);
+
+    tracer.enable();
+    const CampaignResult on = CampaignEngine(o).run(mixedJobs());
+    tracer.disable();
+    EXPECT_GT(tracer.profile().cyclesSampled, 0u);
+    tracer.reset();
+    EXPECT_EQ(on.jsonl(), off.jsonl());
+    EXPECT_EQ(on.mergedStats.json(), off.mergedStats.json());
+    EXPECT_EQ(on.eventsJsonl(), off.eventsJsonl());
+}
+
+TEST(Campaign, ProfileCountsEveryLegOfACompareJob)
+{
+    // The profile counts every cycle a sim ran, whatever result the
+    // job keeps: a compare job's probe capture and baseline leg too,
+    // not just the controlled leg it reports.
+    RunSpec rs;
+    rs.impedanceScale = 2.0;
+    rs.delayCycles = 2;
+    rs.maxCycles = 3000;
+    const isa::Program prog = workloads::buildSpecProxy("gzip");
+    // Solve the thresholds first: set-up is not a job's cycles.
+    referenceThresholds(rs.impedanceScale, rs.delayCycles);
+    TraceCache &tc = TraceCache::instance();
+    tc.setEnabled(true);
+    tc.clear();
+
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.enable();
+    CampaignEngine::Options o;
+    o.threads = 1;
+    const CampaignResult res =
+        CampaignEngine(o).run({{"gzip", prog, rs, /*compare=*/true}});
+    tracer.disable();
+    const obs::PhaseProfile profile = tracer.profile();
+    tracer.reset();
+
+    const Comparison &cmp = *res.runs[0].comparison;
+    // A passive controlled leg is one sensed replay; an active one
+    // would add its abandoned replay's cycles.
+    ASSERT_EQ(cmp.controlled.lowTriggers + cmp.controlled.highTriggers,
+              0u);
+    RunSpec probe = rs;
+    probe.controllerEnabled = false;
+    const CapturedTrace *probed = tc.find(openLoopKey(prog, probe));
+    ASSERT_NE(probed, nullptr);
+    EXPECT_EQ(profile.cyclesTotal, probed->cycles() +
+                                       cmp.baseline.cycles +
+                                       cmp.controlled.cycles);
+    EXPECT_EQ(res.totalCycles, cmp.controlled.cycles);
+}
+
 TEST(Campaign, StatsJsonShape)
 {
     CampaignEngine::Options o;
     o.threads = 2;
-    o.profiling = true;
     const CampaignResult res = CampaignEngine(o).run(mixedJobs());
     const std::string doc = res.statsJson();
     EXPECT_NE(doc.find("\"campaign\":{"), std::string::npos);
@@ -278,6 +328,8 @@ TEST(Campaign, StatsJsonShape)
 
 TEST(Campaign, CliParsesObservabilityFlags)
 {
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.disable();
     const char *argv[] = {"prog", "--stats-json", "s.json",
                           "--events=e.jsonl", "--progress"};
     const CampaignCli cli =
@@ -285,8 +337,10 @@ TEST(Campaign, CliParsesObservabilityFlags)
     EXPECT_EQ(cli.statsJsonPath, "s.json");
     EXPECT_EQ(cli.eventsPath, "e.jsonl");
     EXPECT_TRUE(cli.options.progress);
-    EXPECT_TRUE(cli.options.profiling) << "--stats-json implies "
-                                          "profiling";
+    // The stats document carries the tracer's phase profile.
+    EXPECT_TRUE(tracer.enabled()) << "--stats-json enables the tracer";
+    tracer.disable();
+    tracer.reset();
 }
 
 TEST(Campaign, PerRunSeedsAreDerived)

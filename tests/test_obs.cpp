@@ -1,15 +1,17 @@
 /**
  * @file
  * Tests for src/obs — the hierarchical stats registry, the emergency
- * event log with activity fingerprints, and the phase profiler —
- * plus their integration into VoltageSim (per-run stats snapshots and
- * event capture on an emergency-producing workload).
+ * event log with activity fingerprints, and the tracer's phase
+ * profile — plus their integration into VoltageSim (per-run stats
+ * snapshots, event capture on an emergency-producing workload, and
+ * sampled phases).
  */
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -17,7 +19,7 @@
 #include "core/voltage_sim.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
+#include "obs/tracing.hpp"
 #include "pdn/package_model.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/stressmark.hpp"
@@ -28,30 +30,6 @@ using namespace vguard;
 using namespace vguard::obs;
 
 // ------------------------------------------------------------ registry
-
-TEST(Registry, OwnedCounterAndGaugeRoundTrip)
-{
-    Registry r;
-    Counter &c = r.counter("cpu.commit.insts", "committed");
-    Gauge &g = r.gauge("cpu.commit.ipc", "ipc");
-    c.inc(41);
-    c.inc();
-    g.set(1.25);
-    const Snapshot s = r.snapshot();
-    EXPECT_EQ(s.counterValue("cpu.commit.insts"), 42u);
-    EXPECT_DOUBLE_EQ(s.gaugeValue("cpu.commit.ipc"), 1.25);
-    EXPECT_EQ(s.size(), 2u);
-}
-
-TEST(Registry, GaugeStartsNaN)
-{
-    Registry r;
-    r.gauge("g", "unsampled");
-    const Snapshot s = r.snapshot();
-    const SnapshotEntry *e = s.find("g");
-    ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(std::isnan(e->d));
-}
 
 TEST(Registry, DerivedEntriesReadAtSnapshotTime)
 {
@@ -70,44 +48,38 @@ TEST(Registry, DerivedEntriesReadAtSnapshotTime)
     EXPECT_EQ(s.counterValue("cache.hits"), 9u);
 }
 
-TEST(Registry, HistogramSnapshotIsFrozenCopy)
+/** A derived counter reading a constant (the naming tests' binder). */
+void
+bindCounter(Registry &r, const char *name)
 {
-    Registry r;
-    HistStat &h = r.histogram("pdn.v", "voltage", 0.9, 1.1, 10);
-    h.add(1.0);
-    const Snapshot s1 = r.snapshot();
-    h.add(1.0);
-    const SnapshotEntry *e = s1.find("pdn.v");
-    ASSERT_NE(e, nullptr);
-    ASSERT_NE(e->hist, nullptr);
-    EXPECT_EQ(e->hist->total(), 1u); // not affected by the later add
+    r.derivedCounter(name, "", [] { return uint64_t{0}; });
 }
 
 TEST(Registry, RejectsDuplicateNames)
 {
     Registry r;
-    r.counter("a.b", "first");
-    EXPECT_EXIT(r.counter("a.b", "again"),
-                ::testing::ExitedWithCode(1), "duplicate");
+    bindCounter(r, "a.b");
+    EXPECT_EXIT(bindCounter(r, "a.b"), ::testing::ExitedWithCode(1),
+                "duplicate");
 }
 
 TEST(Registry, RejectsLeafGroupCollision)
 {
     Registry r;
-    r.counter("a.b", "leaf");
+    bindCounter(r, "a.b");
     // "a.b" is a leaf; "a.b.c" would make it a group too.
-    EXPECT_EXIT(r.counter("a.b.c", "child"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(bindCounter(r, "a.b.c"), ::testing::ExitedWithCode(1),
+                "");
 }
 
 TEST(Registry, RejectsBadCharactersAndEmptySegments)
 {
     Registry r;
-    EXPECT_EXIT(r.counter("Has.Upper", ""),
+    EXPECT_EXIT(bindCounter(r, "Has.Upper"),
                 ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(r.counter("a..b", ""), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(bindCounter(r, "a..b"), ::testing::ExitedWithCode(1),
                 "");
-    EXPECT_EXIT(r.counter("", ""), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(bindCounter(r, ""), ::testing::ExitedWithCode(1), "");
 }
 
 // ------------------------------------------------------------ snapshot
@@ -232,16 +204,6 @@ TEST(Snapshot, JsonNestsDottedGroups)
         << j;
     // Deterministic: same content, same bytes.
     EXPECT_EQ(j, s.json());
-}
-
-TEST(Snapshot, TableListsNamesAndValues)
-{
-    Snapshot s;
-    s.setCounter("cpu.cycles", 123, MergeRule::Sum, "total cycles");
-    const std::string t = s.table();
-    EXPECT_NE(t.find("cpu.cycles"), std::string::npos);
-    EXPECT_NE(t.find("123"), std::string::npos);
-    EXPECT_NE(t.find("total cycles"), std::string::npos);
 }
 
 // -------------------------------------------------------------- events
@@ -383,46 +345,78 @@ TEST(EmergencyEvent, JsonlHasSchemaFields)
 
 // ------------------------------------------------------------- profile
 
-TEST(Profiler, SamplesOneInMaskCycles)
+/** Each profile test starts and ends with an empty, disabled tracer. */
+class Profiler : public ::testing::Test
 {
-    Profiler p(2); // 1 in 4
+  protected:
+    void SetUp() override
+    {
+        Tracer::instance().disable();
+        Tracer::instance().reset();
+    }
+    void TearDown() override { SetUp(); }
+};
+
+TEST_F(Profiler, SamplesOneInMaskCycles)
+{
+    // Any 64 consecutive full blocks on a thread hold one timed block.
     unsigned sampled = 0;
-    for (uint64_t c = 0; c < 64; ++c)
-        sampled += p.beginCycle(c) != nullptr;
-    EXPECT_EQ(sampled, 16u);
-    EXPECT_EQ(p.data().cyclesTotal, 64u);
-    EXPECT_EQ(p.data().cyclesSampled, 16u);
+    for (uint64_t b = 0; b < 4 * Tracer::kSampleEvery; ++b)
+        sampled += Tracer::sampleBlock(256, 256);
+    EXPECT_EQ(sampled, 4u);
+
+    // Runs of 31.25 blocks are timed at varying blocks, not each time
+    // at the partial last one (a block count of period 64 would).
+    unsigned partial = 0;
+    sampled = 0;
+    for (int run = 0; run < 64; ++run) {
+        for (int b = 0; b < 31; ++b)
+            sampled += Tracer::sampleBlock(256, 256);
+        const bool t = Tracer::sampleBlock(64, 256);
+        sampled += t;
+        partial += t;
+    }
+    EXPECT_GE(sampled, 31u);  // 64 x 8000 cycles / (64 x 256)
+    EXPECT_LE(sampled, 32u);
+    EXPECT_LE(partial, 2u);
 }
 
-TEST(Profiler, ScopedTimerRecordsOnlyWhenEnabled)
+TEST_F(Profiler, PhaseTimerRecordsOnlyWhenTimed)
 {
-    Profiler p(0); // sample every cycle
+    Tracer::instance().enable();
     {
-        ScopedTimer t(p.beginCycle(0), Phase::Pdn);
+        PhaseTimer t(true, Phase::Pdn);
     }
     {
-        ScopedTimer t(nullptr, Phase::CpuStep); // disabled: no record
+        PhaseTimer t(false, Phase::CpuStep); // not sampled: no record
     }
-    EXPECT_EQ(p.data().samples[size_t(Phase::Pdn)], 1u);
-    EXPECT_EQ(p.data().samples[size_t(Phase::CpuStep)], 0u);
+    const PhaseProfile p = Tracer::instance().profile();
+    EXPECT_EQ(p.samples[size_t(Phase::Pdn)], 1u);
+    EXPECT_EQ(p.samples[size_t(Phase::CpuStep)], 0u);
 }
 
-TEST(ProfileData, MergeAddsAndJsonHasPhases)
+TEST_F(Profiler, ThreadTotalsSumAndJsonHasPhases)
 {
-    ProfileData a;
-    a.ns[size_t(Phase::Pdn)] = 100;
-    a.samples[size_t(Phase::Pdn)] = 2;
-    a.cyclesTotal = 10;
-    a.cyclesSampled = 2;
-    ProfileData b = a;
-    a.merge(b);
-    EXPECT_EQ(a.ns[size_t(Phase::Pdn)], 200u);
-    EXPECT_EQ(a.cyclesTotal, 20u);
-    EXPECT_FALSE(a.empty());
-    EXPECT_TRUE(ProfileData{}.empty());
-    const std::string j = a.json();
-    EXPECT_NE(j.find("\"pdn\""), std::string::npos);
-    EXPECT_NE(j.find("\"cycles_total\":20"), std::string::npos);
+    Tracer &t = Tracer::instance();
+    t.enable();
+    const auto record = [&t] {
+        t.addPhase(Phase::Pdn, 100);
+        t.addCycles(10, 2);
+    };
+    record();
+    std::thread(record).join();
+    const PhaseProfile p = t.profile();
+    EXPECT_EQ(p.ns[size_t(Phase::Pdn)], 200u);
+    EXPECT_EQ(p.samples[size_t(Phase::Pdn)], 2u);
+    EXPECT_EQ(p.cyclesTotal, 20u);
+    EXPECT_EQ(p.cyclesSampled, 4u);
+    const std::string j = p.json();
+    EXPECT_NE(j.find("\"cycles_total\":20"), std::string::npos) << j;
+    EXPECT_NE(j.find("\"pdn\":{\"ns\":200,\"samples\":2,\"share\":1"),
+              std::string::npos)
+        << j;
+    t.reset();
+    EXPECT_EQ(t.profile().json(), PhaseProfile{}.json());
 }
 
 // ------------------------------------------------- sim integration
@@ -506,22 +500,41 @@ TEST(VoltageSimStats, BackToBackRunsDiffCleanly)
 
 TEST(VoltageSimStats, ProfilingPopulatesPhases)
 {
+    // With the tracer on, the closed loop times 1 cycle in 64 and the
+    // batched open loop 1 block in 64, so runs of equal length sample
+    // alike; with it off, a sim records nothing.
     using namespace vguard::core;
-    RunSpec rs;
-    rs.controllerEnabled = false;
-    rs.maxCycles = 1000;
-    rs.profiling = true;
-    VoltageSim sim(makeSimConfig(rs), workloads::busyKernel());
-    const VoltageSimResult res = sim.run(1000);
-    EXPECT_EQ(res.profile.cyclesTotal, res.cycles);
-    EXPECT_GT(res.profile.cyclesSampled, 0u);
-    EXPECT_GT(res.profile.samples[size_t(Phase::CpuStep)], 0u);
-    EXPECT_GT(res.profile.samples[size_t(Phase::Pdn)], 0u);
+    Tracer &tracer = Tracer::instance();
+    const auto profileOf = [&tracer](bool closed) {
+        RunSpec rs;
+        rs.controllerEnabled = closed;
+        rs.maxCycles = 64 * 1024;
+        tracer.reset();
+        {
+            VoltageSim sim(makeSimConfig(rs), workloads::busyKernel());
+            EXPECT_EQ(sim.run(rs.maxCycles).cycles, rs.maxCycles);
+        }
+        return tracer.profile();
+    };
 
-    // Profiling off: the profile section stays empty.
-    rs.profiling = false;
-    VoltageSim off(makeSimConfig(rs), workloads::busyKernel());
-    EXPECT_TRUE(off.run(1000).profile.empty());
+    tracer.disable();
+    EXPECT_EQ(profileOf(false).json(), PhaseProfile{}.json());
+
+    tracer.enable();
+    for (bool closed : {false, true}) {
+        const PhaseProfile p = profileOf(closed);
+        EXPECT_EQ(p.cyclesTotal, 64u * 1024u);
+        EXPECT_NEAR(static_cast<double>(p.cyclesSampled),
+                    static_cast<double>(p.cyclesTotal) /
+                        Tracer::kSampleEvery,
+                    2.0 * VoltageSim::kBlockCycles)
+            << closed;
+        EXPECT_GT(p.samples[size_t(Phase::CpuStep)], 0u);
+        EXPECT_GT(p.samples[size_t(Phase::Pdn)], 0u);
+        EXPECT_EQ(p.samples[size_t(Phase::Control)] > 0, closed);
+    }
+    tracer.disable();
+    tracer.reset();
 }
 
 } // namespace

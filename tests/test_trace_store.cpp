@@ -227,10 +227,11 @@ TEST(TraceStoreValidation, CorruptFilesWarnAndRecapture)
         expectReject("payload flip");
     }
 
-    // Future format version.
-    {
+    // Future format version, and version 1, whose stats blob carried
+    // a histogram flag per entry.
+    for (const char version : {9, 1}) {
         std::string bad = good;
-        bad[8] = static_cast<char>(9);
+        bad[8] = version;
         corruptTo(bad);
         expectReject("version mismatch");
     }

@@ -91,18 +91,10 @@ TEST(VlintWallclock, FlagsSteadyClockInSrc)
     ASSERT_TRUE(hasRule(f, "det-wallclock"));
 }
 
-TEST(VlintWallclock, ProfilerHeaderIsTheWhitelistedZone)
-{
-    EXPECT_FALSE(hasRule(
-        lintSource("src/obs/profile.hpp",
-                   "auto t0 = std::chrono::steady_clock::now();"),
-        "det-wallclock"));
-}
-
 TEST(VlintWallclock, TracerImplementationIsWhitelisted)
 {
-    // The span tracer timestamps every record by design; both its
-    // translation units sit in the second whitelisted zone.
+    // The tracer owns the clock; both its translation units sit in
+    // the one whitelisted zone.
     for (const char *file :
          {"src/obs/tracing.cpp", "src/obs/tracing.hpp"})
         EXPECT_FALSE(hasRule(
@@ -115,9 +107,10 @@ TEST(VlintWallclock, TracerImplementationIsWhitelisted)
 TEST(VlintWallclock, TracingWhitelistDoesNotLeakToNeighbours)
 {
     // The whitelist is a filename prefix on tracing.*, not a blanket
-    // pass for src/obs/ — a near-miss neighbour stays flagged.
-    for (const char *file :
-         {"src/obs/tracing_extras.cpp", "src/obs/events.cpp"})
+    // pass for src/obs/ — a near-miss neighbour, or the old profiler
+    // header, stays flagged.
+    for (const char *file : {"src/obs/tracing_extras.cpp",
+                             "src/obs/events.cpp", "src/obs/profile.hpp"})
         EXPECT_TRUE(hasRule(
             lintSource(file,
                        "auto t0 = std::chrono::steady_clock::now();"),
@@ -397,7 +390,8 @@ TEST(VlintThreadStatic, ClassStaticsAndFileStaticsAreNotLocal)
 TEST(VlintMetricName, ValidatesRegistrarLiterals)
 {
     EXPECT_TRUE(hasRule(
-        lintSource("src/cpu/x.cpp", R"(r.counter("Fetch.Insts", "d");)"),
+        lintSource("src/cpu/x.cpp",
+                   R"(r.derivedCounter("Fetch.Insts", "d", fn);)"),
         "obs-metric-name"));
     EXPECT_TRUE(hasRule(
         lintSource("src/cpu/x.cpp",
@@ -413,7 +407,7 @@ TEST(VlintMetricName, NonLiteralFirstArgIsSkipped)
 {
     EXPECT_FALSE(hasRule(
         lintSource("src/cpu/x.cpp",
-                   R"(r.counter(prefix + ".cycles", "desc");)"),
+                   R"(r.derivedCounter(prefix + ".cycles", "d", fn);)"),
         "obs-metric-name"));
 }
 

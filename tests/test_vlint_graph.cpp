@@ -175,6 +175,27 @@ TEST(VlintGraph, DetReachReportsFullCallChainThroughCycles)
     EXPECT_NE(f->message.find("helperB"), std::string::npos);
 }
 
+TEST(VlintGraph, DetReachSharesTheWallclockRulesIdentifiers)
+{
+    // det-wallclock and det-reach read one identifier list: a
+    // timespec_get behind the campaign engine is a reachable hazard.
+    Tree t;
+    t.add("src/core/eng.cpp",
+          "struct CampaignEngine {\n"
+          "    void run() { stamp(); }\n"
+          "};\n"
+          "void stamp()\n"
+          "{\n"
+          "    timespec ts;\n"
+          "    timespec_get(&ts, TIME_UTC);\n"
+          "}\n");
+    const Finding *f =
+        firstOf(vlint::runGraphRules(t.link(), 3), "det-reach");
+    ASSERT_NE(f, nullptr);
+    EXPECT_NE(f->message.find("timespec_get"), std::string::npos)
+        << f->message;
+}
+
 TEST(VlintGraph, HazardsWithoutARootPathStayQuiet)
 {
     Tree t;

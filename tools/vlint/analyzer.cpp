@@ -170,27 +170,21 @@ ruleDetRand(FileCtx &ctx)
 void
 ruleDetWallclock(FileCtx &ctx)
 {
-    // The profiler header and the tracer are the whitelisted
-    // wall-clock zones: their values flow only into the
-    // machine-dependent --stats-json profile section and the Chrome
-    // trace export, never into deterministic artifacts (the tracer's
-    // canonical form strips timestamps by construction).
+    // The tracer is the whitelisted wall-clock zone: its values flow
+    // only into the machine-dependent --stats-json profile and
+    // wall_seconds and the Chrome trace export, never into
+    // deterministic artifacts (the canonical form strips timestamps
+    // by construction).
     if (!startsWith(ctx.relpath, "src/") ||
-        ctx.relpath == "src/obs/profile.hpp" ||
-        startsWith(ctx.relpath, "src/obs/tracing."))
+        wallclockWhitelisted(ctx.relpath))
         return;
-    static const std::set<std::string> banned = {
-        "steady_clock",  "system_clock", "high_resolution_clock",
-        "gettimeofday",  "clock_gettime", "ftime",
-        "timespec_get"};
     for (const Token &t : ctx.lf.tokens) {
-        if (t.kind == Tok::Ident && banned.count(t.text))
+        if (t.kind == Tok::Ident && wallclockIdents().count(t.text))
             ctx.add("det-wallclock", t.line,
                     "wall-clock read '" + t.text +
-                        "' outside src/obs/profile.hpp or "
-                        "src/obs/tracing.*; use obs::StopWatch / "
-                        "obs::ScopedTimer / obs::TraceSpan so "
-                        "timing stays in the whitelisted zones");
+                        "' outside src/obs/tracing.*; use "
+                        "obs::Tracer::now() / obs::PhaseTimer / "
+                        "obs::TraceSpan so timing stays in the tracer");
     }
 }
 
@@ -560,8 +554,7 @@ ruleMetricName(FileCtx &ctx)
     if (!startsWith(ctx.relpath, "src/"))
         return;
     static const std::set<std::string> registrars = {
-        "counter", "gauge", "histogram", "derivedCounter",
-        "derivedGauge", "bind"};
+        "derivedCounter", "derivedGauge", "bind"};
     const auto &toks = ctx.lf.tokens;
     for (size_t i = 0; i + 2 < toks.size(); ++i) {
         if (toks[i].kind != Tok::Ident ||
@@ -762,8 +755,7 @@ ruleCatalog()
              "rand/srand/random_device/mt19937/time()/clock() outside "
              "util/rng.hpp"},
             {"det-wallclock",
-             "wall-clock reads in src/ outside src/obs/profile.hpp "
-             "and src/obs/tracing.*"},
+             "wall-clock reads in src/ outside src/obs/tracing.*"},
             {"det-unordered",
              "unordered containers in src/{core,pdn,power,cpu}"},
             {"det-ptr-key",

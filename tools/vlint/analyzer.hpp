@@ -12,8 +12,8 @@
  *   det-rand          banned nondeterminism sources (rand/srand/
  *                     random_device/mt19937/time()/clock()/...)
  *                     anywhere except util/rng.hpp
- *   det-wallclock     wall-clock reads in src/ outside the profiler's
- *                     whitelisted zone (src/obs/profile.hpp)
+ *   det-wallclock     wall-clock reads in src/ outside the tracer's
+ *                     whitelisted zone (src/obs/tracing.*)
  *   det-unordered     unordered_{map,set} in result-affecting dirs
  *                     (src/core, src/pdn, src/power, src/cpu)
  *   det-ptr-key       pointer-keyed std::map/std::set in those dirs

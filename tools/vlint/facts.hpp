@@ -106,6 +106,15 @@ struct FileFacts
 /** Extract facts from one lexed file. Never fails. */
 FileFacts extractFacts(const std::string &relpath, const LexedFile &lf);
 
+/**
+ * The one wall-clock policy: the identifiers that read the wall clock
+ * and the files allowed to use them (the tracer, src/obs/tracing.*).
+ * det-wallclock bans them elsewhere in src/; det-reach traces their
+ * use from the deterministic roots.
+ */
+const std::set<std::string> &wallclockIdents();
+bool wallclockWhitelisted(const std::string &relpath);
+
 } // namespace vlint
 
 #endif // VGUARD_TOOLS_VLINT_FACTS_HPP
