@@ -30,9 +30,7 @@ main()
     std::printf("== Ablation: asymmetric gate/phantom actuation ==\n\n");
 
     const uint64_t cycles = cycleBudget(60000);
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto prog = workloads::StressmarkBuilder::build(cal.params);
 
     Table t({"impedance", "phantom set", "emerg", "min V", "max V",

@@ -78,9 +78,7 @@ main()
                 "(stressmark, 200%%) ==\n\n");
 
     const uint64_t cycles = cycleBudget(60000);
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto prog = workloads::StressmarkBuilder::build(cal.params);
 
     Table t({"sensor delay", "threshold: emerg", "threshold: IPC",

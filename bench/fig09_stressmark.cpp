@@ -27,13 +27,11 @@ int
 main()
 {
     std::printf("== Figures 8-9: dI/dt stressmark vs worst case ==\n\n");
-    const auto machine = referenceMachine();
     const auto pkg = pdn::PackageModel(referencePackage(2.0));
     const auto &range = referenceCurrentRange();
 
     // ---- Fig. 8: the loop itself ------------------------------------
-    const auto cal = StressmarkBuilder::calibrate(
-        pkg.resonantPeriodCycles(), machine.cpu);
+    const auto &cal = referenceStressmark();
     std::printf("calibrated loop: %u dependent divt + %u stores + %u "
                 "ALU ops; measured period %.1f cycles (resonant: %u)\n",
                 cal.params.divChain, cal.params.burstStores,

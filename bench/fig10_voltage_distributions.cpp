@@ -48,9 +48,7 @@ main(int argc, char **argv)
         jobs.push_back(
             {name, workloads::buildSpecProxy(name), base, false});
 
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(1.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     jobs.push_back({"stressmark",
                     workloads::StressmarkBuilder::build(cal.params),
                     base, false});

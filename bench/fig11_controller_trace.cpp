@@ -23,9 +23,7 @@ main()
 {
     std::printf("== Figure 11: threshold controller in action ==\n\n");
 
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
 
     RunSpec rs;
     rs.impedanceScale = 2.0;

@@ -35,9 +35,7 @@ main(int argc, char **argv)
                 "energy (ideal actuator, 200%%) ==\n\n");
 
     const uint64_t cycles = cycleBudget(40000);
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto stress =
         workloads::StressmarkBuilder::build(cal.params);
 

@@ -78,13 +78,8 @@ static void
 BM_CoreCycleStressmark(benchmark::State &state)
 {
     const cpu::CpuConfig cfg = referenceMachine().cpu;
-    static const workloads::StressmarkParams params =
-        workloads::StressmarkBuilder::calibrate(
-            pdn::PackageModel(referencePackage(2.0))
-                .resonantPeriodCycles(),
-            cfg)
-            .params;
-    cpu::OoOCore core(cfg, workloads::StressmarkBuilder::build(params));
+    cpu::OoOCore core(cfg, workloads::StressmarkBuilder::build(
+                               referenceStressmark().params));
     for (auto _ : state)
         benchmark::DoNotOptimize(&core.cycle());
     state.SetItemsProcessed(state.iterations());

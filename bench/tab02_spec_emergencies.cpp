@@ -60,9 +60,7 @@ main(int argc, char **argv)
                             prog, rs, false});
         }
     }
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
     for (double s : scales) {
         RunSpec rs;

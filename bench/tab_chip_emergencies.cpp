@@ -85,9 +85,8 @@ main(int argc, char **argv)
     const pdn::PackageParams refPkg = referencePackage(2.0);
     const unsigned period =
         pdn::PackageModel(refPkg).resonantPeriodCycles();
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        period, m.cpu);
-    const auto stress = workloads::StressmarkBuilder::build(cal.params);
+    const auto stress =
+        workloads::StressmarkBuilder::build(referenceStressmark().params);
 
     RunSpec rs;
     rs.impedanceScale = 2.0;

@@ -41,8 +41,7 @@ main(int argc, char **argv)
 
     // 2. Stressmark tuned onto the package resonant period.
     const auto pkg = pdn::PackageModel(referencePackage(2.0));
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pkg.resonantPeriodCycles(), referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     std::printf("stressmark: %u-divide chain + %u stores + %u ALU ops "
                 "-> %.1f-cycle loop (resonant period %u)\n\n",
                 cal.params.divChain, cal.params.burstStores,

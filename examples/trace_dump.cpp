@@ -28,11 +28,8 @@ isa::Program
 pickWorkload(const char *name)
 {
     if (std::strcmp(name, "stressmark") == 0) {
-        const auto cal = workloads::StressmarkBuilder::calibrate(
-            pdn::PackageModel(referencePackage(2.0))
-                .resonantPeriodCycles(),
-            referenceMachine().cpu);
-        return workloads::StressmarkBuilder::build(cal.params);
+        return workloads::StressmarkBuilder::build(
+            referenceStressmark().params);
     }
     if (std::strcmp(name, "virus") == 0)
         return workloads::powerVirus();

@@ -33,71 +33,38 @@ referenceCurrentRange()
     // initialising thread finishes — safe for campaign workers.
     static const CurrentRange cached = [] {
         const Machine m = referenceMachine();
-        // One model serves both the analytic extremes (scratch-copy
-        // const queries) and the virus run below.
-        power::WattchModel model(m.power, m.cpu);
+        const power::WattchModel model(m.power, m.cpu);
         CurrentRange r;
         r.gatedMin = model.minCurrent();
         r.phantomMax = model.maxCurrent();
         r.progMin = model.idleCurrent();
 
-        // Measure the program-reachable ceiling with a power virus
-        // (peak over the steady, I-cache-warm half of the run). The
-        // measurement doubles as the trace cache's first entry: the
-        // loop below walks the same (program, config, limits) stream
-        // an open-loop VoltageSim::run(total) would, so the captured
-        // waveform replays byte-identically. Routed through
-        // fetchOrCapture so a cold process with a warm persistent
-        // store recomputes the peak from the mmapped amps stream
-        // instead of re-running the virus — the doubles are stored
-        // exactly, so the max over the steady half is bit-identical
-        // and a warm restart performs zero captures.
+        // Measure the program-reachable ceiling with a power virus: the
+        // peak over the steady, I-cache-warm half of its open-loop
+        // trace. Open-loop amps never see the package, so the default
+        // one serves, and the trace is an ordinary cache entry: a warm
+        // persistent store serves it without running the virus.
         const isa::Program virus = workloads::powerVirus();
         const uint64_t total = 30000;
-        double measuredPeak = -1.0;
-        const auto captureFn = [&]() -> CapturedTrace {
-            cpu::OoOCore core(m.cpu, virus);
-            obs::Registry reg;
-            core.registerStats(reg, "cpu");
-            model.registerStats(reg, "power", 1.0 / m.cpu.clockHz);
-            const obs::Snapshot before = reg.snapshot();
-            CapturedTrace trace;
-            trace.amps.reserve(total);
-            trace.activity.reserve(total);
-            double peak = 0.0;
-            while (core.now() < total && !core.halted()) {
-                const cpu::ActivityVector &av = core.cycle();
-                const double amps = model.current(av);
-                if (core.now() > total / 2)
-                    peak = std::max(peak, amps);
-                trace.amps.push_back(amps);
-                trace.activity.push_back(obs::fpChannelCounts(av));
-            }
-            trace.committed = core.stats().committed;
-            trace.halted = core.halted();
-            trace.frontEnd =
-                frontEndSubset(reg.snapshot().diff(before));
-            measuredPeak = peak;
-            return trace;
-        };
-        const CapturedTrace *t = TraceCache::instance().fetchOrCapture(
-            traceKey(virus, m.cpu, m.power, total, ~0ull), captureFn);
-        if (!t && measuredPeak < 0.0) {
-            // Cache disabled (or the entry was dropped without the
-            // capture running here): measure directly, uncached.
-            const CapturedTrace local = captureFn();
-            (void)local;
-        }
-        double peak = measuredPeak;
-        if (peak < 0.0) {
-            // Served from cache/store without running the virus:
-            // replay the identical max over the stored steady half.
-            peak = 0.0;
-            const double *amps = t->ampsData();
-            for (size_t j = total / 2; j < t->cycles(); ++j)
-                peak = std::max(peak, amps[j]);
-        }
-        r.progMax = peak;
+        VoltageSimConfig cfg;
+        cfg.cpu = m.cpu;
+        cfg.power = m.power;
+        CapturedTrace own;
+        const CapturedTrace &t = TraceCache::instance().fetchOrCapture(
+            traceKey(virus, m.cpu, m.power, total, ~0ull), own, [&] {
+                // Sized up front: growing the buffers block by block
+                // frees chunks large enough to raise glibc's mmap
+                // threshold for the rest of the process, which cost
+                // perfbench's closed-loop workload 2.6 MiB of peak RSS.
+                CapturedTrace trace;
+                trace.amps.reserve(total);
+                trace.activity.reserve(total);
+                VoltageSim(cfg, virus).run(total, ~0ull, &trace);
+                return trace;
+            });
+        const double *amps = t.ampsData();
+        for (size_t j = total / 2; j < t.cycles(); ++j)
+            r.progMax = std::max(r.progMax, amps[j]);
         if (r.progMax <= r.progMin)
             panic("referenceCurrentRange: power virus failed (%.1f A)",
                   r.progMax);
@@ -129,6 +96,17 @@ referenceTarget()
                     res.worstPeakV);
         return res;
     }();
+    return cached;
+}
+
+const workloads::StressmarkCalibration &
+referenceStressmark()
+{
+    // Magic-static: initialisation is thread-safe (see above).
+    static const workloads::StressmarkCalibration cached =
+        workloads::StressmarkBuilder::calibrate(
+            pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
+            referenceMachine().cpu);
     return cached;
 }
 
@@ -264,10 +242,6 @@ runWorkload(const isa::Program &program, const RunSpec &spec)
 {
     const VoltageSimConfig cfg = makeSimConfig(spec);
     TraceCache &tc = TraceCache::instance();
-    if (!tc.enabled()) {
-        VoltageSim sim(cfg, program);
-        return sim.run(spec.maxCycles, spec.maxInsts);
-    }
     const std::string key = openLoopKey(program, spec);
 
     // Closed loop: while the sensor reads Normal the run is the
@@ -288,12 +262,13 @@ runWorkload(const isa::Program &program, const RunSpec &spec)
         return sim.run(spec.maxCycles, spec.maxInsts);
     }
 
-    // Open loop: first call per key runs the full sim once (capturing
-    // the trace and returning its own result); every later call —
-    // other packages in a sweep, other noise seeds, baseline legs —
-    // replays the trace against its own PDN, byte-identically.
+    // Open loop: a call that captures the trace ran the full sim and
+    // keeps its own result; every other call — other packages in a
+    // sweep, other noise seeds, baseline legs — replays the trace
+    // against its own PDN, byte-identically.
     std::optional<VoltageSimResult> mine;
-    const CapturedTrace *trace = tc.fetchOrCapture(key, [&] {
+    CapturedTrace own;
+    const CapturedTrace &trace = tc.fetchOrCapture(key, own, [&] {
         CapturedTrace t;
         VoltageSim sim(cfg, program);
         mine = sim.run(spec.maxCycles, spec.maxInsts, &t);
@@ -301,13 +276,8 @@ runWorkload(const isa::Program &program, const RunSpec &spec)
     });
     if (mine)
         return std::move(*mine);
-    if (!trace) {
-        // Cache over budget: nothing retained to replay from.
-        VoltageSim sim(cfg, program);
-        return sim.run(spec.maxCycles, spec.maxInsts);
-    }
     VoltageSim sim(cfg, program);
-    return sim.runReplay(*trace);
+    return sim.runReplay(trace);
 }
 
 const CapturedTrace &
@@ -316,66 +286,14 @@ fetchTrace(const isa::Program &program, const RunSpec &spec,
 {
     const VoltageSimConfig cfg = makeSimConfig(spec);
     VGUARD_CHECK(!cfg.sensor);
-
-    auto capture = [&]() -> CapturedTrace {
-        CapturedTrace t;
-        VoltageSim sim(cfg, program);
-        sim.run(spec.maxCycles, spec.maxInsts, &t);
-        return t;
-    };
-
-    TraceCache &tc = TraceCache::instance();
-    if (!tc.enabled()) {
-        fallback = capture();
-        return fallback;
-    }
-    bool captured = false;
-    const CapturedTrace *trace =
-        tc.fetchOrCapture(openLoopKey(program, spec), [&] {
-            CapturedTrace t = capture();
-            fallback = t;
-            captured = true;
-            return t;
-        });
-    if (captured)
-        return fallback;
-    if (!trace) {
-        // Cache over budget for a non-capturing caller.
-        fallback = capture();
-        return fallback;
-    }
-    return *trace;
-}
-
-namespace {
-
-/**
- * Instructions the open-loop run of (program, spec) commits. Only the
- * count is read, so a cached trace answers without a PDN replay; a
- * miss captures the trace exactly as runWorkload would.
- */
-uint64_t
-openLoopCommitted(const isa::Program &program, const RunSpec &spec)
-{
-    const VoltageSimConfig cfg = makeSimConfig(spec);
-    std::optional<uint64_t> mine;
-    const CapturedTrace *trace = TraceCache::instance().fetchOrCapture(
-        openLoopKey(program, spec), [&] {
+    return TraceCache::instance().fetchOrCapture(
+        openLoopKey(program, spec), fallback, [&] {
             CapturedTrace t;
             VoltageSim sim(cfg, program);
-            mine = sim.run(spec.maxCycles, spec.maxInsts, &t).committed;
+            sim.run(spec.maxCycles, spec.maxInsts, &t);
             return t;
         });
-    if (trace)
-        return trace->committed;
-    if (mine)
-        return *mine;
-    // Cache off, or over budget for a non-capturing caller.
-    VoltageSim sim(cfg, program);
-    return sim.run(spec.maxCycles, spec.maxInsts).committed;
 }
-
-} // namespace
 
 Comparison
 compareControlled(const isa::Program &program, const RunSpec &spec)
@@ -385,10 +303,12 @@ compareControlled(const isa::Program &program, const RunSpec &spec)
     // Probe how much work fits in the budget, then measure both runs
     // to exactly that instruction count so neither includes a partial
     // stall tail (which would bias the comparison by up to a full
-    // memory latency).
+    // memory latency). Only the probe's instruction count is read, so
+    // its trace needs no PDN replay.
     RunSpec probe = spec;
     probe.controllerEnabled = false;
-    const uint64_t work = openLoopCommitted(program, probe);
+    CapturedTrace probeTrace;
+    const uint64_t work = fetchTrace(program, probe, probeTrace).committed;
 
     RunSpec base = spec;
     base.controllerEnabled = false;

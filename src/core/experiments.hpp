@@ -15,6 +15,7 @@
 #include "core/threshold_solver.hpp"
 #include "core/voltage_sim.hpp"
 #include "pdn/target_impedance.hpp"
+#include "workloads/stressmark.hpp"
 
 namespace vguard::core {
 
@@ -43,7 +44,12 @@ struct CurrentRange
     double phantomMax = 0.0;  ///< everything phantom-fired [A]
 };
 
-/** Measured once and cached. */
+/**
+ * Measured once and cached. The program ceiling is the peak of the
+ * power virus's open-loop trace, which the trace cache serves like any
+ * other (VoltageSim::run captures it), so a warm persistent store
+ * answers without running the virus.
+ */
 const CurrentRange &referenceCurrentRange();
 
 /**
@@ -54,6 +60,12 @@ const pdn::TargetImpedanceResult &referenceTarget();
 
 /** Reference package at a multiple of the target impedance. */
 pdn::PackageParams referencePackage(double impedanceScale);
+
+/**
+ * The reference stressmark: the Table-1 CPU's loop calibrated to the
+ * reference package's resonant period (calibrated once and cached).
+ */
+const workloads::StressmarkCalibration &referenceStressmark();
 
 /**
  * Thresholds for the reference machine at a given impedance multiple,
@@ -114,11 +126,11 @@ VoltageSimResult runWorkload(const isa::Program &program,
 
 /**
  * Captured open-loop current trace for (program, spec) — the feed for
- * multi-package replay sweeps (core/replay_sweep.hpp). Served from the
- * trace cache when possible (one capture amortises across the whole
- * sweep, and across runWorkload calls with the same key); captured
- * into @p fallback — which must outlive the returned reference — when
- * the cache is disabled or over budget. @p spec must be open-loop
+ * multi-package replay sweeps (core/replay_sweep.hpp). The trace
+ * cache's fetchOrCapture: the cached trace when there is one (one
+ * capture amortises across the whole sweep, and across runWorkload
+ * calls with the same key), else one held in @p fallback, which must
+ * outlive the returned reference. @p spec must be open-loop
  * (controllerEnabled == false).
  */
 const CapturedTrace &fetchTrace(const isa::Program &program,

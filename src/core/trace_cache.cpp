@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <utility>
 
 #include "core/trace_store.hpp"
 #include "obs/tracing.hpp"
@@ -255,12 +256,14 @@ TraceCache::TraceCache()
 {
 }
 
-const CapturedTrace *
-TraceCache::fetchOrCapture(const std::string &key,
+const CapturedTrace &
+TraceCache::fetchOrCapture(const std::string &key, CapturedTrace &own,
                            const CaptureFn &capture)
 {
-    if (!enabled())
-        return nullptr;
+    if (!enabled()) {
+        own = capture();
+        return own;
+    }
     Entry *e = nullptr;
     bool retainedAtLookup = false;
     {
@@ -273,7 +276,21 @@ TraceCache::fetchOrCapture(const std::string &key,
         // and call_once has no capture left to wait for.
         retainedAtLookup = e->retained;
     }
-    bool captured = false;
+    bool first = false;    // this call ran the key's once_flag
+    bool captured = false; // this call ran @p capture
+    const auto runCapture = [&] {
+        captured = true;
+        captures_.fetch_add(1, std::memory_order_relaxed);
+        // Detached: a capture fires on whichever worker gets there
+        // first, so it is a canonical root, not a child of that
+        // worker's run span.
+        obs::TraceSpan span("trace_cache.capture", obs::TraceClass::Det,
+                            true);
+        CapturedTrace t = capture();
+        span.arg("cycles", uint64_t{t.amps.size()})
+            .arg("bytes", uint64_t{t.bytes()});
+        return t;
+    };
     // A fetch that may wait in call_once, on its own capture or on
     // another worker's, runs inside a Wall span so the wait shows up
     // by name; hits on retained entries stay span-free.
@@ -284,48 +301,38 @@ TraceCache::fetchOrCapture(const std::string &key,
     // first calls on *this* key serialize on the once_flag; other keys
     // capture in parallel (referenceThresholds() pattern).
     std::call_once(e->once, [&] {
-        // A persistent-store hit replaces the whole capture: the
-        // caller's `captured` stays false, so this process accounts it
-        // as a plain hit — exactly the cold-process acceptance shape
-        // (store hits == packages, captures == 0).
+        first = true;
+        // A persistent-store load replaces the whole capture and, once
+        // retained, counts as a plain hit — exactly the cold-process
+        // acceptance shape (store hits == packages, captures == 0).
         if (std::optional<CapturedTrace> stored =
                 TraceStore::instance().load(key)) {
             e->trace = std::move(*stored);
-            retain(e);
-            return;
+        } else {
+            e->trace = runCapture();
+            TraceStore::instance().save(key, e->trace);
         }
-        captured = true;
-        captures_.fetch_add(1, std::memory_order_relaxed);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        {
-            // Detached: the capture is one-per-key work that fires on
-            // whichever worker gets there first, so it is a canonical
-            // root, not a child of that worker's run span.
-            obs::TraceSpan span("trace_cache.capture",
-                               obs::TraceClass::Det, true);
-            e->trace = capture();
-            span.arg("cycles", uint64_t{e->trace.amps.size()})
-                .arg("bytes", uint64_t{e->trace.bytes()});
-        }
-        TraceStore::instance().save(key, e->trace);
-        retain(e);
+        // Over budget the trace goes to this caller alone; the (tiny)
+        // entry stays, so the key is never loaded or saved twice.
+        if (!retain(e))
+            own = std::exchange(e->trace, CapturedTrace{});
     });
     if (fetch) {
         fetch->arg("captured", uint64_t{captured});
         fetch.reset();
     }
-    if (!captured) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (e->retained) {
-            obs::TraceInstant("trace_cache.hit");
-        } else {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            obs::TraceInstant("trace_cache.miss");
-        }
-    }
     // e->retained/e->trace are written only inside call_once, which
     // synchronizes-with every return from call_once on this flag.
-    return e->retained ? &e->trace : nullptr;
+    if (!first && !e->retained) {
+        // Another call's trace was dropped by the budget.
+        obs::TraceInstant("trace_cache.miss");
+        own = runCapture();
+    }
+    const bool hit = e->retained && !captured;
+    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    if (hit)
+        obs::TraceInstant("trace_cache.hit");
+    return e->retained ? e->trace : own;
 }
 
 const CapturedTrace *
@@ -343,7 +350,7 @@ TraceCache::find(const std::string &key) const
     return &it->second->trace;
 }
 
-void
+bool
 TraceCache::retain(Entry *e)
 {
     const size_t sz = e->trace.bytes();
@@ -351,17 +358,13 @@ TraceCache::retain(Entry *e)
     bool kept;
     {
         std::lock_guard<std::mutex> lock(m_);
-        if (bytes_ + sz <= maxBytes_) {
+        kept = bytes_ + sz <= maxBytes_;
+        if (kept) {
             bytes_ += sz;
             ++retained_;
             e->retained = true;
-        } else {
-            // Over budget: drop the trace but keep the (tiny) entry so
-            // the key is never captured (or re-loaded) twice.
-            e->trace = CapturedTrace{};
         }
         resident = bytes_;
-        kept = e->retained;
     }
     if (!kept) {
         evicts_.fetch_add(1, std::memory_order_relaxed);
@@ -369,6 +372,7 @@ TraceCache::retain(Entry *e)
     }
     obs::traceCounter("trace_cache.bytes",
                       static_cast<double>(resident));
+    return kept;
 }
 
 bool

@@ -29,7 +29,7 @@
  * runs outside that lock under a per-key once_flag, so concurrent
  * first calls on one key collapse to a single capture while distinct
  * keys capture in parallel. Entries are heap-allocated so returned
- * pointers stay stable across rebalancing inserts, and are immutable
+ * traces stay put across rebalancing inserts, and are immutable
  * once the once_flag is done — replays share them read-only.
  *
  * Closed-loop runs read the cache through find(), a hit-only lookup:
@@ -183,18 +183,25 @@ class TraceCache
     using CaptureFn = std::function<CapturedTrace()>;
 
     /**
-     * Return the trace cached under @p key, running @p capture under
-     * the key's once_flag when absent (concurrent first calls on one
-     * key run it exactly once; the others block, then replay).
-     * Returns nullptr when the cache is disabled, or when the capture
-     * exceeded the byte budget and the caller was not the capturing
-     * thread (the capturer still learns its own result; see
-     * runWorkload in experiments.cpp). A call that finds the entry
-     * not yet retained runs call_once inside a Wall span
+     * The trace of @p key; there is always one. The first call on a key
+     * loads it from the persistent store or runs @p capture, under the
+     * key's once_flag (concurrent first calls run it exactly once; the
+     * others block, then read its result). The returned trace is:
+     *  - the cached one, when the key's trace was retained;
+     *  - else the trace this call captured or loaded, moved into
+     *    @p own, when the cache is off or the trace is over the byte
+     *    budget;
+     *  - else, when another call's trace was dropped by the budget, a
+     *    fresh capture into @p own.
+     * @p own must outlive the returned reference. A call that finds
+     * the entry not yet retained runs call_once inside a Wall span
      * `trace_cache.fetch` (arg `captured`: 1 on the capturing call),
-     * so time spent waiting on another worker's capture is named.
+     * so time spent waiting on another worker's capture is named. A
+     * disabled cache only runs @p capture: no entry, no store, no
+     * counter.
      */
-    const CapturedTrace *fetchOrCapture(const std::string &key,
+    const CapturedTrace &fetchOrCapture(const std::string &key,
+                                        CapturedTrace &own,
                                         const CaptureFn &capture);
 
     /**
@@ -216,16 +223,20 @@ class TraceCache
      */
     void clear();
 
-    /** Capture invocations (one per distinct key actually captured). */
+    /**
+     * Capture runs: one per key whose first call found no stored
+     * trace, plus one per later fetch of a key the budget dropped.
+     */
     uint64_t captures() const;
-    /** Calls served from an existing entry without capturing. */
+    /**
+     * Fetches that returned a retained trace they did not capture
+     * (another call's capture, or a store load). Every fetch on an
+     * enabled cache counts exactly one hit or one miss.
+     */
     uint64_t hits() const;
     /**
-     * Calls that could not be served from a retained entry: every
-     * capture, plus later fetches of keys whose trace was dropped by
-     * the byte budget. Disjoint from hits() for capturing calls but
-     * not for budget-dropped keys (those count a hit on the once_flag
-     * and a miss on the missing bytes).
+     * Every other fetch: the capturing call of each key, and each
+     * fetch whose trace was not retained (over the byte budget).
      */
     uint64_t misses() const;
     /** Captured traces dropped (never retained) by the byte budget. */
@@ -242,15 +253,15 @@ class TraceCache
         std::once_flag once;
         CapturedTrace trace;
         /**
-         * False when the trace blew the byte budget and was freed.
-         * Written under m_ once `trace` is final, so find() reads it
-         * under m_ in place of the once_flag.
+         * False when the trace blew the byte budget and went to the
+         * capturing call's `own`. Written under m_ once `trace` is
+         * final, so find() reads it under m_ in place of the once_flag.
          */
         bool retained = false;
     };
 
-    /** Charge e->trace to the byte budget; drop it when over. */
-    void retain(Entry *e);
+    /** Charge e->trace to the byte budget; false when it does not fit. */
+    bool retain(Entry *e);
 
     mutable std::mutex m_;
     std::map<std::string, std::unique_ptr<Entry>> map_;

@@ -356,12 +356,17 @@ TraceStore::load(const std::string &key)
 
     // Exact size check before touching any offset derived from the
     // header, so a corrupt count can never index past the mapping.
+    // keyBytes and cycles are bounded by the file size before any sum
+    // or product, so none of the offsets below can wrap, and the stats
+    // length is compared against what is left rather than added.
+    if (hdr.keyBytes > size ||
+        hdr.cycles > size / (sizeof(double) + kActivityEntryBytes))
+        return rejectUnmap("size mismatch");
     const size_t ampsOff = alignUp8(kHeaderBytes + hdr.keyBytes);
     const size_t actOff = ampsOff + hdr.cycles * sizeof(double);
     const size_t statsOff =
         alignUp8(actOff + hdr.cycles * kActivityEntryBytes);
-    if (hdr.keyBytes > size || hdr.cycles > size / sizeof(double) ||
-        statsOff + hdr.statsBytes != size)
+    if (statsOff > size || hdr.statsBytes != size - statsOff)
         return rejectUnmap("size mismatch");
 
     if (fnv1a(kFnvOffset, bytes + kHeaderBytes, size - kHeaderBytes) !=

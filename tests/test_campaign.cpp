@@ -499,9 +499,7 @@ TEST(ThresholdCache, ConcurrentFirstCallsSolveOnce)
 CampaignResult
 miniCampaign()
 {
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 
     RunSpec uncontrolled;

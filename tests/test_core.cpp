@@ -414,8 +414,7 @@ TEST(VoltageSim, UncontrolledStressmarkBreachesAt200)
     rs.impedanceScale = 2.0;
     rs.controllerEnabled = false;
     rs.maxCycles = 60000;
-    const auto cal =
-        workloads::StressmarkBuilder::calibrate(60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto res = runWorkload(
         workloads::StressmarkBuilder::build(cal.params), rs);
     EXPECT_GT(res.emergencyCycles(), 0u);
@@ -425,8 +424,7 @@ TEST(VoltageSim, UncontrolledStressmarkBreachesAt200)
 TEST(VoltageSim, ControllerEliminatesEmergencies)
 {
     // The paper's central claim, checked across sensor delays.
-    const auto cal =
-        workloads::StressmarkBuilder::calibrate(60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto prog = workloads::StressmarkBuilder::build(cal.params);
     for (unsigned d : {0u, 2u, 5u}) {
         RunSpec rs;
@@ -457,8 +455,7 @@ TEST(VoltageSim, SpecSafeUncontrolledAt200)
 TEST(VoltageSim, GatingReducesCurrentDuringLowPhases)
 {
     // With the controller on, minimum voltage improves vs uncontrolled.
-    const auto cal =
-        workloads::StressmarkBuilder::calibrate(60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto prog = workloads::StressmarkBuilder::build(cal.params);
     RunSpec off;
     off.impedanceScale = 3.0;
@@ -512,8 +509,7 @@ TEST(VoltageSim, MaxInstsLimitsWork)
 
 TEST(VoltageSim, TraceSamplesExposeControllerAction)
 {
-    const auto cal =
-        workloads::StressmarkBuilder::calibrate(60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     RunSpec rs;
     rs.impedanceScale = 2.0;
     rs.delayCycles = 1;
@@ -577,8 +573,7 @@ TEST(Experiments, CompareControlledSpecCheap)
 
 TEST(Experiments, CompareControlledStressmarkCostly)
 {
-    const auto cal =
-        workloads::StressmarkBuilder::calibrate(60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     RunSpec rs;
     rs.impedanceScale = 2.0;
     rs.delayCycles = 5;

@@ -165,8 +165,7 @@ TEST(Pid, DelayLineAgesReadings)
 
 TEST(Pid, ProtectsStressmark)
 {
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     RunSpec rs;
     rs.impedanceScale = 2.0;
     rs.controllerEnabled = false;
@@ -312,8 +311,7 @@ TEST(Asymmetric, ProtectsWithWeakPhantom)
 {
     // Gate with the full set, phantom with FU only, on a package where
     // the high side binds (tight pinned vHigh).
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     RunSpec rs;
     rs.impedanceScale = 3.0;
     rs.delayCycles = 2;
@@ -338,7 +336,7 @@ TEST(Convolution, NaiveMatchesStateSpaceOnStressmarkTrace)
     // with the dI/dt stressmark's resonant current trace (cycle core
     // + Wattch) and require them to agree cycle for cycle.
     const Machine m = referenceMachine();
-    const auto cal = workloads::StressmarkBuilder::calibrate(60, m.cpu);
+    const auto &cal = referenceStressmark();
     cpu::OoOCore core(m.cpu,
                       workloads::StressmarkBuilder::build(cal.params));
     power::WattchModel pm(m.power, m.cpu);

@@ -430,8 +430,7 @@ TEST(VoltageSimStats, PerRunStatsMatchResultCounters)
     // in at the end of every run, so each counter diff covers one run
     // and the pdn.v.* gauges report the extremes of all runs so far.
     using namespace vguard::core;
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        60, referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     RunSpec rs;
     rs.impedanceScale = 2.0;
     rs.controllerEnabled = false;

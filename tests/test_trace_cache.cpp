@@ -22,6 +22,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -37,7 +39,6 @@
 #include "core/trace_store.hpp"
 #include "core/voltage_sim.hpp"
 #include "fuzz_inputs.hpp"
-#include "pdn/package_model.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/spec_proxy.hpp"
 #include "workloads/stressmark.hpp"
@@ -318,7 +319,10 @@ TEST(TraceCacheConcurrency, FindNeverSeesAPartialTrace)
     });
     std::vector<std::thread> writers;
     for (int w = 0; w < 8; ++w)
-        writers.emplace_back([&] { tc.fetchOrCapture(key, capture); });
+        writers.emplace_back([&] {
+            CapturedTrace own;
+            tc.fetchOrCapture(key, own, capture);
+        });
     for (auto &t : writers)
         t.join();
     done.store(true);
@@ -328,6 +332,72 @@ TEST(TraceCacheConcurrency, FindNeverSeesAPartialTrace)
     const CapturedTrace *t = tc.find(key);
     ASSERT_NE(t, nullptr);
     EXPECT_TRUE(complete(t));
+}
+
+// ---------------------------------------------------- byte budget
+
+/**
+ * Over the byte budget every fetch still returns a trace of its own:
+ * the first call on a key keeps the capture it ran, each later call
+ * captures afresh, and each fetch counts one miss and no hit. With the
+ * cache off a fetch only captures. The budget is read once, when the
+ * cache singleton is built, so the checks run in a fresh process with
+ * VGUARD_TRACE_CACHE_MB=0: a threadsafe-style death test re-executes
+ * this binary for its statement.
+ */
+TEST(TraceCacheBudget, EveryFetchReturnsATraceAndCountsOnce)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // NOLINTNEXTLINE(concurrency-mt-unsafe)
+    setenv("VGUARD_TRACE_CACHE_MB", "0", 1);
+    EXPECT_EXIT(
+        {
+            TraceStore::instance().configure("", 0);
+            TraceCache &tc = TraceCache::instance();
+            std::atomic<uint64_t> runs{0};
+            const auto capture = [&] {
+                ++runs;
+                CapturedTrace t;
+                t.amps.assign(64, 1.5);
+                t.activity.resize(64);
+                t.committed = 32;
+                return t;
+            };
+            const auto fetchOwn = [&](const char *key) {
+                CapturedTrace own;
+                const CapturedTrace &t =
+                    tc.fetchOrCapture(key, own, capture);
+                return &t == &own && t.cycles() == 64 && t.committed == 32;
+            };
+            std::atomic<unsigned> owned{0};
+            std::vector<std::thread> threads;
+            for (int i = 0; i < 8; ++i)
+                threads.emplace_back([&] { owned += fetchOwn("budget"); });
+            for (auto &t : threads)
+                t.join();
+            std::fprintf(stderr,
+                         "owned %u runs %llu captures %llu hits %llu "
+                         "misses %llu evicts %llu entries %zu\n",
+                         owned.load(),
+                         static_cast<unsigned long long>(runs.load()),
+                         static_cast<unsigned long long>(tc.captures()),
+                         static_cast<unsigned long long>(tc.hits()),
+                         static_cast<unsigned long long>(tc.misses()),
+                         static_cast<unsigned long long>(tc.evicts()),
+                         tc.entries());
+            bool ok = owned == 8 && runs == 8 && tc.captures() == 8 &&
+                      tc.hits() == 0 && tc.misses() == 8 &&
+                      tc.evicts() == 1 && tc.entries() == 0 &&
+                      tc.bytes() == 0 && !tc.find("budget");
+
+            tc.setEnabled(false);
+            ok = ok && fetchOwn("off") && runs == 9 &&
+                 tc.captures() == 8 && tc.misses() == 8;
+            std::exit(ok ? 0 : 1);
+        },
+        testing::ExitedWithCode(0), "");
+    // NOLINTNEXTLINE(concurrency-mt-unsafe)
+    unsetenv("VGUARD_TRACE_CACHE_MB");
 }
 
 // ------------------------------------------------- passive closed loop
@@ -648,9 +718,7 @@ TEST(TraceCacheGolden, MiniCampaignUnchangedWithCacheEnabled)
     TraceCache &tc = TraceCache::instance();
     tc.setEnabled(true);
 
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 
     RunSpec uncontrolled;

@@ -4,9 +4,10 @@
  * round trips must be bit-identical through the zero-copy mmap view
  * (waveform bytes, fingerprints, spliced front-end stats, and the
  * replay results built from them), every corruption mode — truncation,
- * payload flips, version/magic mismatch — must warn and degrade to a
- * recapture rather than serve bad data, concurrent writer processes
- * must never produce a torn file (tmp + atomic rename), the size
+ * payload flips, version/magic mismatch, size fields crafted to wrap
+ * — must warn and degrade to a recapture rather than serve bad data or
+ * read past the mapping, concurrent writer processes must never
+ * produce a torn file (tmp + atomic rename), the size
  * budget must evict oldest-mtime files with load() bumping recency,
  * and save() must refuse to rewrite a trace that is itself a store
  * view.
@@ -254,6 +255,66 @@ TEST(TraceStoreValidation, CorruptFilesWarnAndRecapture)
     ASSERT_TRUE(reloaded.has_value());
     expectSameTrace(trace, *reloaded);
     reloaded.reset();
+
+    ts.configure("", 0);
+    fs::remove_all(dir);
+}
+
+/**
+ * A crafted 8 KiB file whose header passes every check done in
+ * wrapping arithmetic: cycles = 1024 is within size / 8, and
+ * statsBytes = size - statsOff (mod 2^64) makes statsOff + statsBytes
+ * wrap to the file size, with a valid payload hash. Decoding its stats
+ * blob would read ~28 KiB past the mapping; it must be rejected.
+ */
+TEST(TraceStoreValidation, WrappingSizeFieldsAreRejected)
+{
+    TraceStore &ts = TraceStore::instance();
+    const fs::path dir = freshStoreDir("wrapping");
+    ts.configure(dir.string(), 1u << 30);
+
+    // Magic, version and reserved word from a genuine file, so the
+    // crafted one gets past them whatever the current version is.
+    std::string goodKey;
+    const CapturedTrace good = captureTrace(611, goodKey);
+    ASSERT_TRUE(ts.save(goodKey, good));
+    std::string file(8192, '\0');
+    {
+        std::ifstream in(dir / TraceStore::fileNameForKey(goodKey),
+                         std::ios::binary);
+        ASSERT_TRUE(in.read(&file[0], 16));
+    }
+
+    const std::string key = "k";
+    const uint64_t size = file.size();
+    const uint64_t cycles = 1024;
+    const auto align8 = [](uint64_t n) { return (n + 7) & ~uint64_t{7}; };
+    const uint64_t statsOff =
+        align8(align8(64 + key.size()) + cycles * sizeof(double) +
+               cycles * sizeof(obs::ActivityRow));
+    ASSERT_GT(statsOff, size);
+    const auto putU64 = [&](size_t at, uint64_t v) {
+        std::memcpy(&file[at], &v, sizeof v);
+    };
+    putU64(16, key.size());
+    putU64(24, cycles);
+    putU64(48, size - statsOff); // wraps
+    file[64] = key[0];
+    uint64_t hash = 0xcbf29ce484222325ull; // FNV-1a 64 over [64, EOF)
+    for (size_t i = 64; i < file.size(); ++i) {
+        hash ^= static_cast<unsigned char>(file[i]);
+        hash *= 0x100000001b3ull;
+    }
+    putU64(56, hash);
+    {
+        std::ofstream out(dir / TraceStore::fileNameForKey(key),
+                          std::ios::binary);
+        out.write(file.data(), static_cast<std::streamsize>(size));
+    }
+
+    const uint64_t before = ts.rejects();
+    EXPECT_FALSE(ts.load(key).has_value());
+    EXPECT_EQ(ts.rejects() - before, 1u);
 
     ts.configure("", 0);
     fs::remove_all(dir);

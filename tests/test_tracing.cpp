@@ -36,7 +36,6 @@
 #include "core/experiments.hpp"
 #include "core/trace_cache.hpp"
 #include "obs/tracing.hpp"
-#include "pdn/package_model.hpp"
 #include "util/json_parse.hpp"
 #include "workloads/stressmark.hpp"
 
@@ -139,9 +138,7 @@ validateChrome(const JsonValue &doc)
 CampaignResult
 tracedMiniCampaign(int threads, double sensorError)
 {
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 
     RunSpec open;
@@ -174,9 +171,7 @@ tracedMiniCampaign(int threads, double sensorError)
 std::string
 canonicalAt(int threads)
 {
-    const auto cal = workloads::StressmarkBuilder::calibrate(
-        pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-        referenceMachine().cpu);
+    const auto &cal = referenceStressmark();
     const auto stress = workloads::StressmarkBuilder::build(cal.params);
 
     std::vector<CampaignJob> jobs;
