@@ -26,7 +26,6 @@
 #include <cstdio>
 
 #include "core/experiments.hpp"
-#include "core/trace.hpp"
 #include "util/table.hpp"
 #include "workloads/kernels.hpp"
 

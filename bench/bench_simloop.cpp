@@ -60,7 +60,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -162,10 +161,11 @@ main(int argc, char **argv)
 {
     CampaignCli cli = parseCampaignCli(argc, argv);
     uint64_t cycles = 200000;
-    if (!cli.positional.empty())
-        cycles = std::strtoull(cli.positional[0].c_str(), nullptr, 10);
-    if (cycles == 0)
-        fatal("bench_simloop: cycles must be positive");
+    if (!cli.positional.empty() &&
+        (!parseUnsignedDecimal(cli.positional[0], 19, cycles) ||
+         cycles == 0))
+        fatal("bench_simloop: expected a positive cycle count, got '%s'",
+              cli.positional[0].c_str());
     const std::string outPath =
         cli.jsonlPath.empty() ? "BENCH_simloop.json" : cli.jsonlPath;
 

@@ -92,16 +92,6 @@ main(int argc, char **argv)
     std::printf("expected shape: SPEC column ~0 at all delays; "
                 "stressmark columns grow with delay; emergencies all "
                 "zero.\n");
-    std::printf("campaign: %zu runs on %u threads in %.2f s\n",
-                campaign.runs.size(), campaign.threadsUsed,
-                campaign.wallSeconds);
-    if (writeCampaignJsonl(campaign, cli.jsonlPath))
-        std::printf("campaign: wrote %s\n", cli.jsonlPath.c_str());
-    if (writeCampaignStatsJson(campaign, cli.statsJsonPath))
-        std::printf("campaign: wrote %s\n", cli.statsJsonPath.c_str());
-    if (writeCampaignEventsJsonl(campaign, cli.eventsPath))
-        std::printf("campaign: wrote %s\n", cli.eventsPath.c_str());
-    if (writeCampaignTrace(cli))
-        std::printf("campaign: wrote trace artifacts\n");
+    writeCampaignArtifacts(cli, campaign);
     return 0;
 }

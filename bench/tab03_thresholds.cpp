@@ -11,7 +11,8 @@
  * Each (impedance, delay) threshold solve is independent (~50 ms), so
  * the campaign engine's parallel-for warms the shared thread-safe
  * cache before the table is printed serially. Usage:
- *   tab03_thresholds [--threads N]
+ *   tab03_thresholds [--threads N] [--trace FILE]
+ *                    [--trace-canonical FILE]
  */
 
 #include <cstdio>
@@ -74,5 +75,6 @@ main(int argc, char **argv)
     }
     std::printf("\n%zu threshold solves on %u threads\n", points.size(),
                 engine.threads());
+    writeCampaignTrace(cli);
     return 0;
 }

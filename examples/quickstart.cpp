@@ -14,9 +14,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/experiments.hpp"
+#include "core/trace_cache.hpp"
+#include "util/logging.hpp"
 #include "workloads/stressmark.hpp"
 
 using namespace vguard;
@@ -25,8 +26,11 @@ using namespace vguard::core;
 int
 main(int argc, char **argv)
 {
-    const uint64_t cycles =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100000;
+    uint64_t cycles = 100000;
+    if (argc > 1 &&
+        (!parseUnsignedDecimal(argv[1], 19, cycles) || cycles == 0))
+        fatal("quickstart: expected a positive cycle count, got '%s'",
+              argv[1]);
 
     // 1. Machine + package calibration (cached helpers).
     const auto &target = referenceTarget();

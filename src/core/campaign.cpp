@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <set>
@@ -47,60 +46,22 @@ CampaignEngine::forEach(size_t count,
         return;
     }
 
-    // One deque per worker, dealt round-robin: worker w holds
-    // indices w, w + n, w + 2n, ..., so the workers' first jobs are
-    // the first n indices, interleaved. Owners pop from the front;
-    // thieves steal from the back, which keeps stolen work far from
-    // what the owner touches next.
-    struct WorkerQueue
-    {
-        std::mutex m;
-        std::deque<size_t> q;
-    };
-    std::vector<WorkerQueue> queues(nWorkers);
-    for (size_t i = 0; i < count; ++i)
-        queues[i % nWorkers].q.push_back(i);
-
+    // One shared cursor: each worker claims the lowest unclaimed index,
+    // so jobs start in index order at any thread count. No job spawns
+    // jobs, so a worker is done once the cursor passes count.
+    std::atomic<size_t> cursor{0};
     std::mutex errorMutex;
     std::exception_ptr firstError;
-    std::atomic<uint64_t> steals{0};
 
-    auto worker = [&](unsigned self) {
-        constexpr size_t kNone = std::numeric_limits<size_t>::max();
+    auto worker = [&] {
         for (;;) {
-            size_t job = kNone;
-            size_t pending = 0;
-            {
-                std::lock_guard<std::mutex> lock(queues[self].m);
-                if (!queues[self].q.empty()) {
-                    job = queues[self].q.front();
-                    queues[self].q.pop_front();
-                }
-                pending = queues[self].q.size();
-            }
-            if (job != kNone) {
-                // Wall-class by construction: which worker holds what
-                // is pure scheduling.
-                obs::traceCounter("campaign.queue.pending",
-                                  static_cast<double>(pending));
-            }
-            for (unsigned off = 1; job == kNone && off < nWorkers;
-                 ++off) {
-                WorkerQueue &victim = queues[(self + off) % nWorkers];
-                std::lock_guard<std::mutex> lock(victim.m);
-                if (!victim.q.empty()) {
-                    job = victim.q.back();
-                    victim.q.pop_back();
-                    obs::traceCounter(
-                        "campaign.queue.steals",
-                        static_cast<double>(steals.fetch_add(
-                                                1,
-                                                std::memory_order_relaxed) +
-                                            1));
-                }
-            }
-            if (job == kNone)
-                return; // every queue drained; no job spawns jobs
+            const size_t job = cursor.fetch_add(1);
+            if (job >= count)
+                return;
+            // Wall-class by construction: how many jobs are still
+            // unclaimed when this one starts is pure scheduling.
+            obs::traceCounter("campaign.queue.pending",
+                              static_cast<double>(count - job - 1));
             try {
                 fn(job);
             } catch (...) {
@@ -114,7 +75,7 @@ CampaignEngine::forEach(size_t count,
     std::vector<std::thread> pool;
     pool.reserve(nWorkers);
     for (unsigned w = 0; w < nWorkers; ++w)
-        pool.emplace_back(worker, w);
+        pool.emplace_back(worker);
     for (auto &t : pool)
         t.join();
     if (firstError)
@@ -527,6 +488,9 @@ parseCampaignCli(int argc, char **argv)
                 fatal("--trace-canonical: missing value");
         } else if (arg == "--progress") {
             cli.options.progress = true;
+        } else if (arg.rfind("--", 0) == 0) {
+            // A misspelt flag must not pass as an ignored positional.
+            fatal("unknown option '%s'", argv[i]);
         } else {
             cli.positional.push_back(std::move(arg));
         }
@@ -542,12 +506,10 @@ parseCampaignCli(int argc, char **argv)
 
 namespace {
 
-bool
+void
 writeTextFile(const std::string &text, const std::string &path,
               const char *what)
 {
-    if (path.empty())
-        return false;
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         fatal("%s: cannot open '%s': %s", what, path.c_str(),
@@ -556,38 +518,32 @@ writeTextFile(const std::string &text, const std::string &path,
     const int closed = std::fclose(f);
     if (written != text.size() || closed != 0)
         fatal("%s: short write to '%s'", what, path.c_str());
-    return true;
 }
 
 } // namespace
 
-bool
-writeCampaignJsonl(const CampaignResult &result,
-                   const std::string &path)
+void
+writeCampaignArtifacts(const CampaignCli &cli,
+                       const CampaignResult &result)
 {
-    if (path.empty())
-        return false;
-    return writeTextFile(result.jsonl(), path, "writeCampaignJsonl");
-}
-
-bool
-writeCampaignStatsJson(const CampaignResult &result,
-                       const std::string &path)
-{
-    if (path.empty())
-        return false;
-    return writeTextFile(result.statsJson() + "\n", path,
-                         "writeCampaignStatsJson");
-}
-
-bool
-writeCampaignEventsJsonl(const CampaignResult &result,
-                         const std::string &path)
-{
-    if (path.empty())
-        return false;
-    return writeTextFile(result.eventsJsonl(), path,
-                         "writeCampaignEventsJsonl");
+    std::printf("campaign: %zu runs on %u threads in %.2f s\n",
+                result.runs.size(), result.threadsUsed,
+                result.wallSeconds);
+    // Each document is rendered only when its flag asks for it.
+    const auto write = [](const std::string &path, const char *flag,
+                          const auto &render) {
+        if (path.empty())
+            return;
+        writeTextFile(render(), path, flag);
+        std::printf("campaign: wrote %s\n", path.c_str());
+    };
+    write(cli.jsonlPath, "--jsonl", [&] { return result.jsonl(); });
+    write(cli.statsJsonPath, "--stats-json",
+          [&] { return result.statsJson() + "\n"; });
+    write(cli.eventsPath, "--events",
+          [&] { return result.eventsJsonl(); });
+    if (writeCampaignTrace(cli))
+        std::printf("campaign: wrote trace artifacts\n");
 }
 
 bool
@@ -605,15 +561,12 @@ writeCampaignTrace(const CampaignCli &cli)
         warn("trace: %llu deterministic events dropped (raise the "
              "buffer capacity); canonical form is not golden-stable",
              static_cast<unsigned long long>(st.droppedDet));
-    bool wrote = false;
     if (!cli.tracePath.empty())
-        wrote |= writeTextFile(tracer.chromeJson(), cli.tracePath,
-                               "writeCampaignTrace");
+        writeTextFile(tracer.chromeJson(), cli.tracePath, "--trace");
     if (!cli.traceCanonicalPath.empty())
-        wrote |= writeTextFile(tracer.canonicalJsonl(),
-                               cli.traceCanonicalPath,
-                               "writeCampaignTrace");
-    return wrote;
+        writeTextFile(tracer.canonicalJsonl(), cli.traceCanonicalPath,
+                      "--trace-canonical");
+    return true;
 }
 
 } // namespace vguard::core

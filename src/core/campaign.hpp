@@ -4,10 +4,10 @@
  *
  * Every table/figure of the paper is a sweep of independent RunSpec
  * simulations (Fig. 10, Figs. 14-18, Tables 2-3). The campaign engine
- * shards such a sweep across a work-stealing thread pool and
- * aggregates the results *in submission order*, so the output —
- * including the JSONL artifact — is byte-identical regardless of
- * thread count.
+ * runs such a sweep on a thread pool whose workers claim jobs from
+ * one shared cursor, and aggregates the results *in submission
+ * order*, so the output — including the JSONL artifact — is
+ * byte-identical regardless of thread count.
  *
  * Determinism guarantee:
  *  - each run's sensor-noise seed is derived purely from
@@ -21,15 +21,16 @@
  *
  * Thread count therefore only changes wall-clock time, never results.
  *
- * Capture-first dispatch: run() hands the pool each trace key's first
- * job that can capture it (an open-loop job, or a compare job, whose
- * probe leg captures) before all other jobs, each group in
- * submission order. Workers then capture distinct keys side by side
- * instead of queueing on one key's capture, and a closed-loop job
- * finds its key's trace cached. The order cannot reach the results:
- * a replay is byte-identical to the run it replays, a sensed replay
- * to the full closed loop, and a run's seed and result slot come
- * from its submission index, never from when it ran.
+ * Capture-first dispatch: run() puts each trace key's first job that
+ * can capture it (an open-loop job, or a compare job, whose probe leg
+ * captures) ahead of all other jobs, each group in submission order,
+ * and the cursor starts jobs in exactly that order. Workers then
+ * capture distinct keys side by side instead of queueing on one
+ * key's capture, and a closed-loop job finds its key's trace cached.
+ * The order cannot reach the results: a replay is byte-identical to
+ * the run it replays, a sensed replay to the full closed loop, and a
+ * run's seed and result slot come from its submission index, never
+ * from when it ran.
  */
 
 #ifndef VGUARD_CORE_CAMPAIGN_HPP
@@ -123,7 +124,7 @@ struct CampaignResult
     std::string eventsJsonl() const;
 };
 
-/** The work-stealing campaign engine. */
+/** The campaign engine: a thread pool over one shared job cursor. */
 class CampaignEngine
 {
   public:
@@ -148,11 +149,12 @@ class CampaignEngine
     CampaignResult run(std::vector<CampaignJob> jobs) const;
 
     /**
-     * Deterministic parallel-for over [0, count) on the same
-     * work-stealing pool: @p fn must write only to index-private
-     * state. Used e.g. to warm the threshold cache for Table 3.
-     * Exceptions from @p fn are rethrown (first one wins) after the
-     * pool drains.
+     * Deterministic parallel-for over [0, count): workers claim
+     * indices from one shared cursor, so jobs start in index order at
+     * any thread count (one worker runs them serially). @p fn must
+     * write only to index-private state. Used e.g. to warm the
+     * threshold cache for Table 3. Exceptions from @p fn are rethrown
+     * (first one wins) after the pool drains.
      */
     void forEach(size_t count,
                  const std::function<void(size_t)> &fn) const;
@@ -175,7 +177,7 @@ struct CampaignCli
     std::string eventsPath;                ///< --events FILE
     std::string tracePath;                 ///< --trace FILE (Chrome JSON)
     std::string traceCanonicalPath;        ///< --trace-canonical FILE
-    std::vector<std::string> positional;   ///< everything unrecognised
+    std::vector<std::string> positional;   ///< bare (non-flag) arguments
 };
 
 /**
@@ -185,33 +187,31 @@ struct CampaignCli
  * FILE`, `--trace FILE` (Chrome trace-event JSON; enables the
  * tracer), `--trace-canonical FILE` (the wall-clock-stripped
  * canonical form; also enables the tracer),
- * `--progress` (also `--flag=value` forms). Unknown arguments are
- * returned as positionals in order; malformed values are fatal().
+ * `--progress` (also `--flag=value` forms). Arguments that do not
+ * start with `--` are returned as positionals in order; an unknown
+ * `--flag` or a malformed value is fatal().
  * Shared by the bench binaries and examples so every sweep exposes
  * the same knobs.
  */
 CampaignCli parseCampaignCli(int argc, char **argv);
 
 /**
- * Write result.jsonl() to @p path (no-op when empty; fatal on I/O
- * error). Returns true when a file was written.
+ * The end of every campaign binary: print the `campaign: N runs on T
+ * threads in S s` line, write result.jsonl(), result.statsJson() and
+ * result.eventsJsonl() to the --jsonl, --stats-json and --events
+ * paths that are set, then writeCampaignTrace(cli). Prints one
+ * `campaign: wrote ...` line per file (one for the trace exports);
+ * fatal() on an I/O error.
  */
-bool writeCampaignJsonl(const CampaignResult &result,
-                        const std::string &path);
-
-/** Write result.statsJson() to @p path (same contract). */
-bool writeCampaignStatsJson(const CampaignResult &result,
-                            const std::string &path);
-
-/** Write result.eventsJsonl() to @p path (same contract). */
-bool writeCampaignEventsJsonl(const CampaignResult &result,
-                              const std::string &path);
+void writeCampaignArtifacts(const CampaignCli &cli,
+                            const CampaignResult &result);
 
 /**
  * Export the process-wide tracer to cli.tracePath (Chrome trace-event
  * JSON) and/or cli.traceCanonicalPath (canonical JSONL). Call after
  * the campaign has joined its pool (no thread is still recording).
- * No-op (returns false) when neither path is set.
+ * No-op (returns false) when neither path is set. Public for binaries
+ * that trace without a CampaignResult.
  */
 bool writeCampaignTrace(const CampaignCli &cli);
 

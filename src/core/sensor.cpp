@@ -34,12 +34,8 @@ ThresholdSensor::observe(double vNow)
     head_ = head_ + 1 == history_.size() ? 0 : head_ + 1;
     double reading = history_[head_];
 
-    if (cfg_.noiseMagnitude > 0.0) {
-        reading += cfg_.noiseKind == SensorNoiseKind::Gaussian
-                       ? rng_.gaussian(0.0, cfg_.noiseMagnitude)
-                       : rng_.uniform(-cfg_.noiseMagnitude,
-                                      cfg_.noiseMagnitude);
-    }
+    if (cfg_.noiseMagnitude > 0.0)
+        reading += rng_.uniform(-cfg_.noiseMagnitude, cfg_.noiseMagnitude);
     lastReading_ = reading;
     ++observes_;
 

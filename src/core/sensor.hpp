@@ -8,13 +8,12 @@
  * bandgap references or inverter-chain detectors in 1-2 cycles
  * (Section 4.2).
  *
- * Delay is modeled as a ring buffer of past readings; error as white
- * noise added to the reading — bounded uniform by default, per the
- * Section 4.5 error model, optionally Gaussian (see SensorNoiseKind).
- * Threshold
- * compensation for error — "correspondingly lowering and raising the
- * threshold by the potential error" — is applied by the threshold
- * solver, not here.
+ * Delay is modeled as a ring buffer of past readings; error as
+ * bounded white noise added to the reading, uniform on [-e, +e] per
+ * the Section 4.5 error model. Threshold compensation for error —
+ * "correspondingly lowering and raising the threshold by the
+ * potential error" — is applied by the threshold solver, not here;
+ * it is exact only because the error has a hard bound.
  */
 
 #ifndef VGUARD_CORE_SENSOR_HPP
@@ -33,18 +32,6 @@ namespace vguard::core {
 enum class VoltageLevel : uint8_t { Low, Normal, High };
 
 /**
- * Reading-error distribution.
- *
- * The paper's Section 4.5 model is *bounded* white error — thresholds
- * are compensated "by the potential error", which only works when the
- * error has a hard bound — so Uniform is the default and what the
- * Fig. 16 sweeps use. Gaussian is provided for sensitivity studies of
- * unbounded (thermal-noise-like) sensors; noiseMagnitude is then the
- * standard deviation and threshold compensation is only statistical.
- */
-enum class SensorNoiseKind : uint8_t { Uniform, Gaussian };
-
-/**
  * Longest sensor delay a sensor, the threshold solver or a RunSpec
  * accepts [cycles]. The paper sweeps 0-6 and one resonance period of
  * the reference package is 60 cycles, so this is far past any useful
@@ -60,10 +47,8 @@ struct SensorConfig
     double vHigh = 1e9;         ///< high threshold [V]
     /** Reading age (0..6 in the paper; at most kMaxSensorDelayCycles). */
     unsigned delayCycles = 1;
-    /** Error scale [V]: half-width (Uniform) or sigma (Gaussian). */
+    /** Reading error bound e [V]: each reading is off by U(-e, +e). */
     double noiseMagnitude = 0.0;
-    /** Error distribution; Uniform matches the paper's Fig. 16 runs. */
-    SensorNoiseKind noiseKind = SensorNoiseKind::Uniform;
     uint64_t seed = 0x5e11507;  ///< noise stream seed
     double vNominal = 1.0;      ///< initial delay-line fill [V]
 };

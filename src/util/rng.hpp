@@ -4,10 +4,9 @@
  *
  * A small, fast 64-bit generator (SplitMix64 seeded xoshiro256**) with
  * convenience draws used across the library: uniform doubles, bounded
- * integers, Bernoulli trials, and Gaussian noise. The paper's
- * Section 4.5 sensor-error model is *bounded* white error and uses the
- * uniform interval draw (core/sensor.hpp, SensorNoiseKind::Uniform);
- * the Gaussian draw serves unbounded-noise sensitivity studies.
+ * integers and Bernoulli trials. The paper's Section 4.5 sensor-error
+ * model is *bounded* white error and uses the uniform interval draw
+ * (core/sensor.hpp).
  *
  * All simulations in vguard are reproducible: every stochastic component
  * takes an explicit seed.
@@ -16,7 +15,6 @@
 #ifndef VGUARD_UTIL_RNG_HPP
 #define VGUARD_UTIL_RNG_HPP
 
-#include <cmath>
 #include <cstdint>
 
 namespace vguard {
@@ -64,7 +62,6 @@ class Rng
         uint64_t x = seed;
         for (auto &word : state_)
             word = splitmix64Next(x);
-        haveSpare_ = false;
     }
 
     /** Next raw 64-bit draw. */
@@ -113,33 +110,6 @@ class Rng
         return uniform() < p;
     }
 
-    /** Standard normal via Marsaglia polar method (cached spare). */
-    double
-    gaussian()
-    {
-        if (haveSpare_) {
-            haveSpare_ = false;
-            return spare_;
-        }
-        double u, v, s;
-        do {
-            u = uniform(-1.0, 1.0);
-            v = uniform(-1.0, 1.0);
-            s = u * u + v * v;
-        } while (s >= 1.0 || s == 0.0);
-        const double mul = std::sqrt(-2.0 * std::log(s) / s);
-        spare_ = v * mul;
-        haveSpare_ = true;
-        return u * mul;
-    }
-
-    /** Normal draw with the given mean and standard deviation. */
-    double
-    gaussian(double mean, double sigma)
-    {
-        return mean + sigma * gaussian();
-    }
-
   private:
     static uint64_t
     rotl(uint64_t x, int k)
@@ -148,8 +118,6 @@ class Rng
     }
 
     uint64_t state_[4] = {};
-    double spare_ = 0.0;
-    bool haveSpare_ = false;
 };
 
 } // namespace vguard

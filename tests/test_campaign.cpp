@@ -4,18 +4,22 @@
  * (thread count never changes results or JSONL bytes), the
  * thread-safety of the shared experiment caches (single solver
  * invocation per key under concurrent first calls), per-run seed
- * derivation, capture-first dispatch order, CLI parsing, and a
- * committed golden-trace regression that pins the stressmark
- * mini-campaign byte-for-byte.
+ * derivation, index-order job claiming, capture-first dispatch
+ * order, CLI parsing, and a committed golden-trace regression that
+ * pins the stressmark mini-campaign byte-for-byte.
  *
  * Run the `campaign` ctest label under TSan via
  *   cmake -B build-tsan -DVGUARD_SANITIZE=thread
  *   ctest --test-dir build-tsan -L campaign
  */
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -124,6 +128,20 @@ TEST(CampaignCli, RejectsOutOfRangeAndGarbage)
     const char *wide[] = {"prog", "--threads", "4294967296"};
     EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(wide)),
                 ::testing::ExitedWithCode(1), "out of range");
+}
+
+TEST(CampaignCli, RejectsUnknownFlags)
+{
+    // A misspelt flag used to pass as an ignored positional: "--thread
+    // 1 --jsonll out.jsonl" ran on every hardware thread, wrote
+    // nothing and exited 0.
+    const char *typo[] = {"prog", "--thread", "1"};
+    EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(typo)),
+                ::testing::ExitedWithCode(1), "unknown option '--thread'");
+    const char *inlined[] = {"prog", "--jsonll=x"};
+    EXPECT_EXIT(parseCampaignCli(2, const_cast<char **>(inlined)),
+                ::testing::ExitedWithCode(1),
+                "unknown option '--jsonll=x'");
 }
 
 TEST(CampaignCli, AcceptsWhitespaceAndPlusSign)
@@ -390,6 +408,36 @@ TEST(Campaign, ForEachPropagatesExceptions)
                              throw std::runtime_error("job 37");
                      }),
                  std::runtime_error);
+}
+
+TEST(Campaign, ForEachStartsJobsInIndexOrder)
+{
+    // Workers claim jobs in index order at any thread count, which
+    // run()'s capture-first order relies on: while job 0 holds one of
+    // two workers, the other must start 1, 2 and 3 in that order.
+    std::mutex m;
+    std::condition_variable cv;
+    std::vector<size_t> started;
+    bool sawJob3 = false;
+    const auto position = [&](size_t job) {
+        return static_cast<size_t>(
+            std::find(started.begin(), started.end(), job) -
+            started.begin());
+    };
+    CampaignEngine::Options o;
+    o.threads = 2;
+    CampaignEngine(o).forEach(4, [&](size_t i) {
+        std::unique_lock<std::mutex> lock(m);
+        started.push_back(i);
+        cv.notify_all();
+        if (i == 0)
+            sawJob3 = cv.wait_for(lock, std::chrono::seconds(10), [&] {
+                return position(3) < started.size();
+            });
+    });
+    EXPECT_TRUE(sawJob3) << "job 3 never started while job 0 waited";
+    ASSERT_EQ(started.size(), 4u);
+    EXPECT_LT(position(2), position(3)) << "job 3 started before job 2";
 }
 
 TEST(Campaign, CaptureLeadersDispatchFirst)

@@ -17,7 +17,6 @@
 #include "core/experiments.hpp"
 #include "core/sensor.hpp"
 #include "core/threshold_solver.hpp"
-#include "core/trace.hpp"
 #include "core/voltage_sim.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/spec_proxy.hpp"
@@ -96,42 +95,11 @@ TEST(Sensor, NoiseIsDeterministicPerSeed)
     }
 }
 
-TEST(Sensor, GaussianNoiseHasMatchingSigma)
-{
-    // Regression: the sensor used to draw uniform noise regardless of
-    // configuration while rng.hpp's docs promised a Gaussian — the
-    // Gaussian kind must actually produce sigma = noiseMagnitude and
-    // exceed the uniform bound sometimes.
-    SensorConfig sc;
-    sc.vLow = 0.0;
-    sc.vHigh = 2.0;
-    sc.delayCycles = 0;
-    sc.noiseMagnitude = 0.02;
-    sc.noiseKind = SensorNoiseKind::Gaussian;
-    ThresholdSensor s(sc);
-    double sum = 0.0, sumSq = 0.0;
-    int outsideUniformBound = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) {
-        s.observe(1.0);
-        const double e = s.lastReading() - 1.0;
-        sum += e;
-        sumSq += e * e;
-        if (std::fabs(e) > sc.noiseMagnitude)
-            ++outsideUniformBound;
-    }
-    EXPECT_NEAR(sum / n, 0.0, 5e-4);
-    EXPECT_NEAR(std::sqrt(sumSq / n), 0.02, 0.002);
-    // A N(0, 0.02) draw lands beyond +-0.02 about 32 % of the time; a
-    // uniform +-0.02 draw never does.
-    EXPECT_GT(outsideUniformBound, n / 5);
-}
-
 TEST(Sensor, UniformNoiseStaysUniform)
 {
-    // The default kind keeps the paper's bounded Section-4.5 error
-    // model: hard bound and ~sqrt(1/3) * bound standard deviation
-    // (distinguishes uniform from a sigma=bound Gaussian).
+    // The paper's bounded Section-4.5 error model: hard bound and
+    // ~sqrt(1/3) * bound standard deviation (distinguishes uniform
+    // from a sigma=bound Gaussian).
     SensorConfig sc;
     sc.vLow = 0.0;
     sc.vHigh = 2.0;
@@ -597,143 +565,6 @@ TEST(Experiments, CycleBudgetEnv)
         EXPECT_EQ(cycleBudget(1234), 1234u) << "'" << bad << "'";
     }
     unsetenv("VGUARD_CYCLES");
-}
-
-// ------------------------------------------------------ trace recorder
-
-/** A distinguishable sample: cycle i, amps i, volts 1 + i/1000. */
-TraceSample
-traceSample(uint64_t i)
-{
-    TraceSample t;
-    t.cycle = i;
-    t.amps = static_cast<double>(i);
-    t.volts = 1.0 + static_cast<double>(i) / 1000.0;
-    t.gated = i % 3 == 0;
-    t.phantom = i % 5 == 0;
-    return t;
-}
-
-TEST(TraceRecorder, LinearisedBeforeWrapIsInsertionOrder)
-{
-    TraceRecorder rec(8);
-    for (uint64_t i = 0; i < 5; ++i)
-        rec.record(traceSample(i));
-    EXPECT_EQ(rec.size(), 5u);
-    const auto lin = rec.linearised();
-    ASSERT_EQ(lin.size(), 5u);
-    for (uint64_t i = 0; i < 5; ++i)
-        EXPECT_EQ(lin[i].cycle, i);
-}
-
-TEST(TraceRecorder, LinearisedAfterWrapKeepsNewestOldestToNewest)
-{
-    // 20 samples into capacity 8 must retain exactly cycles 12..19 in
-    // order, regardless of where the ring head ended up.
-    TraceRecorder rec(8);
-    for (uint64_t i = 0; i < 20; ++i)
-        rec.record(traceSample(i));
-    EXPECT_EQ(rec.size(), 8u);
-    const auto lin = rec.linearised();
-    ASSERT_EQ(lin.size(), 8u);
-    for (size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(lin[i].cycle, 12 + i);
-    // at() agrees with the linearised view.
-    for (size_t i = 0; i < 8; ++i)
-        EXPECT_EQ(rec.at(i).cycle, lin[i].cycle);
-}
-
-TEST(TraceRecorder, WrapAtExactCapacityBoundary)
-{
-    // Exactly capacity samples: full but not wrapped; one more sample
-    // evicts only the oldest.
-    TraceRecorder rec(4);
-    for (uint64_t i = 0; i < 4; ++i)
-        rec.record(traceSample(i));
-    EXPECT_EQ(rec.linearised().front().cycle, 0u);
-    rec.record(traceSample(4));
-    const auto lin = rec.linearised();
-    ASSERT_EQ(lin.size(), 4u);
-    EXPECT_EQ(lin.front().cycle, 1u);
-    EXPECT_EQ(lin.back().cycle, 4u);
-}
-
-TEST(TraceRecorder, SummaryCoversOnlyRetainedWindow)
-{
-    // After wrap, the evicted early samples must not contaminate the
-    // summary: min/max/mean reflect cycles 12..19 only.
-    TraceRecorder rec(8);
-    for (uint64_t i = 0; i < 20; ++i)
-        rec.record(traceSample(i));
-    const auto s = rec.summary();
-    EXPECT_DOUBLE_EQ(s.minV, 1.012);
-    EXPECT_DOUBLE_EQ(s.maxV, 1.019);
-    EXPECT_DOUBLE_EQ(s.peakAmps, 19.0);
-    EXPECT_DOUBLE_EQ(s.meanAmps, (12.0 + 19.0) / 2.0);
-    // gated: multiples of 3 in [12,19] = {12,15,18};
-    // phantom: multiples of 5 = {15}.
-    EXPECT_EQ(s.gatedCycles, 3u);
-    EXPECT_EQ(s.phantomCycles, 1u);
-}
-
-TEST(TraceRecorder, CsvAfterWrapStartsAtOldestRetained)
-{
-    TraceRecorder rec(4);
-    for (uint64_t i = 0; i < 10; ++i)
-        rec.record(traceSample(i));
-    const std::string csv = rec.csv();
-    EXPECT_EQ(csv.rfind("cycle,amps,volts,gated,phantom\n", 0), 0u);
-    // First data row is the oldest retained sample (cycle 6), and the
-    // evicted cycle 5 appears nowhere.
-    EXPECT_NE(csv.find("\n6,"), std::string::npos);
-    EXPECT_EQ(csv.find("\n5,"), std::string::npos);
-    // 4 data rows + header.
-    size_t rows = 0;
-    for (char c : csv)
-        rows += c == '\n';
-    EXPECT_EQ(rows, 5u);
-}
-
-TEST(TraceRecorder, CsvStrideDecimatesFromOldest)
-{
-    TraceRecorder rec(8);
-    for (uint64_t i = 0; i < 20; ++i)
-        rec.record(traceSample(i));
-    // stride 3 over retained cycles 12..19 -> rows 12, 15, 18.
-    const std::string csv = rec.csv(3);
-    size_t rows = 0;
-    for (char c : csv)
-        rows += c == '\n';
-    EXPECT_EQ(rows, 4u); // header + 3
-    EXPECT_NE(csv.find("\n12,"), std::string::npos);
-    EXPECT_NE(csv.find("\n15,"), std::string::npos);
-    EXPECT_NE(csv.find("\n18,"), std::string::npos);
-    EXPECT_EQ(csv.find("\n13,"), std::string::npos);
-
-    // stride larger than the retained count -> just the oldest row.
-    const std::string one = rec.csv(100);
-    rows = 0;
-    for (char c : one)
-        rows += c == '\n';
-    EXPECT_EQ(rows, 2u);
-    EXPECT_NE(one.find("\n12,"), std::string::npos);
-}
-
-TEST(TraceRecorder, ClearResetsWrapState)
-{
-    TraceRecorder rec(4);
-    for (uint64_t i = 0; i < 9; ++i)
-        rec.record(traceSample(i));
-    rec.clear();
-    EXPECT_TRUE(rec.empty());
-    EXPECT_EQ(rec.csv(), "cycle,amps,volts,gated,phantom\n");
-    // Refill after clear behaves like a fresh recorder (no stale head).
-    for (uint64_t i = 100; i < 103; ++i)
-        rec.record(traceSample(i));
-    const auto lin = rec.linearised();
-    ASSERT_EQ(lin.size(), 3u);
-    EXPECT_EQ(lin[0].cycle, 100u);
-    EXPECT_EQ(lin[2].cycle, 102u);
 }
 
 } // namespace

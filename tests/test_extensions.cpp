@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include <algorithm>
 #include <cmath>
 #include <vector>
@@ -15,7 +13,6 @@
 #include "core/actuator.hpp"
 #include "core/experiments.hpp"
 #include "core/pid_controller.hpp"
-#include "core/trace.hpp"
 #include "core/voltage_sim.hpp"
 #include "cpu/core.hpp"
 #include "pdn/impulse.hpp"
@@ -208,81 +205,28 @@ TEST(Asymmetric, SymmetricCtorMatches)
 
 TEST(Trace, RecordsAndSummarises)
 {
+    // Per-cycle step() samples of the uncontrolled busy kernel: real
+    // current, a moving rail and no gating.
     RunSpec rs;
     rs.impedanceScale = 2.0;
     rs.controllerEnabled = false;
     VoltageSim sim(makeSimConfig(rs), workloads::busyKernel());
-    TraceRecorder rec(4096);
-    rec.capture(sim, 2000);
-    EXPECT_EQ(rec.size(), 2000u);
-    const auto sum = rec.summary();
-    EXPECT_GT(sum.meanAmps, 5.0);
-    EXPECT_GE(sum.peakAmps, sum.meanAmps);
-    EXPECT_LT(sum.minV, sum.maxV);
-    EXPECT_EQ(sum.gatedCycles, 0u);
-}
-
-TEST(Trace, RingKeepsNewestSamples)
-{
-    TraceRecorder rec(10);
-    for (uint64_t c = 0; c < 25; ++c) {
-        TraceSample s;
-        s.cycle = c;
-        rec.record(s);
+    uint64_t samples = 0, gated = 0;
+    double minV = 2.0, maxV = 0.0, peakAmps = 0.0, ampSum = 0.0;
+    for (; samples < 2000 && !sim.halted(); ++samples) {
+        const TraceSample t = sim.step();
+        minV = std::min(minV, t.volts);
+        maxV = std::max(maxV, t.volts);
+        peakAmps = std::max(peakAmps, t.amps);
+        ampSum += t.amps;
+        gated += t.gated;
     }
-    EXPECT_EQ(rec.size(), 10u);
-    EXPECT_EQ(rec.at(0).cycle, 15u); // oldest retained
-    EXPECT_EQ(rec.at(9).cycle, 24u); // newest
-    const auto lin = rec.linearised();
-    for (size_t i = 1; i < lin.size(); ++i)
-        EXPECT_EQ(lin[i].cycle, lin[i - 1].cycle + 1);
-}
-
-TEST(Trace, CsvFormatAndStride)
-{
-    TraceRecorder rec(16);
-    for (uint64_t c = 0; c < 8; ++c) {
-        TraceSample s;
-        s.cycle = c;
-        s.amps = 10.0 + c;
-        s.volts = 1.0;
-        s.gated = c % 2 == 0;
-        rec.record(s);
-    }
-    const std::string csv = rec.csv(2);
-    EXPECT_NE(csv.find("cycle,amps,volts,gated,phantom"),
-              std::string::npos);
-    // Header + 4 decimated rows.
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
-    EXPECT_NE(csv.find("0,10.0000,1.000000,1,0"), std::string::npos);
-}
-
-TEST(Trace, WriteCsvRoundTrip)
-{
-    TraceRecorder rec(8);
-    TraceSample s;
-    s.cycle = 3;
-    s.amps = 20.0;
-    s.volts = 0.98;
-    rec.record(s);
-    const std::string path = "/tmp/vguard_trace_test.csv";
-    rec.writeCsv(path);
-    FILE *f = std::fopen(path.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[256] = {};
-    const size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-    std::fclose(f);
-    std::remove(path.c_str());
-    EXPECT_GT(n, 10u);
-    EXPECT_NE(std::string(buf).find("3,20.0000"), std::string::npos);
-}
-
-TEST(Trace, ClearResets)
-{
-    TraceRecorder rec(4);
-    rec.record(TraceSample{});
-    rec.clear();
-    EXPECT_TRUE(rec.empty());
+    EXPECT_EQ(samples, 2000u);
+    const double meanAmps = ampSum / static_cast<double>(samples);
+    EXPECT_GT(meanAmps, 5.0);
+    EXPECT_GE(peakAmps, meanAmps);
+    EXPECT_LT(minV, maxV);
+    EXPECT_EQ(gated, 0u);
 }
 
 // ------------------------------------------------------ wakeup kernel

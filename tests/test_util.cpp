@@ -100,26 +100,6 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
-TEST(Rng, GaussianMoments)
-{
-    Rng r(13);
-    RunningStat s;
-    for (int i = 0; i < 200000; ++i)
-        s.add(r.gaussian());
-    EXPECT_NEAR(s.mean(), 0.0, 0.01);
-    EXPECT_NEAR(s.stddev(), 1.0, 0.01);
-}
-
-TEST(Rng, GaussianScaled)
-{
-    Rng r(17);
-    RunningStat s;
-    for (int i = 0; i < 100000; ++i)
-        s.add(r.gaussian(5.0, 2.0));
-    EXPECT_NEAR(s.mean(), 5.0, 0.05);
-    EXPECT_NEAR(s.stddev(), 2.0, 0.05);
-}
-
 TEST(Rng, ReseedRestartsSequence)
 {
     Rng r(99);
