@@ -159,7 +159,7 @@ identical(const VoltageSimResult &a, const VoltageSimResult &b)
 int
 main(int argc, char **argv)
 {
-    CampaignCli cli = parseCampaignCli(argc, argv);
+    CampaignCli cli = parseCampaignCli(argc, argv, kJsonlOutput);
     uint64_t cycles = 200000;
     if (!cli.positional.empty() &&
         (!parseUnsignedDecimal(cli.positional[0], 19, cycles) ||

@@ -29,7 +29,7 @@ using namespace vguard::core;
 int
 main(int argc, char **argv)
 {
-    const CampaignCli cli = parseCampaignCli(argc, argv);
+    const CampaignCli cli = parseCampaignCli(argc, argv, kTraceOutput);
     std::printf("== Table 3: thresholds vs sensor delay (200%% "
                 "impedance) ==\n\n");
 

@@ -74,7 +74,8 @@ phaseOffset(const std::string &alignment, size_t i, size_t n,
 int
 main(int argc, char **argv)
 {
-    const CampaignCli cli = parseCampaignCli(argc, argv);
+    const CampaignCli cli =
+        parseCampaignCli(argc, argv, kJsonlOutput | kTraceOutput);
     const std::string &jsonlPath = cli.jsonlPath;
 
     std::printf("== Chip emergencies: shared-rail cores vs phase "

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <set>
 #include <thread>
 
@@ -17,6 +16,7 @@
 #include "obs/tracing.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace vguard::core {
@@ -36,50 +36,13 @@ void
 CampaignEngine::forEach(size_t count,
                         const std::function<void(size_t)> &fn) const
 {
-    if (count == 0)
-        return;
-    const unsigned nWorkers = static_cast<unsigned>(
-        std::min<size_t>(threads(), count));
-    if (nWorkers <= 1) {
-        for (size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-
-    // One shared cursor: each worker claims the lowest unclaimed index,
-    // so jobs start in index order at any thread count. No job spawns
-    // jobs, so a worker is done once the cursor passes count.
-    std::atomic<size_t> cursor{0};
-    std::mutex errorMutex;
-    std::exception_ptr firstError;
-
-    auto worker = [&] {
-        for (;;) {
-            const size_t job = cursor.fetch_add(1);
-            if (job >= count)
-                return;
-            // Wall-class by construction: how many jobs are still
-            // unclaimed when this one starts is pure scheduling.
-            obs::traceCounter("campaign.queue.pending",
-                              static_cast<double>(count - job - 1));
-            try {
-                fn(job);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(errorMutex);
-                if (!firstError)
-                    firstError = std::current_exception();
-            }
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(nWorkers);
-    for (unsigned w = 0; w < nWorkers; ++w)
-        pool.emplace_back(worker);
-    for (auto &t : pool)
-        t.join();
-    if (firstError)
-        std::rethrow_exception(firstError);
+    parallelFor(count, threads(), [&](size_t job) {
+        // Wall-class by construction: how many jobs are still
+        // unclaimed when this one starts is pure scheduling.
+        obs::traceCounter("campaign.queue.pending",
+                          static_cast<double>(count - job - 1));
+        fn(job);
+    });
 }
 
 namespace {
@@ -420,7 +383,7 @@ CampaignResult::eventsJsonl() const
 }
 
 CampaignCli
-parseCampaignCli(int argc, char **argv)
+parseCampaignCli(int argc, char **argv, unsigned outputs)
 {
     CampaignCli cli;
     auto numeric = [](const char *flag, const char *text,
@@ -458,6 +421,16 @@ parseCampaignCli(int argc, char **argv)
                 fatal("%s: missing value", flag);
             return argv[++i];
         };
+        // An output this binary never writes must not be accepted and
+        // silently dropped.
+        auto takePath = [&](const char *flag, unsigned output) {
+            if (!(outputs & output))
+                fatal("%s: this program does not write it", flag);
+            std::string path = takeValue(flag);
+            if (path.empty())
+                fatal("%s: missing value", flag);
+            return path;
+        };
         if (arg == "--threads") {
             cli.options.threads = static_cast<unsigned>(
                 numeric("--threads", takeValue("--threads").c_str(),
@@ -467,25 +440,16 @@ parseCampaignCli(int argc, char **argv)
                 numeric("--seed", takeValue("--seed").c_str(),
                         std::numeric_limits<uint64_t>::max());
         } else if (arg == "--jsonl") {
-            cli.jsonlPath = takeValue("--jsonl");
-            if (cli.jsonlPath.empty())
-                fatal("--jsonl: missing value");
+            cli.jsonlPath = takePath("--jsonl", kJsonlOutput);
         } else if (arg == "--stats-json") {
-            cli.statsJsonPath = takeValue("--stats-json");
-            if (cli.statsJsonPath.empty())
-                fatal("--stats-json: missing value");
+            cli.statsJsonPath = takePath("--stats-json", kStatsJsonOutput);
         } else if (arg == "--events") {
-            cli.eventsPath = takeValue("--events");
-            if (cli.eventsPath.empty())
-                fatal("--events: missing value");
+            cli.eventsPath = takePath("--events", kEventsOutput);
         } else if (arg == "--trace") {
-            cli.tracePath = takeValue("--trace");
-            if (cli.tracePath.empty())
-                fatal("--trace: missing value");
+            cli.tracePath = takePath("--trace", kTraceOutput);
         } else if (arg == "--trace-canonical") {
-            cli.traceCanonicalPath = takeValue("--trace-canonical");
-            if (cli.traceCanonicalPath.empty())
-                fatal("--trace-canonical: missing value");
+            cli.traceCanonicalPath =
+                takePath("--trace-canonical", kTraceOutput);
         } else if (arg == "--progress") {
             cli.options.progress = true;
         } else if (arg.rfind("--", 0) == 0) {

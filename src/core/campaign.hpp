@@ -149,12 +149,13 @@ class CampaignEngine
     CampaignResult run(std::vector<CampaignJob> jobs) const;
 
     /**
-     * Deterministic parallel-for over [0, count): workers claim
-     * indices from one shared cursor, so jobs start in index order at
-     * any thread count (one worker runs them serially). @p fn must
-     * write only to index-private state. Used e.g. to warm the
-     * threshold cache for Table 3. Exceptions from @p fn are rethrown
-     * (first one wins) after the pool drains.
+     * Deterministic parallel-for over [0, count): parallelFor
+     * (util/parallel.hpp) on threads() workers, so jobs start in index
+     * order at any thread count, and each start samples the Wall
+     * counter `campaign.queue.pending`. @p fn must write only to
+     * index-private state. Used e.g. to warm the threshold cache for
+     * Table 3. Exceptions from @p fn are rethrown (first one wins)
+     * after the pool drains.
      */
     void forEach(size_t count,
                  const std::function<void(size_t)> &fn) const;
@@ -180,6 +181,18 @@ struct CampaignCli
     std::vector<std::string> positional;   ///< bare (non-flag) arguments
 };
 
+/** The output flags a binary writes, combined with `|`. */
+enum CampaignOutputs : unsigned
+{
+    kJsonlOutput = 1u << 0,      ///< --jsonl
+    kStatsJsonOutput = 1u << 1,  ///< --stats-json
+    kEventsOutput = 1u << 2,     ///< --events
+    kTraceOutput = 1u << 3,      ///< --trace and --trace-canonical
+    /** What writeCampaignArtifacts writes. */
+    kAllOutputs = kJsonlOutput | kStatsJsonOutput | kEventsOutput |
+                  kTraceOutput,
+};
+
 /**
  * Parse the shared campaign flags out of argv: `--threads N`,
  * `--seed S`, `--jsonl FILE`, `--stats-json FILE` (enables the
@@ -189,11 +202,13 @@ struct CampaignCli
  * canonical form; also enables the tracer),
  * `--progress` (also `--flag=value` forms). Arguments that do not
  * start with `--` are returned as positionals in order; an unknown
- * `--flag` or a malformed value is fatal().
+ * `--flag`, an output flag outside @p outputs (the ones this binary
+ * writes) or a malformed value is fatal().
  * Shared by the bench binaries and examples so every sweep exposes
  * the same knobs.
  */
-CampaignCli parseCampaignCli(int argc, char **argv);
+CampaignCli parseCampaignCli(int argc, char **argv,
+                             unsigned outputs = kAllOutputs);
 
 /**
  * The end of every campaign binary: print the `campaign: N runs on T

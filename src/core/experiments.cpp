@@ -32,6 +32,9 @@ referenceCurrentRange()
     // C++11 magic-static: concurrent first calls block until the one
     // initialising thread finishes — safe for campaign workers.
     static const CurrentRange cached = [] {
+        // Detached: set-up runs inside whichever span first asks.
+        obs::TraceSpan span("reference.current_range",
+                            obs::TraceClass::Det, true);
         const Machine m = referenceMachine();
         const power::WattchModel model(m.power, m.cpu);
         CurrentRange r;
@@ -81,6 +84,8 @@ referenceTarget()
 {
     // Magic-static: initialisation is thread-safe (see above).
     static const pdn::TargetImpedanceResult cached = [] {
+        obs::TraceSpan span("reference.target", obs::TraceClass::Det,
+                            true);
         const Machine m = referenceMachine();
         const CurrentRange &range = referenceCurrentRange();
         pdn::TargetImpedanceSpec spec;
@@ -103,10 +108,19 @@ const workloads::StressmarkCalibration &
 referenceStressmark()
 {
     // Magic-static: initialisation is thread-safe (see above).
-    static const workloads::StressmarkCalibration cached =
-        workloads::StressmarkBuilder::calibrate(
-            pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles(),
-            referenceMachine().cpu);
+    static const workloads::StressmarkCalibration cached = [] {
+        const unsigned period =
+            pdn::PackageModel(referencePackage(2.0)).resonantPeriodCycles();
+        // The span lives here, not in calibrate(): src/workloads sits
+        // below src/obs.
+        obs::TraceSpan span("stressmark.calibrate", obs::TraceClass::Det,
+                            true);
+        auto cal = workloads::StressmarkBuilder::calibrate(
+            period, referenceMachine().cpu);
+        span.arg("period", uint64_t{period})
+            .arg("grid_points", uint64_t{cal.gridPoints});
+        return cal;
+    }();
     return cached;
 }
 

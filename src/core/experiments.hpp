@@ -48,13 +48,15 @@ struct CurrentRange
  * Measured once and cached. The program ceiling is the peak of the
  * power virus's open-loop trace, which the trace cache serves like any
  * other (VoltageSim::run captures it), so a warm persistent store
- * answers without running the virus.
+ * answers without running the virus. The measuring call records a
+ * detached Det span `reference.current_range`.
  */
 const CurrentRange &referenceCurrentRange();
 
 /**
  * Target impedance calibrated for the reference machine's current
- * range (cached after the first call).
+ * range (cached after the first call, which records a detached Det
+ * span `reference.target`).
  */
 const pdn::TargetImpedanceResult &referenceTarget();
 
@@ -64,6 +66,8 @@ pdn::PackageParams referencePackage(double impedanceScale);
 /**
  * The reference stressmark: the Table-1 CPU's loop calibrated to the
  * reference package's resonant period (calibrated once and cached).
+ * The calibrating call records a detached Det span
+ * `stressmark.calibrate` (args `period`, `grid_points`).
  */
 const workloads::StressmarkCalibration &referenceStressmark();
 

@@ -1,10 +1,99 @@
 #include "cpu/cache.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <cerrno>
+#include <cstring>
+#include <type_traits>
+#include <utility>
+
+#include <sys/mman.h>
 
 #include "util/logging.hpp"
 
 namespace vguard::cpu {
+
+namespace {
+
+void
+unmapLines(void *map, size_t bytes)
+{
+    // vlint: allow(raw-io) anonymous memory, not I/O; pairs with takeLines
+    munmap(map, bytes);
+}
+
+/** A line mapping kept for reuse. */
+struct Spare
+{
+    void *map = nullptr;
+    size_t bytes = 0;
+};
+
+/// Set once this thread's spares are unmapped at its exit; a cache
+/// released after that (by a static owner) is unmapped directly.
+thread_local bool sparesGone = false;
+
+/**
+ * The line mappings this thread's released caches left behind, kept
+ * for the caches it builds next. A recycled mapping is a memset over
+ * resident pages, as a recycled heap block was; a fresh one costs a
+ * page fault for every page a run touches, which slowed short
+ * SPEC-proxy captures by ~15 %. The slots fit one core's three caches.
+ * They are unmapped when the thread exits, so a joined pool keeps
+ * none (DESIGN.md §5, "Stressmark calibration").
+ */
+struct SpareLines
+{
+    std::array<Spare, 3> slots;
+
+    ~SpareLines()
+    {
+        sparesGone = true;
+        for (const Spare &s : slots)
+            if (s.map)
+                unmapLines(s.map, s.bytes);
+    }
+};
+
+thread_local SpareLines spareLines;
+
+/**
+ * An all-zero mapping of @p bytes: this thread's spare of that size,
+ * cleared, else a fresh one; nullptr when mmap fails.
+ */
+void *
+takeLines(size_t bytes)
+{
+    if (!sparesGone) {
+        for (Spare &s : spareLines.slots) {
+            if (s.map && s.bytes == bytes) {
+                std::memset(s.map, 0, bytes);
+                return std::exchange(s.map, nullptr);
+            }
+        }
+    }
+    // vlint: allow(raw-io) anonymous memory, not I/O; the lines' own pages
+    void *map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return map == MAP_FAILED ? nullptr : map;
+}
+
+} // namespace
+
+void
+Cache::Release::operator()(Line *lines) const
+{
+    if (!sparesGone) {
+        for (Spare &s : spareLines.slots) {
+            if (!s.map) {
+                s = {lines, bytes};
+                return;
+            }
+        }
+    }
+    unmapLines(lines, bytes);
+}
 
 Cache::Cache(std::string name, const CacheConfig &cfg)
     : name_(std::move(name)), cfg_(cfg)
@@ -17,7 +106,21 @@ Cache::Cache(std::string name, const CacheConfig &cfg)
               name_.c_str(), sets);
     setShift_ = static_cast<uint32_t>(std::countr_zero(cfg_.lineBytes));
     setMask_ = sets - 1;
-    lines_.resize(static_cast<size_t>(sets) * cfg_.ways);
+    lineCount_ = static_cast<size_t>(sets) * cfg_.ways;
+
+    // The lines live in a private anonymous mapping rather than on the
+    // heap, so they leave the process with their thread: a 768 KiB
+    // heap block freed on a pool thread stays resident in that thread's
+    // glibc arena (DESIGN.md §5, "Stressmark calibration"). Zero bytes
+    // are Line{}, so an all-zero mapping is an empty cache.
+    static_assert(std::is_trivially_copyable_v<Line>);
+    const size_t bytes = lineCount_ * sizeof(Line);
+    void *map = takeLines(bytes);
+    if (!map)
+        fatal("Cache %s: cannot map %zu bytes of lines: %s",
+              name_.c_str(), bytes, std::strerror(errno));
+    lines_ = std::unique_ptr<Line[], Release>(static_cast<Line *>(map),
+                                              Release{bytes});
 }
 
 Cache::Result
@@ -67,8 +170,7 @@ Cache::access(uint64_t addr, bool write)
 void
 Cache::flush()
 {
-    for (auto &line : lines_)
-        line = Line{};
+    std::fill_n(lines_.get(), lineCount_, Line{});
 }
 
 MemHierarchy::MemHierarchy(const CpuConfig &cfg)

@@ -13,9 +13,10 @@
 #ifndef VGUARD_CPU_CACHE_HPP
 #define VGUARD_CPU_CACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "cpu/activity.hpp"
 #include "cpu/config.hpp"
@@ -36,7 +37,14 @@ struct CacheStats
     }
 };
 
-/** One set-associative write-back cache level. */
+/**
+ * One set-associative write-back cache level. Its lines live in an
+ * anonymous mapping of their own (zero bytes are invalid lines). A
+ * destroyed cache leaves its mapping to the next cache its thread
+ * builds, and the mapping is unmapped when that thread exits; a heap
+ * block would stay in the thread's allocator arena. Movable, not
+ * copyable.
+ */
 class Cache
 {
   public:
@@ -66,6 +74,7 @@ class Cache
     uint32_t ways() const { return cfg_.ways; }
 
   private:
+    /** All-zero bytes are Line{}, which the mapping relies on. */
     struct Line
     {
         uint64_t tag = 0;
@@ -74,11 +83,23 @@ class Cache
         bool dirty = false;
     };
 
+    /**
+     * Hands the lines' mapping of @c bytes bytes to the releasing
+     * thread's spares for its next cache, or unmaps it.
+     */
+    struct Release
+    {
+        size_t bytes;
+        void operator()(Line *lines) const;
+    };
+
     std::string name_;
     CacheConfig cfg_;
     uint32_t setShift_;    ///< log2(lineBytes)
     uint32_t setMask_;     ///< sets - 1
-    std::vector<Line> lines_;  ///< sets * ways, way-major within a set
+    size_t lineCount_;     ///< sets * ways
+    /// sets * ways lines, way-major within a set
+    std::unique_ptr<Line[], Release> lines_;
     uint64_t lruClock_ = 0;
     CacheStats stats_;
 };

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "cpu/core.hpp"
 #include "power/wattch.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 
 namespace vguard::workloads {
 
@@ -117,9 +119,6 @@ StressmarkBuilder::calibrate(unsigned targetPeriodCycles,
         fatal("StressmarkBuilder::calibrate: period %u too short",
               targetPeriodCycles);
 
-    StressmarkCalibration best;
-    double bestScore = 1e18;
-
     // The divide chain sets the low-phase length (~fpDivLat cycles per
     // dependent divt); the burst must then fill the *other* half
     // period with dense work — 8-wide, that is several ops per cycle
@@ -131,6 +130,7 @@ StressmarkBuilder::calibrate(unsigned targetPeriodCycles,
                 targetPeriodCycles / 2.0 / cfg.fpDivLat)));
     const unsigned aluGuess = 3 * targetPeriodCycles;
 
+    std::vector<StressmarkParams> grid;
     for (unsigned divChain = std::max(1u, divGuess - 1);
          divChain <= divGuess + 1; ++divChain) {
         for (unsigned stores = 8; stores <= 32; stores += 8) {
@@ -140,18 +140,40 @@ StressmarkBuilder::calibrate(unsigned targetPeriodCycles,
                 p.divChain = divChain;
                 p.burstStores = stores;
                 p.burstAlu = alu;
-                const double period = measurePeriod(p, cfg, 40000);
-                // Period error dominates; a mild bonus rewards bigger
-                // bursts (larger dI/dt swing) among near-ties.
-                const double score =
-                    std::fabs(period - targetPeriodCycles) -
-                    0.002 * (alu + 4.0 * stores);
-                if (score < bestScore) {
-                    bestScore = score;
-                    best.params = p;
-                    best.measuredPeriodCycles = period;
-                }
+                grid.push_back(p);
             }
+        }
+    }
+
+    // Every candidate is an independent full-core run, so the grid
+    // runs on a small pool, each period into its own grid slot. The
+    // cap bounds the pool's peak RSS (DESIGN.md §5, "Stressmark
+    // calibration").
+    constexpr unsigned kMaxThreads = 8;
+    const unsigned threads = std::clamp(
+        std::thread::hardware_concurrency(), 1u, kMaxThreads);
+    std::vector<double> periods(grid.size());
+    parallelFor(grid.size(), threads, [&](size_t i) {
+        periods[i] = measurePeriod(grid[i], cfg, 40000);
+    });
+
+    // The argmin stays serial, in grid order, with a strict '<': the
+    // first of equal scores wins, so the winner does not depend on
+    // which worker measured what.
+    StressmarkCalibration best;
+    best.gridPoints = static_cast<unsigned>(grid.size());
+    double bestScore = 1e18;
+    for (size_t i = 0; i < grid.size(); ++i) {
+        const StressmarkParams &p = grid[i];
+        // Period error dominates; a mild bonus rewards bigger bursts
+        // (larger dI/dt swing) among near-ties.
+        const double score =
+            std::fabs(periods[i] - targetPeriodCycles) -
+            0.002 * (p.burstAlu + 4.0 * p.burstStores);
+        if (score < bestScore) {
+            bestScore = score;
+            best.params = p;
+            best.measuredPeriodCycles = periods[i];
         }
     }
 

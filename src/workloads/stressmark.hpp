@@ -45,6 +45,7 @@ struct StressmarkCalibration
     double measuredPeriodCycles = 0.0;  ///< steady-state loop period
     double highPhaseCurrentA = 0.0;     ///< mean current, top quartile
     double lowPhaseCurrentA = 0.0;      ///< mean current, bottom quartile
+    unsigned gridPoints = 0;            ///< candidate loops simulated
 };
 
 /** Builds (and tunes) stressmark programs. */
@@ -65,7 +66,9 @@ class StressmarkBuilder
     /**
      * Search divide-chain and burst lengths so the loop period matches
      * @p targetPeriodCycles (the package resonant period, ~60 cycles
-     * for a 50 MHz package at 3 GHz).
+     * for a 50 MHz package at 3 GHz). The grid's candidates run in
+     * parallel on up to 8 threads; the winner is the same at any
+     * thread count.
      */
     static StressmarkCalibration calibrate(unsigned targetPeriodCycles,
                                            const cpu::CpuConfig &cfg);

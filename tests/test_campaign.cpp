@@ -142,6 +142,24 @@ TEST(CampaignCli, RejectsUnknownFlags)
     EXPECT_EXIT(parseCampaignCli(2, const_cast<char **>(inlined)),
                 ::testing::ExitedWithCode(1),
                 "unknown option '--jsonll=x'");
+    // An output the binary does not write is refused as well: Table 3
+    // used to accept --jsonl, --stats-json and --events and write none.
+    const char *unwritten[] = {"prog", "--jsonl", "x.jsonl"};
+    EXPECT_EXIT(parseCampaignCli(3, const_cast<char **>(unwritten),
+                                 kTraceOutput),
+                ::testing::ExitedWithCode(1),
+                "--jsonl: this program does not write it");
+    const char *events[] = {"prog", "--events=x.jsonl"};
+    EXPECT_EXIT(parseCampaignCli(2, const_cast<char **>(events),
+                                 kJsonlOutput | kTraceOutput),
+                ::testing::ExitedWithCode(1),
+                "--events: this program does not write it");
+    const char *written[] = {"prog", "--trace-canonical", "c.jsonl"};
+    EXPECT_EQ(parseCampaignCli(3, const_cast<char **>(written),
+                               kTraceOutput)
+                  .traceCanonicalPath,
+              "c.jsonl");
+    obs::Tracer::instance().disable();
 }
 
 TEST(CampaignCli, AcceptsWhitespaceAndPlusSign)

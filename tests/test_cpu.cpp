@@ -13,6 +13,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -94,6 +96,38 @@ TEST(Cache, FlushInvalidates)
     c.access(0x0, false);
     c.flush();
     EXPECT_FALSE(c.access(0x0, false).hit);
+}
+
+TEST(Cache, MoveHandsOverTheLinesAndCopyIsDeleted)
+{
+    // The lines live in the cache's own mapping: a move hands it over,
+    // and a copy would unmap it twice.
+    static_assert(std::is_nothrow_move_constructible_v<Cache>);
+    static_assert(!std::is_copy_constructible_v<Cache>);
+    Cache a("t", CacheConfig{1024, 2, 64, 1});
+    a.access(0x100, true);
+    Cache b(std::move(a));
+    EXPECT_TRUE(b.access(0x100, false).hit);
+    Cache c("u", CacheConfig{2048, 2, 64, 1});
+    c = std::move(b);
+    EXPECT_TRUE(c.access(0x100, false).hit);
+    EXPECT_EQ(c.stats().accesses, 3u);
+    EXPECT_EQ(c.name(), "t");
+}
+
+TEST(Cache, RecycledLinesStartEmpty)
+{
+    // A destroyed cache leaves its mapping to the next cache of the
+    // same size built on this thread, which must clear it first.
+    {
+        Cache a("a", CacheConfig{1024, 2, 64, 1});
+        for (uint64_t addr = 0; addr < 1024; addr += 64)
+            a.access(addr, true);
+    }
+    Cache b("b", CacheConfig{1024, 2, 64, 1});
+    for (uint64_t addr = 0; addr < 1024; addr += 64)
+        EXPECT_FALSE(b.access(addr, false).hit) << addr;
+    EXPECT_EQ(b.stats().writebacks, 0u);
 }
 
 TEST(Cache, RejectsBadGeometry)

@@ -1,15 +1,18 @@
 /**
  * @file
- * Unit tests for src/util: RNG, running statistics, histogram, tables.
+ * Unit tests for src/util: RNG, running statistics, histogram, tables,
+ * logging and the parallel-for.
  */
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "util/json_parse.hpp"
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -539,6 +543,67 @@ TEST(Logging, OversizedMessageSurvivesHeapFallback)
     const std::string text = err.finish();
     EXPECT_NE(text.find("warn: pre " + big + " post\n"),
               std::string::npos);
+}
+
+// ------------------------------------------------------------ parallel
+
+TEST(Parallel, VisitsEachIndexExactlyOnce)
+{
+    for (const size_t count : {0, 1, 7, 200}) {
+        for (const unsigned threads : {1u, 3u, 8u}) {
+            std::vector<std::atomic<int>> visits(count);
+            vguard::parallelFor(count, threads, [&](size_t i) {
+                visits[i].fetch_add(1);
+            });
+            for (size_t i = 0; i < count; ++i)
+                EXPECT_EQ(visits[i].load(), 1)
+                    << "index " << i << " of " << count << " at "
+                    << threads << " threads";
+        }
+    }
+}
+
+TEST(Parallel, OneWorkerRunsSeriallyOnTheCallingThread)
+{
+    std::vector<size_t> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    vguard::parallelFor(5, 1, [&](size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back(i);
+    });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(Parallel, RethrowsFirstErrorAfterEveryWorkerJoins)
+{
+    // Every 50th index throws, index 0 first, while most indices are
+    // still to run: one of the throws must reach the caller, and only
+    // after every other index has finished.
+    for (const unsigned threads : {3u, 8u}) {
+        constexpr size_t kCount = 200;
+        std::atomic<size_t> finished{0};
+        std::atomic<int> inBody{0};
+        std::string caught;
+        try {
+            vguard::parallelFor(kCount, threads, [&](size_t i) {
+                inBody.fetch_add(1);
+                if (i % 50 == 0) {
+                    inBody.fetch_sub(1);
+                    throw std::runtime_error("index " +
+                                             std::to_string(i));
+                }
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                finished.fetch_add(1);
+                inBody.fetch_sub(1);
+            });
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+        EXPECT_EQ(caught.rfind("index ", 0), 0u) << caught;
+        EXPECT_EQ(finished.load(), kCount - kCount / 50)
+            << threads << " threads";
+        EXPECT_EQ(inBody.load(), 0) << threads << " threads";
+    }
 }
 
 } // namespace

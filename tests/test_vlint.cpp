@@ -585,14 +585,15 @@ TEST(VlintTree, RepositoryLintsClean)
     // Every suppression in the tree is intentional; keep the counts in
     // sync when adding one so drive-by allows stand out in review.
     // Current ledger: 3 alloc-hot (block-scratch resizes before the
-    // cycle loop) + 3 single-file allows.
+    // cycle loop) + 5 single-file allows (two of them the mmap and
+    // munmap of cpu::Cache's anonymous line mapping).
     size_t allocHot = 0;
     for (const Finding &f : report.suppressed)
         if (f.rule == "alloc-hot")
             ++allocHot;
     EXPECT_LE(allocHot, 3u)
         << "unexpected growth in alloc-hot suppressions";
-    EXPECT_LE(report.suppressed.size(), 6u)
+    EXPECT_LE(report.suppressed.size(), 8u)
         << "unexpected growth in inline suppressions";
     // The cross-TU pass saw the whole tree: roots seeded, hot kernels
     // annotated, and a non-trivial call graph linked.

@@ -5,6 +5,8 @@
  */
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -89,6 +91,23 @@ TEST(Stressmark, CalibrationHitsTargetPeriod)
     EXPECT_NEAR(cal.measuredPeriodCycles, 60.0, 5.0);
     // The phases must differ substantially in current.
     EXPECT_GT(cal.highPhaseCurrentA, 1.7 * cal.lowPhaseCurrentA);
+}
+
+TEST(Stressmark, CalibrationIsPinned)
+{
+    // The grid's periods are measured in parallel, but the argmin runs
+    // serially in grid order, so the winner and its phase currents are
+    // exactly those of the serial search, bit for bit.
+    const auto cal = StressmarkBuilder::calibrate(60, cpu::CpuConfig{});
+    EXPECT_EQ(cal.params.divChain, 2u);
+    EXPECT_EQ(cal.params.burstStores, 16u);
+    EXPECT_EQ(cal.params.burstAlu, 225u);
+    EXPECT_EQ(std::bit_cast<uint64_t>(cal.measuredPeriodCycles),
+              std::bit_cast<uint64_t>(60.06006006006006));
+    EXPECT_EQ(std::bit_cast<uint64_t>(cal.lowPhaseCurrentA),
+              std::bit_cast<uint64_t>(14.488418636602539));
+    EXPECT_EQ(std::bit_cast<uint64_t>(cal.highPhaseCurrentA),
+              std::bit_cast<uint64_t>(34.25743728743992));
 }
 
 TEST(Stressmark, PhaseSeparationSurvivesOoO)
