@@ -36,10 +36,7 @@ namespace {
 
 struct Outcome
 {
-    uint64_t cycles = 0;
-    uint64_t committed = 0;
-    double minV = 0.0;
-    uint64_t emergencies = 0;
+    RailTally rail;  ///< every cycle's die voltage
 };
 
 Outcome
@@ -58,9 +55,9 @@ runPolicy(bool pessimistic, uint64_t workInsts)
     uint64_t prevIssued = 0;
 
     Outcome out;
-    out.minV = 2.0;
+    out.rail = sim.config().railTally();
     while (sim.core().stats().committed < workInsts && !sim.halted() &&
-           out.cycles < 30'000'000) {
+           out.rail.cycles < 30'000'000) {
         if (pessimistic) {
             const uint64_t issuedNow = sim.core().stats().issued;
             if (issuedNow == prevIssued) {
@@ -78,12 +75,8 @@ runPolicy(bool pessimistic, uint64_t workInsts)
             else if (!sim.core().gates().any())
                 sim.core().setIssueLimit(ramp);
         }
-        const auto s = sim.step();
-        ++out.cycles;
-        out.minV = std::min(out.minV, s.volts);
-        out.emergencies += s.volts < 0.95 || s.volts > 1.05;
+        out.rail.add(sim.step().volts);
     }
-    out.committed = sim.core().stats().committed;
     return out;
 }
 
@@ -101,19 +94,20 @@ main()
     const auto pessimistic = runPolicy(true, work);
 
     Table t({"policy", "cycles", "min V", "emergencies"});
-    t.addRow({"greedy (threshold ctl)", std::to_string(greedy.cycles),
-              Table::fmt(greedy.minV, 5),
-              std::to_string(greedy.emergencies)});
-    t.addRow({"pessimistic slow ramp",
-              std::to_string(pessimistic.cycles),
-              Table::fmt(pessimistic.minV, 5),
-              std::to_string(pessimistic.emergencies)});
+    const auto row = [&t](const char *policy, const Outcome &o) {
+        t.addRow({policy, std::to_string(o.rail.cycles),
+                  Table::fmt(o.rail.minV, 5),
+                  std::to_string(o.rail.emergencyCycles())});
+    };
+    row("greedy (threshold ctl)", greedy);
+    row("pessimistic slow ramp", pessimistic);
     std::printf("%s\n", t.ascii().c_str());
 
     const double tax =
         100.0 *
-        (static_cast<double>(pessimistic.cycles) - greedy.cycles) /
-        static_cast<double>(greedy.cycles);
+        (static_cast<double>(pessimistic.rail.cycles) -
+         greedy.rail.cycles) /
+        static_cast<double>(greedy.rail.cycles);
     std::printf("pessimistic wake-up tax: %.1f%% more cycles for the "
                 "same work; both policies stay inside the band "
                 "(short bursts cannot move the supply far — the "

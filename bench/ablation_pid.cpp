@@ -31,9 +31,7 @@ namespace {
 
 struct PidOutcome
 {
-    uint64_t emergencies = 0;
-    double minV = 0.0;
-    double maxV = 0.0;
+    RailTally rail;
     double ipc = 0.0;
     uint64_t gated = 0;
     uint64_t throttled = 0;
@@ -54,13 +52,11 @@ runPid(const isa::Program &prog, unsigned sensorDelay,
     PidController pid(pc, referenceMachine().cpu.issueWidth);
 
     PidOutcome out;
-    out.minV = 2.0;
+    out.rail = sim.config().railTally();
     for (uint64_t i = 0; i < cycles && !sim.halted(); ++i) {
         const auto s = sim.step();
         pid.step(s.volts, sim.core());
-        out.minV = std::min(out.minV, s.volts);
-        out.maxV = std::max(out.maxV, s.volts);
-        out.emergencies += s.volts < 0.95 || s.volts > 1.05;
+        out.rail.add(s.volts);
     }
     out.ipc = static_cast<double>(sim.core().stats().committed) /
               static_cast<double>(sim.core().stats().cycles);
@@ -97,8 +93,9 @@ main()
 
         t.addRow({std::to_string(d),
                   std::to_string(th.emergencyCycles()),
-                  Table::fmt(th.ipc, 3), std::to_string(pid.emergencies),
-                  Table::fmt(pid.minV, 5), Table::fmt(pid.ipc, 3),
+                  Table::fmt(th.ipc, 3),
+                  std::to_string(pid.rail.emergencyCycles()),
+                  Table::fmt(pid.rail.minV, 5), Table::fmt(pid.ipc, 3),
                   std::to_string(pid.throttled)});
     }
     std::printf("%s\n", t.ascii().c_str());
@@ -111,8 +108,9 @@ main()
         std::printf("  delay %u: %llu emergencies, min V %.4f, IPC "
                     "%.3f\n",
                     d,
-                    static_cast<unsigned long long>(pid.emergencies),
-                    pid.minV, pid.ipc);
+                    static_cast<unsigned long long>(
+                        pid.rail.emergencyCycles()),
+                    pid.rail.minV, pid.ipc);
     }
     std::printf("\nobserved shape: with carefully hand-tuned gains and "
                 "a setpoint offset below nominal, the PID also protects "

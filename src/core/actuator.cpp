@@ -60,21 +60,17 @@ Actuator::reset()
 }
 
 void
-Actuator::registerStats(obs::Registry &r,
-                        const std::string &prefix) const
+Actuator::appendStats(obs::Snapshot &out,
+                      const std::string &prefix) const
 {
-    r.derivedCounter(prefix + ".gated_cycles",
-                     "cycles spent clock-gating",
-                     [this] { return gatedCycles_; });
-    r.derivedCounter(prefix + ".phantom_cycles",
-                     "cycles spent phantom-firing",
-                     [this] { return phantomCycles_; });
-    r.derivedCounter(prefix + ".low_triggers",
-                     "Normal->Low transitions",
-                     [this] { return lowTriggers_; });
-    r.derivedCounter(prefix + ".high_triggers",
-                     "Normal->High transitions",
-                     [this] { return highTriggers_; });
+    out.addCounter(prefix + ".gated_cycles", "cycles spent clock-gating",
+                   gatedCycles_);
+    out.addCounter(prefix + ".phantom_cycles",
+                   "cycles spent phantom-firing", phantomCycles_);
+    out.addCounter(prefix + ".low_triggers", "Normal->Low transitions",
+                   lowTriggers_);
+    out.addCounter(prefix + ".high_triggers", "Normal->High transitions",
+                   highTriggers_);
 }
 
 void

@@ -73,11 +73,11 @@ class Actuator
     void reset();
 
     /**
-     * Bind actuator counters into @p r under `<prefix>.`
+     * Append the actuator counters to @p out under `<prefix>.`
      * (gated_cycles, phantom_cycles, low_triggers, high_triggers).
      */
-    void registerStats(obs::Registry &r,
-                       const std::string &prefix) const;
+    void appendStats(obs::Snapshot &out,
+                     const std::string &prefix) const;
 
   private:
     cpu::GateState gateMask() const;

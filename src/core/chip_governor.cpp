@@ -79,20 +79,6 @@ ChipGovernor::arbitrate(const std::vector<uint8_t> &gateRequest,
 
     for (size_t s = 0; s < slots; ++s)
         grant[order_[s]] = 1;
-    grants_ += slots;
-    denials_ += requesters - slots;
-}
-
-void
-ChipGovernor::registerStats(obs::Registry &r,
-                            const std::string &prefix) const
-{
-    r.derivedCounter(prefix + ".grants", "gate requests granted",
-                     [this] { return grants_; });
-    r.derivedCounter(prefix + ".denials", "gate requests denied",
-                     [this] { return denials_; });
-    r.derivedGauge(prefix + ".budget", "current gate budget [cores]",
-                   [this] { return static_cast<double>(budget_); });
 }
 
 } // namespace vguard::core

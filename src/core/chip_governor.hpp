@@ -32,10 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace vguard::core {
 
@@ -81,15 +78,7 @@ class ChipGovernor
     /** Gate budget computed by the last observe(). */
     size_t budget() const { return budget_; }
 
-    /** Gate requests granted / denied so far. */
-    uint64_t grants() const { return grants_; }
-    uint64_t denials() const { return denials_; }
-
     const ChipGovernorConfig &config() const { return cfg_; }
-
-    /** Bind governor telemetry under `<prefix>.`. */
-    void registerStats(obs::Registry &r,
-                       const std::string &prefix) const;
 
   private:
     ChipGovernorConfig cfg_;
@@ -99,8 +88,6 @@ class ChipGovernor
     size_t budget_;
     std::vector<double> ewma_;    ///< per-core draw EWMA [A]
     std::vector<size_t> order_;   ///< arbitration scratch
-    uint64_t grants_ = 0;
-    uint64_t denials_ = 0;
 };
 
 } // namespace vguard::core

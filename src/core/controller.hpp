@@ -49,16 +49,15 @@ class ThresholdController
     const ThresholdSensor &sensor() const { return sensor_; }
 
     /**
-     * Bind the whole control loop into @p r: sensor counters under
+     * Append the whole control loop to @p out: sensor counters under
      * `<prefix>.sensor.*`, actuator counters under
      * `<prefix>.actuator.*`.
      */
     void
-    registerStats(obs::Registry &r,
-                  const std::string &prefix = "ctrl") const
+    appendStats(obs::Snapshot &out, const std::string &prefix) const
     {
-        sensor_.registerStats(r, prefix + ".sensor");
-        actuator_.registerStats(r, prefix + ".actuator");
+        sensor_.appendStats(out, prefix + ".sensor");
+        actuator_.appendStats(out, prefix + ".actuator");
     }
 
   private:

@@ -124,14 +124,49 @@ referenceStressmark()
     return cached;
 }
 
+namespace {
+
+/// The reference package's resonance and resistances (paper: 50 MHz,
+/// 0.5 mΩ DC); referencePackage designs with them and the threshold
+/// solver models the same package.
+constexpr double kPackageF0Hz = 50e6;
+constexpr double kPackageRDc = 0.5e-3;
+constexpr double kPackageRDamp = 0.25e-3;
+
+} // namespace
+
 pdn::PackageParams
 referencePackage(double impedanceScale)
 {
     const Machine m = referenceMachine();
     return pdn::PackageModel::design(
-               50e6, referenceTarget().zTargetOhms * impedanceScale,
-               0.5e-3, 0.25e-3, m.cpu.clockHz, m.power.vdd)
+               kPackageF0Hz, referenceTarget().zTargetOhms * impedanceScale,
+               kPackageRDc, kPackageRDamp, m.cpu.clockHz, m.power.vdd)
         .params();
+}
+
+ThresholdSpec
+referenceThresholdSpec(double impedanceScale, unsigned delayCycles,
+                       double sensorError)
+{
+    const Machine m = referenceMachine();
+    const CurrentRange &range = referenceCurrentRange();
+    ThresholdSpec spec;
+    spec.f0Hz = kPackageF0Hz;
+    spec.rDc = kPackageRDc;
+    spec.rDamp = kPackageRDamp;
+    spec.clockHz = m.cpu.clockHz;
+    spec.vNominal = m.power.vdd;
+    spec.zPeakOhms = referenceTarget().zTargetOhms * impedanceScale;
+    spec.iMin = range.progMin;
+    spec.iMax = range.progMax;
+    spec.iGate = range.gatedMin;
+    spec.iPhantom = range.phantomMax;
+    spec.iTrim = range.gatedMin;
+    spec.delayCycles = delayCycles;
+    spec.sensorError = sensorError;
+    spec.guardBandV = 0.0005;
+    return spec;
 }
 
 namespace {
@@ -189,21 +224,8 @@ referenceThresholds(double impedanceScale, unsigned delayCycles,
             .arg("error_ppm",
                  uint64_t{static_cast<uint64_t>(
                      std::lround(sensorError * 1e6))});
-        const Machine m = referenceMachine();
-        const CurrentRange &range = referenceCurrentRange();
-        ThresholdSpec spec;
-        spec.clockHz = m.cpu.clockHz;
-        spec.vNominal = m.power.vdd;
-        spec.zPeakOhms = referenceTarget().zTargetOhms * impedanceScale;
-        spec.iMin = range.progMin;
-        spec.iMax = range.progMax;
-        spec.iGate = range.gatedMin;
-        spec.iPhantom = range.phantomMax;
-        spec.iTrim = range.gatedMin;
-        spec.delayCycles = delayCycles;
-        spec.sensorError = sensorError;
-        spec.guardBandV = 0.0005;
-        entry->value = solveThresholds(spec);
+        entry->value = solveThresholds(referenceThresholdSpec(
+            impedanceScale, delayCycles, sensorError));
         thresholdSolves.fetch_add(1, std::memory_order_relaxed);
     });
     return entry->value;

@@ -72,9 +72,21 @@ pdn::PackageParams referencePackage(double impedanceScale);
 const workloads::StressmarkCalibration &referenceStressmark();
 
 /**
+ * The solver spec of the reference machine at a given impedance
+ * multiple, sensor delay and sensor error: the measured current
+ * envelope against the package referencePackage(@p impedanceScale)
+ * designs (same f₀, R_dc, R_damp, peak impedance, clock and nominal
+ * voltage), with a 0.5 mV guard band.
+ */
+ThresholdSpec referenceThresholdSpec(double impedanceScale,
+                                     unsigned delayCycles,
+                                     double sensorError = 0.0);
+
+/**
  * Thresholds for the reference machine at a given impedance multiple,
- * sensor delay and sensor error. Cached and thread-safe: concurrent
- * first calls on the same key collapse to a single solver invocation;
+ * sensor delay and sensor error: solveThresholds of
+ * referenceThresholdSpec. Cached and thread-safe: concurrent first
+ * calls on the same key collapse to a single solver invocation;
  * distinct keys solve in parallel.
  */
 const Thresholds &referenceThresholds(double impedanceScale,

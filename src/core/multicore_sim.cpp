@@ -21,10 +21,9 @@ struct MulticoreSim::ChipState
     std::vector<uint8_t> parked;   ///< no/empty trace
     std::vector<double> coreAmps;  ///< per-core draw (governor input)
     std::vector<uint8_t> gateReq, phantomReq, grant;
-
-    /** Cumulative (sim-lifetime) counters for registerStats. */
-    std::vector<CoreStats> cumulative;
-    RailTally life;  ///< every run's rail tally, merged
+    /** Where each run's result starts. Built with the sim, so a bad
+        band or histogram is refused at construction. */
+    ChipResult blank;
 };
 
 MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
@@ -57,10 +56,10 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
             st->parked[i] = !chip.cores[i].trace ||
                             chip.cores[i].trace->cycles() == 0;
         st->coreAmps.assign(n, 0.0);
-        st->cumulative.assign(n, CoreStats{});
         const double vNom = chip.package.vNominal;
-        st->life = RailTally(vNom, chip.band, chip.histLo, chip.histHi,
-                             chip.histBins);
+        st->blank = ChipResult(vNom, chip.band, chip.histLo, chip.histHi,
+                               chip.histBins);
+        st->blank.cores.assign(n, CoreStats{});
         if (chip.sensor) {
             anyClosedLoop_ = true;
             st->gateReq.assign(n, 0);
@@ -200,12 +199,8 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
     const size_t k = chips_.size();
     std::vector<ChipResult> results;
     results.reserve(k);
-    for (const ChipSpec &chip : chips_) {
-        ChipResult &res = results.emplace_back(
-            chip.package.vNominal, chip.band, chip.histLo, chip.histHi,
-            chip.histBins);
-        res.cores.assign(chip.cores.size(), CoreStats{});
-    }
+    for (const auto &st : states_)
+        results.push_back(st->blank);
 
     // A sensed chip's next draw depends on this cycle's voltage, so a
     // run with one steps a cycle at a time; open-loop runs know their
@@ -249,19 +244,13 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
         cycle_ += chunk;
     }
 
-    // Fairness + cumulative rollup.
+    // Fairness over the cores that can gate.
     for (size_t c = 0; c < k; ++c) {
         ChipResult &res = results[c];
-        ChipState &st = *states_[c];
-        st.life.merge(res);
+        const ChipState &st = *states_[c];
         double sum = 0.0, sumSq = 0.0;
         size_t n = 0;
         for (size_t i = 0; i < res.cores.size(); ++i) {
-            st.cumulative[i].gatedCycles += res.cores[i].gatedCycles;
-            st.cumulative[i].phantomCycles +=
-                res.cores[i].phantomCycles;
-            st.cumulative[i].gateRequests += res.cores[i].gateRequests;
-            st.cumulative[i].gateDenials += res.cores[i].gateDenials;
             if (st.parked[i])
                 continue;
             const double x =
@@ -276,51 +265,6 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
                 : (sum * sum) / (static_cast<double>(n) * sumSq);
     }
     return results;
-}
-
-void
-MulticoreSim::registerStats(obs::Registry &r,
-                            const std::string &prefix) const
-{
-    for (size_t c = 0; c < chips_.size(); ++c) {
-        const std::string cp =
-            prefix + ".chip" + std::to_string(c);
-        const ChipState *st = states_[c].get();
-        r.derivedCounter(cp + ".low_emergency_cycles",
-                         "cycles below the emergency band",
-                         [st] { return st->life.lowEmergencyCycles; });
-        r.derivedCounter(cp + ".high_emergency_cycles",
-                         "cycles above the emergency band",
-                         [st] { return st->life.highEmergencyCycles; });
-        for (size_t i = 0; i < chips_[c].cores.size(); ++i) {
-            const std::string base =
-                cp + ".core" + std::to_string(i);
-            r.derivedCounter(base + ".gated_cycles",
-                             "cycles spent clock-gated",
-                             [st, i] {
-                                 return st->cumulative[i].gatedCycles;
-                             });
-            r.derivedCounter(
-                base + ".phantom_cycles",
-                "cycles spent phantom firing", [st, i] {
-                    return st->cumulative[i].phantomCycles;
-                });
-            r.derivedCounter(base + ".gate_requests",
-                             "sensor-Low gate requests",
-                             [st, i] {
-                                 return st->cumulative[i].gateRequests;
-                             });
-            r.derivedCounter(
-                base + ".gate_denials",
-                "gate requests the governor denied", [st, i] {
-                    return st->cumulative[i].gateDenials;
-                });
-            if (!st->sensors.empty())
-                st->sensors[i].registerStats(r, base + ".sensor");
-        }
-        if (st->governor)
-            st->governor->registerStats(r, cp + ".governor");
-    }
 }
 
 std::vector<ChipResult>

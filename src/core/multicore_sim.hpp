@@ -46,7 +46,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/chip_governor.hpp"
@@ -121,7 +120,6 @@ class MulticoreSim
         std::vector<ChipSpec> chips,
         pdn::BackendKind kind = pdn::BackendKind::Batched);
 
-    // Stats registration binds callbacks to member addresses.
     MulticoreSim(const MulticoreSim &) = delete;
     MulticoreSim &operator=(const MulticoreSim &) = delete;
     ~MulticoreSim();
@@ -137,15 +135,6 @@ class MulticoreSim
 
     size_t chips() const { return chips_.size(); }
     const ChipSpec &chip(size_t i) const { return chips_[i]; }
-
-    /**
-     * Bind the chip/core stats groups under `<prefix>.chip<i>.`:
-     * per-chip emergency and grant/denial counters, per-core gating
-     * counters, each core's sensor telemetry and the governor's
-     * budget (cumulative across run() calls).
-     */
-    void registerStats(obs::Registry &r,
-                       const std::string &prefix) const;
 
   private:
     struct ChipState;

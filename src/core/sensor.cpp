@@ -60,20 +60,17 @@ ThresholdSensor::reset(double vFill)
 }
 
 void
-ThresholdSensor::registerStats(obs::Registry &r,
-                               const std::string &prefix) const
+ThresholdSensor::appendStats(obs::Snapshot &out,
+                             const std::string &prefix) const
 {
-    r.derivedCounter(prefix + ".observes", "sensor observations",
-                     [this] { return observes_; });
-    r.derivedCounter(prefix + ".low_readings",
-                     "observations reported Low",
-                     [this] { return lowReadings_; });
-    r.derivedCounter(prefix + ".high_readings",
-                     "observations reported High",
-                     [this] { return highReadings_; });
-    r.derivedGauge(prefix + ".last_reading",
-                   "last delayed/noisy reading [V]",
-                   [this] { return lastReading_; });
+    out.addCounter(prefix + ".observes", "sensor observations",
+                   observes_);
+    out.addCounter(prefix + ".low_readings", "observations reported Low",
+                   lowReadings_);
+    out.addCounter(prefix + ".high_readings",
+                   "observations reported High", highReadings_);
+    out.addGauge(prefix + ".last_reading",
+                 "last delayed/noisy reading [V]", lastReading_);
 }
 
 } // namespace vguard::core

@@ -81,11 +81,11 @@ class ThresholdSensor
     uint64_t highReadings() const { return highReadings_; }
 
     /**
-     * Bind sensor telemetry into @p r: observation/level counters and
-     * the last raw reading under `<prefix>.`.
+     * Append sensor telemetry to @p out: observation/level counters
+     * and the last raw reading under `<prefix>.`.
      */
-    void registerStats(obs::Registry &r,
-                       const std::string &prefix) const;
+    void appendStats(obs::Snapshot &out,
+                     const std::string &prefix) const;
 
   private:
     SensorConfig cfg_;

@@ -11,8 +11,7 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
     : cfg_(cfg), core_(cfg.cpu, std::move(program)),
       power_(cfg.power, cfg.cpu),
       pdn_(pdn::PackageModel(cfg.package)),
-      life_(cfg.package.vNominal, cfg.band, cfg.histLo, cfg.histHi,
-            cfg.histBins),
+      life_(cfg.railTally()),
       tracker_(life_.vLo(), life_.vHi(), obs::kFingerprintWindow,
                obs::kMaxEvents),
       sampling_(obs::Tracer::instance().enabled())
@@ -24,42 +23,39 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
     if (cfg_.sensor)
         controller_.emplace(*cfg_.sensor, cfg_.actuator,
                             cfg_.phantomActuator.value_or(cfg_.actuator));
+}
 
-    // Bind every component into the hierarchical registry (gem5
-    // style: counters stay plain members; the registry reads them at
-    // snapshot time).
-    core_.registerStats(registry_, "cpu");
-    power_.registerStats(registry_, "power", 1.0 / cfg_.cpu.clockHz);
-    pdn_.registerStats(registry_, "pdn");
+obs::Snapshot
+VoltageSim::snapshotStats() const
+{
+    obs::Snapshot s;
+    core_.appendStats(s, "cpu");
+    power_.appendStats(s, "power", 1.0 / cfg_.cpu.clockHz);
+    pdn_.appendStats(s, "pdn");
     if (controller_)
-        controller_->registerStats(registry_, "ctrl");
+        controller_->appendStats(s, "ctrl");
 
-    registry_.derivedCounter("pdn.emergencies.count",
-                             "cycles outside the operating band",
-                             [this] { return life_.emergencyCycles(); });
-    registry_.derivedCounter("pdn.emergencies.low",
-                             "cycles below the band",
-                             [this] { return life_.lowEmergencyCycles; });
-    registry_.derivedCounter("pdn.emergencies.high",
-                             "cycles above the band",
-                             [this] { return life_.highEmergencyCycles; });
-    registry_.derivedCounter(
-        "pdn.emergencies.episodes",
-        "distinct band excursions (event-log entries + dropped)",
-        [this] { return tracker_.log().total(); });
-    registry_.derivedCounter("pdn.emergencies.dropped",
-                             "episodes dropped by the full event log",
-                             [this] { return tracker_.log().dropped(); });
-    registry_.derivedCounter(
-        "pdn.emergencies.logged",
-        "episodes retained in the bounded event log",
-        [this] { return uint64_t{tracker_.log().events().size()}; });
-    registry_.derivedGauge("pdn.v.min", "lowest die voltage seen [V]",
-                           [this] { return life_.minV; },
-                           obs::MergeRule::Min);
-    registry_.derivedGauge("pdn.v.max", "highest die voltage seen [V]",
-                           [this] { return life_.maxV; },
-                           obs::MergeRule::Max);
+    const obs::EventLog &log = tracker_.log();
+    s.addCounter("pdn.emergencies.count",
+                 "cycles outside the operating band",
+                 life_.emergencyCycles());
+    s.addCounter("pdn.emergencies.low", "cycles below the band",
+                 life_.lowEmergencyCycles);
+    s.addCounter("pdn.emergencies.high", "cycles above the band",
+                 life_.highEmergencyCycles);
+    s.addCounter("pdn.emergencies.episodes",
+                 "distinct band excursions (event-log entries + dropped)",
+                 log.total());
+    s.addCounter("pdn.emergencies.dropped",
+                 "episodes dropped by the full event log", log.dropped());
+    s.addCounter("pdn.emergencies.logged",
+                 "episodes retained in the bounded event log",
+                 uint64_t{log.events().size()});
+    s.addGauge("pdn.v.min", "lowest die voltage seen [V]", life_.minV,
+               obs::MergeRule::Min);
+    s.addGauge("pdn.v.max", "highest die voltage seen [V]", life_.maxV,
+               obs::MergeRule::Max);
+    return s;
 }
 
 VoltageSim::~VoltageSim()
@@ -218,10 +214,10 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
 VoltageSimResult
 VoltageSim::beginRun(obs::Snapshot &before)
 {
-    // Per-run observability windows: events restart fresh; registry
+    // Per-run observability windows: events restart fresh; component
     // counters are cumulative, so diff a snapshot taken here.
     tracker_.clear();
-    before = registry_.snapshot();
+    before = snapshotStats();
     return VoltageSimResult(cfg_.package.vNominal, cfg_.band, cfg_.histLo,
                             cfg_.histHi, cfg_.histBins);
 }
@@ -240,7 +236,7 @@ VoltageSim::finishRun(VoltageSimResult &res, const obs::Snapshot &before,
                   : 0.0;
     res.avgPowerW =
         res.cycles ? res.energyJ / (res.cycles * dt) : 0.0;
-    res.stats = registry_.snapshot().diff(before);
+    res.stats = snapshotStats().diff(before);
     res.events = tracker_.log();
 }
 

@@ -69,6 +69,13 @@ struct VoltageSimConfig
     double histLo = 0.90;
     double histHi = 1.10;
     size_t histBins = 80;
+
+    /** An empty tally of this config's rail: its band and histogram. */
+    RailTally
+    railTally() const
+    {
+        return RailTally(package.vNominal, band, histLo, histHi, histBins);
+    }
 };
 
 /** Results of a run: the rail tally plus the core-side outcome. */
@@ -85,7 +92,7 @@ struct VoltageSimResult : RailTally
     uint64_t lowTriggers = 0;
     uint64_t highTriggers = 0;
 
-    /** Per-run hierarchical stats (interval diff of the registry). */
+    /** Per-run hierarchical stats (interval diff of two snapshots). */
     obs::Snapshot stats;
     /** Emergency episodes of this run, each with its fingerprint. */
     obs::EventLog events;
@@ -116,8 +123,7 @@ class VoltageSim
     /** Adds every cycle it ran to the tracer's profile when sampling. */
     ~VoltageSim();
 
-    // The stats registry binds callbacks to component addresses, so
-    // the sim must stay put.
+    // A copy would add the same cycles to the profile twice.
     VoltageSim(const VoltageSim &) = delete;
     VoltageSim &operator=(const VoltageSim &) = delete;
 
@@ -173,6 +179,9 @@ class VoltageSim
     const VoltageSimConfig &config() const { return cfg_; }
 
   private:
+    /** Every component's counters now, plus the rail's and the event
+        log's: one end of a run's stats interval. */
+    obs::Snapshot snapshotStats() const;
     /** Open a run: fresh result and event window, stats baseline. */
     VoltageSimResult beginRun(obs::Snapshot &before);
     /** Close a run: fold it into the lifetime tally, derive rates and
@@ -212,13 +221,11 @@ class VoltageSim
     pdn::PdnSim pdn_;
     std::optional<ThresholdController> controller_;
     uint64_t cycle_ = 0;
-    /** Every run's tally folded together; the registry's pdn.v.* and
-        pdn.emergencies.{count,low,high} read it. */
+    /** Every run's tally folded together; the stats' pdn.v.* and
+        pdn.emergencies.{count,low,high} report it. */
     RailTally life_;
 
-    // Observability: registry over all components, per-run emergency
-    // episode tracker.
-    obs::Registry registry_;
+    /** Per-run emergency episode tracker. */
     obs::EmergencyTracker tracker_;
     /** The tracer was on at construction. Read once, so with the
         tracer off no cycle reads it or calls into it. */

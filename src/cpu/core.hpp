@@ -40,7 +40,7 @@
 #include "isa/executor.hpp"
 
 namespace vguard::obs {
-class Registry;  // bound in obs/stat_bindings.cpp (obs sits above cpu)
+class Snapshot;  // emitted in obs/stat_bindings.cpp (obs sits above cpu)
 }
 
 namespace vguard::cpu {
@@ -108,14 +108,13 @@ class OoOCore
     uint64_t now() const { return now_; }
 
     /**
-     * Bind the core's counters into @p r under `<prefix>.` groups
+     * Append the core's counters to @p out under `<prefix>.` groups
      * (fetch/dispatch/issue/commit/mem/bpred/icache/dcache/l2) — the
-     * gem5 pattern: counters stay plain members on the hot path, the
-     * registry reads them via callbacks at snapshot time. The core
-     * must outlive @p r's last snapshot().
+     * gem5 pattern: counters stay plain members on the hot path and
+     * are read only at run boundaries.
      */
-    void registerStats(obs::Registry &r,
-                       const std::string &prefix = "cpu") const;
+    void appendStats(obs::Snapshot &out,
+                     const std::string &prefix) const;
 
   private:
     /** StaticInst::sources() yields at most this many operands. */

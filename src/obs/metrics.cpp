@@ -2,133 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "util/jsonl.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::obs {
-
-// ------------------------------------------------------------- Registry
-
-Registry::Registry() = default;
-Registry::~Registry() = default;
-
-struct Registry::Entry
-{
-    std::string desc;
-    MergeRule rule = MergeRule::Sum;
-    SnapshotEntry::Kind kind = SnapshotEntry::Kind::Counter;
-
-    // Exactly one of these is set, per kind.
-    std::function<uint64_t()> counterFn;
-    std::function<double()> gaugeFn;
-};
-
-void
-Registry::checkName(const std::string &name) const
-{
-    // Must be called with m_ held.
-    if (name.empty())
-        fatal("stats registry: empty name");
-    bool prevDot = true; // catches a leading dot too
-    for (char c : name) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= '0' && c <= '9') || c == '_' || c == '.';
-        if (!ok)
-            fatal("stats registry: bad character '%c' in '%s'", c,
-                  name.c_str());
-        if (c == '.' && prevDot)
-            fatal("stats registry: empty path segment in '%s'",
-                  name.c_str());
-        prevDot = c == '.';
-    }
-    if (prevDot)
-        fatal("stats registry: trailing dot in '%s'", name.c_str());
-
-    if (entries_.count(name))
-        fatal("stats registry: duplicate name '%s'", name.c_str());
-
-    // A name may not be both a leaf and a group: reject registering
-    // "a.b" when "a.b.c" exists and vice versa.
-    for (const auto &[existing, entry] : entries_) {
-        (void)entry;
-        const std::string &shorter =
-            existing.size() < name.size() ? existing : name;
-        const std::string &longer =
-            existing.size() < name.size() ? name : existing;
-        if (longer.size() > shorter.size() &&
-            longer.compare(0, shorter.size(), shorter) == 0 &&
-            longer[shorter.size()] == '.')
-            fatal("stats registry: '%s' collides with group of '%s'",
-                  shorter.c_str(), longer.c_str());
-    }
-}
-
-Registry::Entry &
-Registry::add(std::string name, std::string desc, MergeRule rule)
-{
-    // Must be called with m_ held.
-    checkName(name);
-    auto entry = std::make_unique<Entry>();
-    entry->desc = std::move(desc);
-    entry->rule = rule;
-    Entry &ref = *entry;
-    entries_.emplace(std::move(name), std::move(entry));
-    return ref;
-}
-
-void
-Registry::derivedCounter(std::string name, std::string desc,
-                         std::function<uint64_t()> fn, MergeRule rule)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Counter;
-    e.counterFn = std::move(fn);
-}
-
-void
-Registry::derivedGauge(std::string name, std::string desc,
-                       std::function<double()> fn, MergeRule rule)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Entry &e = add(std::move(name), std::move(desc), rule);
-    e.kind = SnapshotEntry::Kind::Gauge;
-    e.gaugeFn = std::move(fn);
-}
-
-size_t
-Registry::size() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return entries_.size();
-}
-
-Snapshot
-Registry::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    Snapshot s;
-    s.entries_.reserve(entries_.size());
-    // std::map iterates in sorted key order, so entries_ lands sorted.
-    for (const auto &[name, e] : entries_) {
-        SnapshotEntry out;
-        out.name = name;
-        out.desc = e->desc;
-        out.kind = e->kind;
-        out.rule = e->rule;
-        switch (e->kind) {
-          case SnapshotEntry::Kind::Counter:
-            out.u = e->counterFn();
-            break;
-          case SnapshotEntry::Kind::Gauge:
-            out.d = e->gaugeFn();
-            break;
-        }
-        s.entries_.push_back(std::move(out));
-    }
-    return s;
-}
 
 // ------------------------------------------------------------- Snapshot
 
@@ -217,7 +96,7 @@ Snapshot::gaugeValue(std::string_view name, double fallback) const
 }
 
 void
-Snapshot::upsert(SnapshotEntry entry)
+Snapshot::upsertEntry(SnapshotEntry entry)
 {
     const auto it = std::lower_bound(entries_.begin(), entries_.end(),
                                      entry.name, NameLess{});
@@ -228,8 +107,49 @@ Snapshot::upsert(SnapshotEntry entry)
 }
 
 void
-Snapshot::setCounter(std::string name, uint64_t value, MergeRule rule,
-                     std::string desc)
+Snapshot::add(SnapshotEntry entry)
+{
+    const std::string &name = entry.name;
+    if (name.empty())
+        fatal("stats: empty name");
+    bool prevDot = true; // catches a leading dot too
+    for (char c : name) {
+        const bool ok = (c >= 'a' && c <= 'z') ||
+                        (c >= '0' && c <= '9') || c == '_' || c == '.';
+        if (!ok)
+            fatal("stats: bad character '%c' in '%s'", c, name.c_str());
+        if (c == '.' && prevDot)
+            fatal("stats: empty path segment in '%s'", name.c_str());
+        prevDot = c == '.';
+    }
+    if (prevDot)
+        fatal("stats: trailing dot in '%s'", name.c_str());
+
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(),
+                                     name, NameLess{});
+    if (it != entries_.end() && it->name == name)
+        fatal("stats: duplicate name '%s'", name.c_str());
+    // A name may not be both a leaf and a group. '.' sorts below every
+    // other legal character, so in a valid snapshot a leaf that is a
+    // dotted prefix of this name sits just before it, and an entry in
+    // a group under it just after.
+    const auto groups = [](const std::string &leaf,
+                           const std::string &longer) {
+        return longer.size() > leaf.size() && longer[leaf.size()] == '.' &&
+               longer.compare(0, leaf.size(), leaf) == 0;
+    };
+    if (it != entries_.begin() && groups(std::prev(it)->name, name))
+        fatal("stats: '%s' collides with group of '%s'",
+              std::prev(it)->name.c_str(), name.c_str());
+    if (it != entries_.end() && groups(name, it->name))
+        fatal("stats: '%s' collides with group of '%s'", name.c_str(),
+              it->name.c_str());
+    entries_.insert(it, std::move(entry));
+}
+
+void
+Snapshot::addCounter(std::string name, std::string desc, uint64_t value,
+                     MergeRule rule)
 {
     SnapshotEntry e;
     e.name = std::move(name);
@@ -237,12 +157,12 @@ Snapshot::setCounter(std::string name, uint64_t value, MergeRule rule,
     e.kind = SnapshotEntry::Kind::Counter;
     e.rule = rule;
     e.u = value;
-    upsert(std::move(e));
+    add(std::move(e));
 }
 
 void
-Snapshot::setGauge(std::string name, double value, MergeRule rule,
-                   std::string desc)
+Snapshot::addGauge(std::string name, std::string desc, double value,
+                   MergeRule rule)
 {
     SnapshotEntry e;
     e.name = std::move(name);
@@ -250,7 +170,7 @@ Snapshot::setGauge(std::string name, double value, MergeRule rule,
     e.kind = SnapshotEntry::Kind::Gauge;
     e.rule = rule;
     e.d = value;
-    upsert(std::move(e));
+    add(std::move(e));
 }
 
 void

@@ -1,21 +1,19 @@
 /**
  * @file
- * Hierarchical statistics registry (gem5/Wattch-style).
+ * Hierarchical run statistics (gem5/Wattch-style).
  *
  * Every simulator component keeps its hot-path counters as plain
- * members (zero per-cycle overhead) and *binds* them into a Registry
- * under a dotted group name — `cpu.commit.insts`,
- * `power.ialu.energy_j`, `pdn.emergencies.count`,
- * `ctrl.actuator.gated_cycles` — via a `registerStats()` method. The
- * registry is the uniform, inspectable view: a Snapshot freezes every
- * value, snapshots diff/merge deterministically (submission order in
- * campaigns), and export as canonical JSON (one nested object per
- * dotted group).
+ * members (zero per-cycle overhead) and, when asked, appends their
+ * current values to a Snapshot under a dotted group name —
+ * `cpu.commit.insts`, `power.ialu.energy_j`, `pdn.emergencies.count`,
+ * `ctrl.actuator.gated_cycles` — via a const `appendStats()` method.
+ * A run snapshots its components when it starts and when it ends; the
+ * interval diff of the two is the run's stats. Snapshots merge
+ * deterministically (submission order in campaigns) and export as
+ * canonical JSON (one nested object per dotted group).
  *
- * Thread-safety: registration and snapshot are mutex-guarded. Entries
- * are callback-bound: they read component members and are safe
- * whenever the component itself is — in this codebase each run owns
- * its components, so reads happen on the owning thread only.
+ * Thread-safety: a Snapshot is a plain value. Each run owns its
+ * components and builds its snapshots on its own thread.
  *
  * Determinism: a Snapshot's entries are sorted by name and rendered
  * with the deterministic JsonWriter, so equal values always produce
@@ -28,10 +26,6 @@
 #define VGUARD_OBS_METRICS_HPP
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,8 +49,9 @@ struct SnapshotEntry
 };
 
 /**
- * A frozen, sorted view of a registry (or a hand-built aggregate).
- * Cheap to copy between threads; all mutation is single-threaded.
+ * A frozen, sorted set of stat values: one run's components at one
+ * instant, a run's interval, or a campaign's aggregate. Cheap to copy
+ * between threads; all mutation is single-threaded.
  */
 class Snapshot
 {
@@ -74,21 +69,25 @@ class Snapshot
     double gaugeValue(std::string_view name, double fallback = 0.0) const;
 
     /**
+     * Add a counter, keeping sorted order. Fatal on a malformed name
+     * (not lowercase [a-z0-9_] segments joined by single dots), a
+     * duplicate, or a name that would be both a leaf and a group
+     * ("a.b" beside "a.b.c").
+     */
+    void addCounter(std::string name, std::string desc, uint64_t value,
+                    MergeRule rule = MergeRule::Sum);
+    /** Add a gauge (e.g. `ipc = committed/cycles`); same checks. */
+    void addGauge(std::string name, std::string desc, double value,
+                  MergeRule rule = MergeRule::Last);
+
+    /**
      * Insert-or-replace a fully-formed entry, keeping sorted order.
      * Unlike merge(), no MergeRule is applied — the entry lands
      * verbatim. Used to splice cached front-end stats into a replayed
      * run's snapshot (see core/trace_cache.hpp), where rule-based
      * merging would be wrong (e.g. Min against a zeroed live entry).
      */
-    void upsertEntry(SnapshotEntry entry) { upsert(std::move(entry)); }
-
-    /** Insert-or-replace helpers for hand-built aggregates. */
-    void setCounter(std::string name, uint64_t value,
-                    MergeRule rule = MergeRule::Sum,
-                    std::string desc = "");
-    void setGauge(std::string name, double value,
-                  MergeRule rule = MergeRule::Last,
-                  std::string desc = "");
+    void upsertEntry(SnapshotEntry entry);
 
     /**
      * Merge @p other into this snapshot entry-by-entry using each
@@ -113,55 +112,10 @@ class Snapshot
     std::string json() const;
 
   private:
-    friend class Registry;
-    /** Insert keeping sorted order; replaces an existing name. */
-    void upsert(SnapshotEntry entry);
+    /** The adders' checked insert. */
+    void add(SnapshotEntry entry);
 
     std::vector<SnapshotEntry> entries_;   ///< sorted by name
-};
-
-/** The hierarchical registry. */
-class Registry
-{
-  public:
-    // Both out-of-line: Entry is incomplete here, and inline
-    // defaulted special members would instantiate the map's cleanup
-    // paths against it.
-    Registry();
-    ~Registry();
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
-
-    /**
-     * Bind a component-owned counter: @p fn is evaluated at snapshot
-     * time (the gem5 pattern — members stay on the hot path, the
-     * registry is the reporting surface). Fatal on a duplicate or
-     * conflicting name.
-     */
-    void derivedCounter(std::string name, std::string desc,
-                        std::function<uint64_t()> fn,
-                        MergeRule rule = MergeRule::Sum);
-
-    /** Bind a derived/computed gauge (e.g. `ipc = committed/cycles`). */
-    void derivedGauge(std::string name, std::string desc,
-                      std::function<double()> fn,
-                      MergeRule rule = MergeRule::Last);
-
-    /** Number of registered entries. */
-    size_t size() const;
-
-    /** Freeze every value into a sorted Snapshot. */
-    Snapshot snapshot() const;
-
-  private:
-    struct Entry;
-
-    /** Validates charset and hierarchy (no leaf/group collisions). */
-    void checkName(const std::string &name) const;
-    Entry &add(std::string name, std::string desc, MergeRule rule);
-
-    mutable std::mutex m_;
-    std::map<std::string, std::unique_ptr<Entry>> entries_;
 };
 
 } // namespace vguard::obs

@@ -1,20 +1,20 @@
 /**
  * @file
- * Stat bindings for the hardware layers (cpu/pdn/power).
+ * Stats emitters for the hardware layers (cpu/pdn/power).
  *
  * The layering puts obs *above* the hardware models (util < linsys <
  * pdn/power/cpu < obs < core — DESIGN.md §8, enforced by vlint's
  * layer-dag rule), yet the gem5-style metrics contract wants every
- * component to bind its plain-member counters into an obs::Registry.
+ * component to append its plain-member counters to an obs::Snapshot.
  * Both hold by splitting declaration from definition: the hardware
- * headers only *declare* registerStats against a forward-declared
- * obs::Registry, and this obs-layer TU — which may legally include
+ * headers only *declare* appendStats against a forward-declared
+ * obs::Snapshot, and this obs-layer TU — which may legally include
  * downward — provides the definitions. Hardware TUs stay free of
  * upward includes; callers (all in src/core) see no difference.
  *
- * Adding a component: declare `registerStats(obs::Registry&, ...)` in
- * its header with `namespace vguard::obs { class Registry; }`, define
- * it here.
+ * Adding a component: declare `appendStats(obs::Snapshot&, ...) const`
+ * in its header with `namespace vguard::obs { class Snapshot; }`,
+ * define it here.
  */
 
 #include <string>
@@ -27,18 +27,15 @@
 namespace vguard::pdn {
 
 void
-PdnSim::registerStats(obs::Registry &r,
-                      const std::string &prefix) const
+PdnSim::appendStats(obs::Snapshot &out, const std::string &prefix) const
 {
-    r.derivedCounter(prefix + ".steps", "PDN cycles stepped",
-                     [this] { return steps_; });
-    r.derivedGauge(prefix + ".vdd_setpoint",
-                   "regulator set point [V]",
-                   [this] { return vdd_; });
-    r.derivedGauge(prefix + ".v_nominal", "nominal die voltage [V]",
-                   [this] { return vNominal(); });
-    r.derivedGauge(prefix + ".i_trim", "regulator trim current [A]",
-                   [this] { return iTrim_; });
+    out.addCounter(prefix + ".steps", "PDN cycles stepped", steps_);
+    out.addGauge(prefix + ".vdd_setpoint", "regulator set point [V]",
+                 vdd_);
+    out.addGauge(prefix + ".v_nominal", "nominal die voltage [V]",
+                 vNominal());
+    out.addGauge(prefix + ".i_trim", "regulator trim current [A]",
+                 iTrim_);
 }
 
 } // namespace vguard::pdn
@@ -46,26 +43,19 @@ PdnSim::registerStats(obs::Registry &r,
 namespace vguard::power {
 
 void
-WattchModel::registerStats(obs::Registry &r, const std::string &prefix,
-                           double dtSeconds) const
+WattchModel::appendStats(obs::Snapshot &out, const std::string &prefix,
+                         double dtSeconds) const
 {
+    double sum = 0.0;
     for (size_t u = 0; u < kNumUnits; ++u) {
-        r.derivedGauge(
-            prefix + "." + unitName(static_cast<Unit>(u)) + ".energy_j",
-            std::string("dynamic energy of the ") +
-                unitName(static_cast<Unit>(u)) + " [J]",
-            [this, u, dtSeconds] { return wattCycles_[u] * dtSeconds; },
-            obs::MergeRule::Sum);
+        const std::string unit = unitName(static_cast<Unit>(u));
+        out.addGauge(prefix + "." + unit + ".energy_j",
+                     "dynamic energy of the " + unit + " [J]",
+                     wattCycles_[u] * dtSeconds, obs::MergeRule::Sum);
+        sum += wattCycles_[u];
     }
-    r.derivedGauge(
-        prefix + ".total.energy_j", "total dynamic energy [J]",
-        [this, dtSeconds] {
-            double sum = 0.0;
-            for (double wc : wattCycles_)
-                sum += wc;
-            return sum * dtSeconds;
-        },
-        obs::MergeRule::Sum);
+    out.addGauge(prefix + ".total.energy_j", "total dynamic energy [J]",
+                 sum * dtSeconds, obs::MergeRule::Sum);
 }
 
 } // namespace vguard::power
@@ -73,64 +63,59 @@ WattchModel::registerStats(obs::Registry &r, const std::string &prefix,
 namespace vguard::cpu {
 
 void
-OoOCore::registerStats(obs::Registry &r,
-                       const std::string &prefix) const
+OoOCore::appendStats(obs::Snapshot &out, const std::string &prefix) const
 {
-    auto bind = [&](const char *name, const char *desc,
-                    const uint64_t &field) {
-        r.derivedCounter(prefix + "." + name, desc,
-                         [&field] { return field; });
+    auto counter = [&](const std::string &name, const char *desc,
+                       uint64_t value) {
+        out.addCounter(prefix + "." + name, desc, value);
     };
 
     const CoreStats &s = stats_;
-    bind("cycles", "simulated cycles", s.cycles);
-    bind("fetch.insts", "instructions fetched", s.fetched);
-    bind("fetch.stall_branch", "fetch cycles lost to mispredicts",
-         s.fetchStallBranch);
-    bind("fetch.stall_icache", "fetch cycles lost to I-misses",
-         s.fetchStallIcache);
-    bind("fetch.stall_gate", "fetch cycles lost to IL1 gating",
-         s.fetchStallGate);
-    bind("dispatch.insts", "instructions dispatched", s.dispatched);
-    bind("dispatch.stall_window", "dispatch stalls on full RUU/LSQ",
-         s.dispatchStallWindow);
-    bind("issue.insts", "instructions issued", s.issued);
-    bind("issue.gate_stalls", "ready ops blocked by FU gating",
-         s.issueGateStalls);
-    bind("commit.insts", "instructions committed", s.committed);
-    bind("commit.gate_stalls", "commit blocked by DL1 gating",
-         s.commitGateStalls);
-    bind("mem.loads", "loads committed", s.loads);
-    bind("mem.stores", "stores committed", s.stores);
-    bind("mem.lsq_forwards", "store-to-load forwards", s.lsqForwards);
-    bind("branches.count", "branches committed", s.branches);
-    bind("branches.mispredicts", "branches mispredicted", s.mispredicts);
-    r.derivedGauge(prefix + ".commit.ipc",
-                   "committed instructions per cycle",
-                   [this] { return stats_.ipc(); });
+    counter("cycles", "simulated cycles", s.cycles);
+    counter("fetch.insts", "instructions fetched", s.fetched);
+    counter("fetch.stall_branch", "fetch cycles lost to mispredicts",
+            s.fetchStallBranch);
+    counter("fetch.stall_icache", "fetch cycles lost to I-misses",
+            s.fetchStallIcache);
+    counter("fetch.stall_gate", "fetch cycles lost to IL1 gating",
+            s.fetchStallGate);
+    counter("dispatch.insts", "instructions dispatched", s.dispatched);
+    counter("dispatch.stall_window", "dispatch stalls on full RUU/LSQ",
+            s.dispatchStallWindow);
+    counter("issue.insts", "instructions issued", s.issued);
+    counter("issue.gate_stalls", "ready ops blocked by FU gating",
+            s.issueGateStalls);
+    counter("commit.insts", "instructions committed", s.committed);
+    counter("commit.gate_stalls", "commit blocked by DL1 gating",
+            s.commitGateStalls);
+    counter("mem.loads", "loads committed", s.loads);
+    counter("mem.stores", "stores committed", s.stores);
+    counter("mem.lsq_forwards", "store-to-load forwards", s.lsqForwards);
+    counter("branches.count", "branches committed", s.branches);
+    counter("branches.mispredicts", "branches mispredicted",
+            s.mispredicts);
+    out.addGauge(prefix + ".commit.ipc",
+                 "committed instructions per cycle", s.ipc());
 
     const BpredStats &b = bpred_.stats();
-    bind("bpred.lookups", "branch predictor lookups", b.lookups);
-    bind("bpred.cond_branches", "conditional branches predicted",
-         b.condBranches);
-    bind("bpred.cond_mispredicts", "conditional mispredicts",
-         b.condMispredicts);
-    bind("bpred.btb_misses", "taken control with unknown target",
-         b.btbMisses);
-    bind("bpred.ras_mispredicts", "return address mispredicts",
-         b.rasMispredicts);
+    counter("bpred.lookups", "branch predictor lookups", b.lookups);
+    counter("bpred.cond_branches", "conditional branches predicted",
+            b.condBranches);
+    counter("bpred.cond_mispredicts", "conditional mispredicts",
+            b.condMispredicts);
+    counter("bpred.btb_misses", "taken control with unknown target",
+            b.btbMisses);
+    counter("bpred.ras_mispredicts", "return address mispredicts",
+            b.rasMispredicts);
 
-    auto bindCache = [&](const char *name, const CacheStats &c) {
-        bind((std::string(name) + ".accesses").c_str(),
-             "cache accesses", c.accesses);
-        bind((std::string(name) + ".misses").c_str(), "cache misses",
-             c.misses);
-        bind((std::string(name) + ".writebacks").c_str(),
-             "cache writebacks", c.writebacks);
+    auto cache = [&](const std::string &name, const CacheStats &c) {
+        counter(name + ".accesses", "cache accesses", c.accesses);
+        counter(name + ".misses", "cache misses", c.misses);
+        counter(name + ".writebacks", "cache writebacks", c.writebacks);
     };
-    bindCache("icache", mem_.il1().stats());
-    bindCache("dcache", mem_.dl1().stats());
-    bindCache("l2", mem_.l2().stats());
+    cache("icache", mem_.il1().stats());
+    cache("dcache", mem_.dl1().stats());
+    cache("l2", mem_.l2().stats());
 }
 
 } // namespace vguard::cpu

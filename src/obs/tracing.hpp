@@ -4,7 +4,7 @@
  * Chrome trace-event JSON (Perfetto / chrome://tracing) plus a
  * wall-clock-stripped canonical form.
  *
- * The stats registry (metrics.hpp) answers "how much"; this layer
+ * The stats snapshots (metrics.hpp) answer "how much"; this layer
  * answers "when": where a campaign's wall time goes — trace-cache
  * capture vs hit, threshold-solver probes, backend batch steps,
  * governor arbitration — on a timeline a human can scrub. Design

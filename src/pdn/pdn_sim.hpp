@@ -20,7 +20,7 @@
 #include "pdn/package_model.hpp"
 
 namespace vguard::obs {
-class Registry;  // bound in obs/stat_bindings.cpp (obs sits above pdn)
+class Snapshot;  // emitted in obs/stat_bindings.cpp (obs sits above pdn)
 }
 
 namespace vguard::pdn {
@@ -76,11 +76,11 @@ class PdnSim
     uint64_t steps() const { return steps_; }
 
     /**
-     * Bind PDN telemetry into @p r: `<prefix>.steps`, the regulator
-     * set point and the trim current. Must outlive @p r's snapshots.
+     * Append the PDN's telemetry to @p out: `<prefix>.steps`, the
+     * regulator set point, the nominal voltage and the trim current.
      */
-    void registerStats(obs::Registry &r,
-                       const std::string &prefix = "pdn") const;
+    void appendStats(obs::Snapshot &out,
+                     const std::string &prefix) const;
 
     /** Raw state access for checkpoint/restore in solver searches. */
     const std::vector<double> &state() const { return x_; }

@@ -33,7 +33,7 @@
 #include "cpu/config.hpp"
 
 namespace vguard::obs {
-class Registry;  // bound in obs/stat_bindings.cpp (obs sits above power)
+class Snapshot;  // emitted in obs/stat_bindings.cpp (obs sits above power)
 }
 
 namespace vguard::power {
@@ -158,12 +158,12 @@ class WattchModel
     }
 
     /**
-     * Bind per-unit energy (and total) into @p r as
-     * `<prefix>.<unit>.energy_j` derived gauges (MergeRule::Sum).
+     * Append per-unit energy (and total) to @p out as
+     * `<prefix>.<unit>.energy_j` gauges (MergeRule::Sum).
      * @p dtSeconds converts accumulated watt-cycles to joules.
      */
-    void registerStats(obs::Registry &r, const std::string &prefix,
-                       double dtSeconds) const;
+    void appendStats(obs::Snapshot &out, const std::string &prefix,
+                     double dtSeconds) const;
 
     const PowerConfig &config() const { return pcfg_; }
 

@@ -594,11 +594,16 @@ miniCampaign()
     return CampaignEngine(o).run(std::move(jobs));
 }
 
-TEST(Golden, MiniCampaignJsonl)
+/**
+ * Compare @p actual with the committed golden tests/golden/@p file
+ * and report the first differing line; with VGUARD_UPDATE_GOLDEN set,
+ * rewrite the golden instead and skip.
+ */
+void
+checkGolden(const std::string &file, const std::string &actual)
 {
     const std::string goldenPath =
-        std::string(VGUARD_GOLDEN_DIR) + "/mini_campaign.jsonl";
-    const std::string actual = miniCampaign().jsonl();
+        std::string(VGUARD_GOLDEN_DIR) + "/" + file;
 
     if (std::getenv("VGUARD_UPDATE_GOLDEN")) {
         std::ofstream out(goldenPath, std::ios::binary);
@@ -627,7 +632,85 @@ TEST(Golden, MiniCampaignJsonl)
                       << "\n  expected: " << el << "\n  actual:   "
                       << al;
     }
-    SUCCEED();
+}
+
+TEST(Golden, MiniCampaignJsonl)
+{
+    checkGolden("mini_campaign.jsonl", miniCampaign().jsonl());
+}
+
+/**
+ * The pinned stats bytes: one job down each path that fills a run's
+ * stats snapshot, on one worker so every path is taken for certain —
+ *  - open-capture: the first open-loop run of its key captures (and
+ *    rings the 200 % package into emergencies);
+ *  - open-replay: another package replays that capture, its cpu.* and
+ *    power.* entries spliced from the capture;
+ *  - compare-gzip: a compare job whose probe and baseline legs
+ *    capture and whose passive controlled leg replays the baseline;
+ *  - closed-acting: a closed loop whose sensed replay aborts and
+ *    whose full loop gates;
+ *  - closed-passive: a closed loop that stays Normal, so its sensed
+ *    replay of the compare job's probe trace completes.
+ * Regenerate deliberately with
+ *   VGUARD_UPDATE_GOLDEN=1 ./tests/test_campaign \
+ *       --gtest_filter=Golden.MiniStatsJson
+ */
+TEST(Golden, MiniStatsJson)
+{
+    const auto &cal = referenceStressmark();
+    const auto stress = workloads::StressmarkBuilder::build(cal.params);
+    const isa::Program gzip = workloads::buildSpecProxy("gzip");
+
+    // The stressmark first crosses a threshold near cycle 5.5 k.
+    RunSpec open;
+    open.impedanceScale = 2.0;
+    open.controllerEnabled = false;
+    open.maxCycles = 8000;
+    RunSpec replay = open;
+    replay.impedanceScale = 1.5;
+    RunSpec acting = open;
+    acting.controllerEnabled = true;
+    acting.delayCycles = 2;
+    RunSpec passive = acting;
+    passive.maxCycles = 3000;
+
+    std::vector<CampaignJob> jobs{
+        {"open-capture", stress, open, false},
+        {"open-replay", stress, replay, false},
+        {"compare-gzip", gzip, passive, true},
+        {"closed-acting", stress, acting, false},
+        {"closed-passive", gzip, passive, false},
+    };
+
+    TraceCache::instance().setEnabled(true);
+    TraceCache::instance().clear();
+    CampaignEngine::Options o;
+    o.threads = 1;
+    o.campaignSeed = 0x57a75;
+    const CampaignResult res = CampaignEngine(o).run(std::move(jobs));
+
+    const auto acted = [](const VoltageSimResult &r) {
+        return r.lowTriggers + r.highTriggers > 0;
+    };
+    ASSERT_EQ(res.runs.size(), 5u);
+    EXPECT_GT(res.runs[0].sim.emergencyCycles(), 0u);
+    ASSERT_TRUE(res.runs[2].comparison);
+    EXPECT_FALSE(acted(res.runs[2].sim));
+    EXPECT_TRUE(acted(res.runs[3].sim));
+    EXPECT_FALSE(acted(res.runs[4].sim));
+
+    std::string doc = "{\"runs\":[\n";
+    for (const RunResult &rr : res.runs) {
+        doc += "{\"name\":\"" + rr.name + "\",\"stats\":" +
+               rr.sim.stats.json();
+        if (rr.comparison)
+            doc += ",\"baseline_stats\":" +
+                   rr.comparison->baseline.stats.json();
+        doc += rr.index + 1 < res.runs.size() ? "},\n" : "}\n";
+    }
+    doc += "],\n\"merged\":" + res.mergedStats.json() + "}\n";
+    checkGolden("mini_stats.json", doc);
 }
 
 // ------------------------------------------------------- scaling (smoke)

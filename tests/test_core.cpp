@@ -518,6 +518,41 @@ TEST(Experiments, PackageScalesWithImpedance)
                 0.02 * p1.peakImpedance());
 }
 
+TEST(Experiments, ThresholdSpecDesignsTheReferencePackage)
+{
+    for (const double s : {1.0, 2.0, 3.0, 4.0}) {
+        const ThresholdSpec spec = referenceThresholdSpec(s, 2);
+        const pdn::PackageParams solved =
+            pdn::PackageModel::design(spec.f0Hz, spec.zPeakOhms, spec.rDc,
+                                      spec.rDamp, spec.clockHz,
+                                      spec.vNominal)
+                .params();
+        const pdn::PackageParams ref = referencePackage(s);
+        EXPECT_EQ(solved.rVrm, ref.rVrm) << "scale " << s;
+        EXPECT_EQ(solved.rPkg, ref.rPkg) << "scale " << s;
+        EXPECT_EQ(solved.rEsr, ref.rEsr) << "scale " << s;
+        EXPECT_EQ(solved.lPkg, ref.lPkg) << "scale " << s;
+        EXPECT_EQ(solved.cDie, ref.cDie) << "scale " << s;
+        EXPECT_EQ(solved.cBulk, ref.cBulk) << "scale " << s;
+        EXPECT_EQ(solved.vNominal, ref.vNominal) << "scale " << s;
+        EXPECT_EQ(solved.clockHz, ref.clockHz) << "scale " << s;
+    }
+}
+
+TEST(Experiments, ReferenceThresholdsSolveTheReferenceSpec)
+{
+    for (const double s : {1.0, 2.0, 3.0, 4.0}) {
+        const Thresholds &cached = referenceThresholds(s, 2);
+        const Thresholds solved =
+            solveThresholds(referenceThresholdSpec(s, 2));
+        EXPECT_EQ(cached.vLow, solved.vLow) << "scale " << s;
+        EXPECT_EQ(cached.vHigh, solved.vHigh) << "scale " << s;
+        EXPECT_EQ(cached.feasibleLow, solved.feasibleLow) << "scale " << s;
+        EXPECT_EQ(cached.feasibleHigh, solved.feasibleHigh)
+            << "scale " << s;
+    }
+}
+
 TEST(Experiments, ThresholdsCached)
 {
     const auto &a = referenceThresholds(2.0, 1);

@@ -328,56 +328,6 @@ TEST(Multicore, RestrictiveGovernorDeniesAndStaysDeterministic)
     expectChipsEqual(a[0], b[0], "governor determinism");
 }
 
-// ------------------------------------------------------ stats groups
-
-TEST(Multicore, StatsGroupsBindPerChipAndPerCore)
-{
-    const CapturedTrace trace = noisyTrace(2000, 60, 0x57a7);
-    ChipSpec staggered = chipOf(trace, 2, 20);
-    ChipSpec synced = chipOf(trace, 4, 0);
-    ChipSpec governed = chipOf(trace, 3, 0);
-    governed.sensor = testSensor();
-    governed.governor = ChipGovernorConfig{};
-
-    MulticoreSim sim({staggered, synced, governed});
-    obs::Registry reg;
-    sim.registerStats(reg, "mc");
-    const std::vector<ChipResult> r1 = sim.run(1500);
-    const std::vector<ChipResult> r2 = sim.run(1500);
-
-    const obs::Snapshot snap = reg.snapshot();
-    auto counter = [&](const std::string &name) {
-        for (const auto &e : snap.entries())
-            if (e.name == name)
-                return e.u;
-        ADD_FAILURE() << "missing stat " << name;
-        return uint64_t{0};
-    };
-
-    // Per-chip emergency groups exist for every chip; the synced
-    // open-loop chip droops, the staggered one cancels.
-    EXPECT_EQ(counter("mc.chip0.low_emergency_cycles"), 0u);
-    EXPECT_GT(counter("mc.chip1.low_emergency_cycles"), 0u);
-    // The emergency counters are lifetime tallies: the sum of both
-    // runs' results.
-    for (size_t c = 0; c < 3; ++c) {
-        const std::string cp = "mc.chip" + std::to_string(c);
-        EXPECT_EQ(counter(cp + ".low_emergency_cycles"),
-                  r1[c].lowEmergencyCycles + r2[c].lowEmergencyCycles);
-        EXPECT_EQ(counter(cp + ".high_emergency_cycles"),
-                  r1[c].highEmergencyCycles + r2[c].highEmergencyCycles);
-    }
-
-    // Per-core groups: gating happened on the closed-loop chip, and
-    // the governor's group binds under it.
-    uint64_t gated = 0;
-    for (size_t i = 0; i < 3; ++i)
-        gated += counter("mc.chip2.core" + std::to_string(i) +
-                         ".gated_cycles");
-    EXPECT_GT(gated, 0u);
-    EXPECT_GT(counter("mc.chip2.governor.grants"), 0u);
-}
-
 // ------------------------------------------------- golden mini sweep
 
 namespace {

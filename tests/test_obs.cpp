@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for src/obs — the hierarchical stats registry, the emergency
+ * Tests for src/obs — the hierarchical stats snapshots, the emergency
  * event log with activity fingerprints, and the tracer's phase
  * profile — plus their integration into VoltageSim (per-run stats
  * snapshots, event capture on an emergency-producing workload, and
@@ -29,67 +29,61 @@ namespace {
 using namespace vguard;
 using namespace vguard::obs;
 
-// ------------------------------------------------------------ registry
+// ------------------------------------------------------------ snapshot
 
-TEST(Registry, DerivedEntriesReadAtSnapshotTime)
-{
-    Registry r;
-    uint64_t hits = 0;
-    double temp = 0.0;
-    r.derivedCounter("cache.hits", "hits", [&] { return hits; });
-    r.derivedGauge("die.temp", "temp", [&] { return temp; });
-    hits = 7;
-    temp = 85.5;
-    Snapshot s = r.snapshot();
-    EXPECT_EQ(s.counterValue("cache.hits"), 7u);
-    EXPECT_DOUBLE_EQ(s.gaugeValue("die.temp"), 85.5);
-    hits = 9; // later snapshots see the new value
-    s = r.snapshot();
-    EXPECT_EQ(s.counterValue("cache.hits"), 9u);
-}
-
-/** A derived counter reading a constant (the naming tests' binder). */
+/** Add a zero counter (the naming tests' adder). */
 void
-bindCounter(Registry &r, const char *name)
+addZero(Snapshot &s, const char *name)
 {
-    r.derivedCounter(name, "", [] { return uint64_t{0}; });
+    s.addCounter(name, "", 0);
 }
 
-TEST(Registry, RejectsDuplicateNames)
+TEST(Snapshot, RejectsDuplicateNames)
 {
-    Registry r;
-    bindCounter(r, "a.b");
-    EXPECT_EXIT(bindCounter(r, "a.b"), ::testing::ExitedWithCode(1),
+    Snapshot s;
+    addZero(s, "a.b");
+    EXPECT_EXIT(addZero(s, "a.b"), ::testing::ExitedWithCode(1),
                 "duplicate");
 }
 
-TEST(Registry, RejectsLeafGroupCollision)
+TEST(Snapshot, RejectsLeafGroupCollision)
 {
-    Registry r;
-    bindCounter(r, "a.b");
-    // "a.b" is a leaf; "a.b.c" would make it a group too.
-    EXPECT_EXIT(bindCounter(r, "a.b.c"), ::testing::ExitedWithCode(1),
-                "");
+    Snapshot s;
+    addZero(s, "a.b");
+    // Siblings and names that merely share a prefix are fine, and sort
+    // on both sides of "a.b.c".
+    addZero(s, "a.bc");
+    addZero(s, "a.b_c");
+    addZero(s, "a.a.z");
+    addZero(s, "x");
+    EXPECT_EQ(s.size(), 5u);
+    // "a.b" and "x" are leaves; "a.b.c" and "x.y.z" would make them
+    // groups too, and a leaf "a" would be a group already.
+    EXPECT_EXIT(addZero(s, "a.b.c"), ::testing::ExitedWithCode(1),
+                "collides");
+    EXPECT_EXIT(addZero(s, "x.y.z"), ::testing::ExitedWithCode(1),
+                "collides");
+    EXPECT_EXIT(addZero(s, "a"), ::testing::ExitedWithCode(1),
+                "collides");
 }
 
-TEST(Registry, RejectsBadCharactersAndEmptySegments)
+TEST(Snapshot, RejectsBadCharactersAndEmptySegments)
 {
-    Registry r;
-    EXPECT_EXIT(bindCounter(r, "Has.Upper"),
-                ::testing::ExitedWithCode(1), "");
-    EXPECT_EXIT(bindCounter(r, "a..b"), ::testing::ExitedWithCode(1),
+    Snapshot s;
+    EXPECT_EXIT(addZero(s, "Has.Upper"), ::testing::ExitedWithCode(1),
                 "");
-    EXPECT_EXIT(bindCounter(r, ""), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(addZero(s, "a..b"), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(addZero(s, ".a"), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(addZero(s, "a."), ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(addZero(s, ""), ::testing::ExitedWithCode(1), "");
 }
-
-// ------------------------------------------------------------ snapshot
 
 TEST(Snapshot, EntriesSortedAndFindable)
 {
     Snapshot s;
-    s.setCounter("z.last", 1);
-    s.setCounter("a.first", 2);
-    s.setCounter("m.mid", 3);
+    s.addCounter("z.last", "", 1);
+    s.addCounter("a.first", "", 2);
+    s.addCounter("m.mid", "", 3);
     ASSERT_EQ(s.size(), 3u);
     EXPECT_EQ(s.entries()[0].name, "a.first");
     EXPECT_EQ(s.entries()[2].name, "z.last");
@@ -101,17 +95,17 @@ TEST(Snapshot, EntriesSortedAndFindable)
 TEST(Snapshot, MergeFollowsRules)
 {
     Snapshot a;
-    a.setCounter("n.sum", 10, MergeRule::Sum);
-    a.setGauge("n.min", 3.0, MergeRule::Min);
-    a.setGauge("n.max", 3.0, MergeRule::Max);
-    a.setGauge("n.last", 1.0, MergeRule::Last);
+    a.addCounter("n.sum", "", 10, MergeRule::Sum);
+    a.addGauge("n.min", "", 3.0, MergeRule::Min);
+    a.addGauge("n.max", "", 3.0, MergeRule::Max);
+    a.addGauge("n.last", "", 1.0, MergeRule::Last);
 
     Snapshot b;
-    b.setCounter("n.sum", 32, MergeRule::Sum);
-    b.setGauge("n.min", 2.0, MergeRule::Min);
-    b.setGauge("n.max", 2.0, MergeRule::Max);
-    b.setGauge("n.last", 7.0, MergeRule::Last);
-    b.setCounter("n.only_b", 5);
+    b.addCounter("n.sum", "", 32, MergeRule::Sum);
+    b.addGauge("n.min", "", 2.0, MergeRule::Min);
+    b.addGauge("n.max", "", 2.0, MergeRule::Max);
+    b.addGauge("n.last", "", 7.0, MergeRule::Last);
+    b.addCounter("n.only_b", "", 5);
 
     a.merge(b);
     EXPECT_EQ(a.counterValue("n.sum"), 42u);
@@ -125,20 +119,20 @@ TEST(Snapshot, MergeNaNGaugeNeverBeatsRealSample)
 {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     Snapshot a;
-    a.setGauge("g.min", 1.5, MergeRule::Min);
-    a.setGauge("g.last", 2.5, MergeRule::Last);
+    a.addGauge("g.min", "", 1.5, MergeRule::Min);
+    a.addGauge("g.last", "", 2.5, MergeRule::Last);
     Snapshot b;
-    b.setGauge("g.min", nan, MergeRule::Min);
-    b.setGauge("g.last", nan, MergeRule::Last);
+    b.addGauge("g.min", "", nan, MergeRule::Min);
+    b.addGauge("g.last", "", nan, MergeRule::Last);
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.gaugeValue("g.min"), 1.5);
     EXPECT_DOUBLE_EQ(a.gaugeValue("g.last"), 2.5);
 
     // ...and a real sample replaces NaN.
     Snapshot c;
-    c.setGauge("g.v", nan, MergeRule::Min);
+    c.addGauge("g.v", "", nan, MergeRule::Min);
     Snapshot d;
-    d.setGauge("g.v", 0.75, MergeRule::Min);
+    d.addGauge("g.v", "", 0.75, MergeRule::Min);
     c.merge(d);
     EXPECT_DOUBLE_EQ(c.gaugeValue("g.v"), 0.75);
 }
@@ -149,9 +143,9 @@ TEST(Snapshot, MergeMatchesSubmissionOrderAssociativity)
     // campaign aggregate would depend on scheduling.
     auto mk = [](uint64_t n, double v) {
         Snapshot s;
-        s.setCounter("c", n, MergeRule::Sum);
-        s.setGauge("min", v, MergeRule::Min);
-        s.setGauge("max", v, MergeRule::Max);
+        s.addCounter("c", "", n, MergeRule::Sum);
+        s.addGauge("min", "", v, MergeRule::Min);
+        s.addGauge("max", "", v, MergeRule::Max);
         return s;
     };
     Snapshot left = mk(1, 3.0);
@@ -169,12 +163,12 @@ TEST(Snapshot, MergeMatchesSubmissionOrderAssociativity)
 TEST(Snapshot, DiffGivesIntervalSemantics)
 {
     Snapshot before;
-    before.setCounter("c.ticks", 100);
-    before.setGauge("g.v", 0.5);
+    before.addCounter("c.ticks", "", 100);
+    before.addGauge("g.v", "", 0.5);
     Snapshot after;
-    after.setCounter("c.ticks", 150);
-    after.setCounter("c.fresh", 7); // absent earlier: passes through
-    after.setGauge("g.v", 0.9);
+    after.addCounter("c.ticks", "", 150);
+    after.addCounter("c.fresh", "", 7); // absent earlier: passes through
+    after.addGauge("g.v", "", 0.9);
 
     const Snapshot d = after.diff(before);
     EXPECT_EQ(d.counterValue("c.ticks"), 50u);
@@ -183,16 +177,16 @@ TEST(Snapshot, DiffGivesIntervalSemantics)
 
     // A counter that (pathologically) went backwards clamps at 0.
     Snapshot shrunk;
-    shrunk.setCounter("c.ticks", 10);
+    shrunk.addCounter("c.ticks", "", 10);
     EXPECT_EQ(shrunk.diff(before).counterValue("c.ticks"), 0u);
 }
 
 TEST(Snapshot, JsonNestsDottedGroups)
 {
     Snapshot s;
-    s.setCounter("cpu.commit.insts", 10);
-    s.setCounter("cpu.fetch.insts", 20);
-    s.setGauge("pdn.v.min", 0.97, MergeRule::Min);
+    s.addCounter("cpu.commit.insts", "", 10);
+    s.addCounter("cpu.fetch.insts", "", 20);
+    s.addGauge("pdn.v.min", "", 0.97, MergeRule::Min);
     const std::string j = s.json();
     EXPECT_NE(j.find("\"cpu\":{"), std::string::npos) << j;
     EXPECT_NE(j.find("\"commit\":{\"insts\":10}"), std::string::npos)
@@ -426,7 +420,7 @@ TEST(VoltageSimStats, PerRunStatsMatchResultCounters)
     // The stressmark at 300% impedance breaches uncontrolled. One sim
     // runs run(), a runReplay() of that run's own capture, then run()
     // again: each run's stats snapshot must agree exactly with that
-    // run's own counters. The registry reads a lifetime tally folded
+    // run's own counters. The snapshots read a lifetime tally folded
     // in at the end of every run, so each counter diff covers one run
     // and the pdn.v.* gauges report the extremes of all runs so far.
     using namespace vguard::core;

@@ -14,15 +14,17 @@
  *     carries the `campaign` label, so TSan covers the recording
  *     paths at the same time).
  *  3. Golden mini-trace — the canonical bytes of a pinned 2-run
- *     campaign are committed; instrumentation points cannot move
- *     silently. Regenerate deliberately with
+ *     campaign, traced in a fresh process, are committed;
+ *     instrumentation points cannot move silently. Regenerate
+ *     deliberately with
  *       VGUARD_UPDATE_GOLDEN=1 ./tests/test_tracing \
- *           --gtest_filter=Golden.MiniTraceCanonical
+ *           --gtest_filter=TracingTest.GoldenMiniTraceCanonical
  *  4. Mechanics — bounded rings drop (and count) instead of growing,
  *     detached spans lift to roots, args export sorted by key,
  *     disable()/resume() pause without clearing.
  */
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -330,48 +332,90 @@ TEST_F(TracingTest, CanonicalDropsWallAndSortsArgs)
 
 // ------------------------------------------------------ golden trace
 
-TEST_F(TracingTest, GoldenMiniTraceCanonical)
+namespace {
+
+/**
+ * Child side of GoldenMiniTraceCanonical: trace the pinned mini
+ * campaign and compare its canonical form with the golden (or, under
+ * VGUARD_UPDATE_GOLDEN, rewrite the golden). Returns 0 on success;
+ * otherwise describes the failure on stderr and returns 1.
+ */
+int
+miniTraceGoldenStatus()
 {
     const std::string goldenPath =
         std::string(VGUARD_GOLDEN_DIR) + "/mini_trace.jsonl";
 
-    // Pin the cache cold so the capture span fires deterministically
-    // whatever ran earlier in this process.
+    // Pin the cache cold so the capture span fires.
     TraceCache::instance().setEnabled(true);
     TraceCache::instance().clear();
     Tracer::instance().enable();
     tracedMiniCampaign(2, 0.004321);
     Tracer::instance().disable();
-    ASSERT_EQ(Tracer::instance().stats().droppedDet, 0u);
+    if (Tracer::instance().stats().droppedDet != 0) {
+        std::fprintf(stderr, "Det records dropped\n");
+        return 1;
+    }
     const std::string actual = Tracer::instance().canonicalJsonl();
 
     if (std::getenv("VGUARD_UPDATE_GOLDEN")) {
         std::ofstream out(goldenPath, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << goldenPath;
         out << actual;
-        GTEST_SKIP() << "golden updated: " << goldenPath;
+        if (out.good())
+            return 0;
+        std::fprintf(stderr, "cannot write %s\n", goldenPath.c_str());
+        return 1;
     }
 
     std::ifstream in(goldenPath, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden " << goldenPath
-        << " — generate with VGUARD_UPDATE_GOLDEN=1";
+    if (!in.good()) {
+        std::fprintf(stderr,
+                     "missing golden %s — generate with "
+                     "VGUARD_UPDATE_GOLDEN=1\n",
+                     goldenPath.c_str());
+        return 1;
+    }
     std::stringstream buf;
     buf << in.rdbuf();
     const std::string expected = buf.str();
+    if (expected == actual)
+        return 0;
 
-    if (expected != actual) {
-        std::istringstream e(expected), a(actual);
-        std::string el, al;
-        int line = 1;
-        while (std::getline(e, el) && std::getline(a, al) &&
-               el == al)
-            ++line;
-        FAIL() << "canonical trace diverged from golden at line "
-               << line << "\n  golden: " << el << "\n  actual: " << al
-               << "\nIf intentional, regenerate with "
-                  "VGUARD_UPDATE_GOLDEN=1 and commit the diff.";
-    }
+    std::istringstream e(expected), a(actual);
+    std::string el, al;
+    int line = 1;
+    while (std::getline(e, el) && std::getline(a, al) && el == al)
+        ++line;
+    std::fprintf(stderr,
+                 "canonical trace diverged from golden at line %d\n"
+                 "  golden: %s\n  actual: %s\nIf intentional, "
+                 "regenerate with VGUARD_UPDATE_GOLDEN=1 and commit "
+                 "the diff.\n",
+                 line, el.c_str(), al.c_str());
+    return 1;
+}
+
+} // namespace
+
+/**
+ * The reference set-up (current range, target, stressmark, threshold
+ * solve) runs once per process behind magic statics, and its detached
+ * spans fire only then: after earlier tests in the same process have
+ * warmed it, a traced campaign records none of them. So the trace is
+ * recorded in a fresh process — a threadsafe-style death test
+ * re-executes this binary for its statement — whatever ran here
+ * before.
+ */
+TEST_F(TracingTest, GoldenMiniTraceCanonical)
+{
+    const std::string style = testing::GTEST_FLAG(death_test_style);
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(std::exit(miniTraceGoldenStatus()),
+                testing::ExitedWithCode(0), "");
+    testing::GTEST_FLAG(death_test_style) = style;
+    if (std::getenv("VGUARD_UPDATE_GOLDEN"))
+        GTEST_SKIP() << "golden updated: " << VGUARD_GOLDEN_DIR
+                     << "/mini_trace.jsonl";
 }
 
 // --------------------------------------------------------- mechanics

@@ -391,15 +391,27 @@ TEST(VlintMetricName, ValidatesRegistrarLiterals)
 {
     EXPECT_TRUE(hasRule(
         lintSource("src/cpu/x.cpp",
-                   R"(r.derivedCounter("Fetch.Insts", "d", fn);)"),
+                   R"(s.addCounter("Fetch.Insts", "d", n);)"),
         "obs-metric-name"));
     EXPECT_TRUE(hasRule(
         lintSource("src/cpu/x.cpp",
-                   R"(r.derivedGauge("commit..ipc", "d", fn);)"),
+                   R"(s.addGauge("commit..ipc", "d", v);)"),
+        "obs-metric-name"));
+    EXPECT_TRUE(hasRule(
+        lintSource("src/cpu/x.cpp",
+                   R"(counter("fetch.stall-icache", "d", s.x);)"),
+        "obs-metric-name"));
+    EXPECT_TRUE(hasRule(
+        lintSource("src/cpu/x.cpp",
+                   R"(counter(".cycles", "d", s.x);)"),
         "obs-metric-name"));
     EXPECT_FALSE(hasRule(
         lintSource("src/cpu/x.cpp",
-                   R"(bind("fetch.stall_icache", "d", s.x);)"),
+                   R"(counter("fetch.stall_icache", "d", s.x);)"),
+        "obs-metric-name"));
+    EXPECT_FALSE(hasRule(
+        lintSource("src/cpu/x.cpp",
+                   R"(s.addGauge("pdn.v.min", "d", v, rule);)"),
         "obs-metric-name"));
 }
 
@@ -407,7 +419,7 @@ TEST(VlintMetricName, NonLiteralFirstArgIsSkipped)
 {
     EXPECT_FALSE(hasRule(
         lintSource("src/cpu/x.cpp",
-                   R"(r.derivedCounter(prefix + ".cycles", "d", fn);)"),
+                   R"(s.addCounter(prefix + ".cycles", "d", n);)"),
         "obs-metric-name"));
 }
 

@@ -318,7 +318,7 @@ ruleRawIo(FileCtx &ctx)
     // sequence), and raw descriptors anywhere else bypass the store's
     // corruption handling. `bind`/`open`/`close`/`read`/`write`/
     // `unlink` are deliberately not listed — they collide with
-    // ordinary C++ identifiers (stats-registry bind lambdas,
+    // ordinary C++ identifiers (std::bind,
     // fstream::open, std::filesystem) — but no socket server or
     // mapping exists without `socket()`/`accept()`/`mmap()`, so the
     // list below still confines any new raw-io code to that TU.
@@ -553,8 +553,10 @@ ruleMetricName(FileCtx &ctx)
 {
     if (!startsWith(ctx.relpath, "src/"))
         return;
+    // The Snapshot adders, and the core's local counter helper that
+    // forwards its literal fragment to them.
     static const std::set<std::string> registrars = {
-        "derivedCounter", "derivedGauge", "bind"};
+        "addCounter", "addGauge", "counter"};
     const auto &toks = ctx.lf.tokens;
     for (size_t i = 0; i + 2 < toks.size(); ++i) {
         if (toks[i].kind != Tok::Ident ||
@@ -563,7 +565,7 @@ ruleMetricName(FileCtx &ctx)
             toks[i + 2].kind != Tok::Str)
             continue;
         const std::string &name = toks[i + 2].text;
-        // Same grammar Registry::checkName enforces at runtime:
+        // Same grammar the Snapshot adders enforce at runtime:
         // [a-z0-9_] segments separated by single dots. A literal may
         // be a fragment appended to a prefix, so it must merely be a
         // valid dotted path on its own.
@@ -583,7 +585,7 @@ ruleMetricName(FileCtx &ctx)
         if (!ok)
             ctx.add("obs-metric-name", toks[i + 2].line,
                     "metric name literal \"" + name +
-                        "\" violates the stats-registry grammar "
+                        "\" violates the stats-name grammar "
                         "(lowercase [a-z0-9_] segments joined "
                         "with single dots)");
     }
@@ -774,7 +776,7 @@ ruleCatalog()
              "function-local mutable static without once_flag/atomic/"
              "mutex nearby"},
             {"obs-metric-name",
-             "metric-name literals must match the stats-registry "
+             "metric-name literals must match the stats-name "
              "grammar"},
             {"hyg-guard", "headers must carry an include guard"},
             {"hyg-include-order",

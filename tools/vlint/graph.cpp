@@ -60,7 +60,7 @@ memberStoplist()
         "fetch_add", "value", "what",      "name",
         // Domain verbs that many unrelated classes spell identically
         // (PdnSim::step vs VoltageSim::step vs Convolver::step;
-        // Histogram::add vs Registry::add): a bare member call
+        // Histogram::add vs RailTally::add): a bare member call
         // would link to every one of them across classes, wiring
         // whole false subtrees into the reachability rules. Same-class
         // calls still resolve via the exact innermost-scope match.
