@@ -37,10 +37,15 @@
  * (core/multicore_sim): 8 chips × 4 staggered replay cores each,
  * scalar vs batched stepPerLane, with exact per-lane agreement
  * reported as chipLanesIdentical (CI floor) and the throughput ratio
- * as chipBatchedSpeedup. Both sweep sections time their scalar and
- * batched legs interleaved after one discarded warm-up pair; the
- * floors gate the best-of-N ratios, and the *SpeedupMedian fields
- * report the median ratios beside them.
+ * as chipBatchedSpeedup. The same chips with noise-free sensors and
+ * the default governor time the closed-loop chip path
+ * (chipGovernedCyclesPerSec, batched), with the governor's denials
+ * (chipGovernedDenials, CI floor: the row must arbitrate) and every
+ * ChipResult field of batched against scalar
+ * (chipGovernedLanesIdentical, CI gate). All these sections time
+ * their scalar and batched legs interleaved after one discarded
+ * warm-up pair; the floors gate the best-of-N ratios, and the
+ * *SpeedupMedian fields report the median ratios beside them.
  *
  * A campaign section last runs a Table-2-shaped job list (8 SPEC
  * proxies x 4 package scales at cycles / 4, from an empty trace
@@ -352,20 +357,41 @@ main(int argc, char **argv)
             chipBatched =
                 runChips(chipSpecs, nTrace, pdn::BackendKind::Batched);
         });
-    bool chipLanesIdentical = chipScalar.size() == chipBatched.size();
-    for (size_t c = 0; chipLanesIdentical && c < chipScalar.size();
-         ++c) {
-        const ChipResult &a = chipScalar[c];
-        const ChipResult &b = chipBatched[c];
-        chipLanesIdentical =
-            a.minV == b.minV && a.maxV == b.maxV &&
-            a.lowEmergencyCycles == b.lowEmergencyCycles &&
-            a.highEmergencyCycles == b.highEmergencyCycles;
-        for (size_t bin = 0;
-             chipLanesIdentical && bin < a.voltageHist.bins(); ++bin)
-            chipLanesIdentical =
-                a.voltageHist.count(bin) == b.voltageHist.count(bin);
+    const bool chipLanesIdentical = chipScalar == chipBatched;
+
+    // ---- governed chips: the same 8 x 4 chips, sensed and governed --
+    // Noise-free sensors 1 % either side of nominal trip on this
+    // trace's droops, and the default governor's budget then denies
+    // some of the requests. A sensed chip steps one cycle at a time,
+    // so this row times the closed-loop chip path.
+    std::vector<ChipSpec> governedSpecs = chipSpecs;
+    for (ChipSpec &chip : governedSpecs) {
+        const double vNom = chip.package.vNominal;
+        SensorConfig sensor;
+        sensor.vLow = 0.99 * vNom;
+        sensor.vHigh = 1.01 * vNom;
+        sensor.delayCycles = 1;
+        sensor.vNominal = vNom;
+        chip.sensor = sensor;
+        chip.governor = ChipGovernorConfig{};
     }
+    std::vector<ChipResult> governedScalar, governedBatched;
+    const auto [governedScalarSecs, governedBatchedSecs] =
+        timeInterleaved(
+            kSweepReps,
+            [&] {
+                governedScalar = runChips(governedSpecs, nTrace,
+                                          pdn::BackendKind::Scalar);
+            },
+            [&] {
+                governedBatched = runChips(governedSpecs, nTrace,
+                                           pdn::BackendKind::Batched);
+            });
+    const bool chipGovernedLanesIdentical =
+        governedScalar == governedBatched;
+    uint64_t chipGovernedDenials = 0;
+    for (const ChipResult &r : governedBatched)
+        chipGovernedDenials += r.gateDenials;
 
     // ---- campaign: a Table-2-shaped job list at 1 and 2 threads ----
     // Eight SPEC proxies x four package scales: one trace key per
@@ -476,6 +502,14 @@ main(int argc, char **argv)
                 chipBatchedSpeedupMedian);
     std::printf("chip lanes identical: %s\n",
                 chipLanesIdentical ? "yes" : "NO");
+    const double chipGovernedRate =
+        rate(chipLaneCycles, governedBatchedSecs.best);
+    std::printf("governed chips: batched %.6g, scalar %.6g "
+                "chip-cycles/s; %llu denials; identical: %s\n",
+                chipGovernedRate,
+                rate(chipLaneCycles, governedScalarSecs.best),
+                static_cast<unsigned long long>(chipGovernedDenials),
+                chipGovernedLanesIdentical ? "yes" : "NO");
     std::printf("campaign (%zu proxies x 4 scales): 1 thread %.3f s, "
                 "2 threads %.3f s, %.2fx; identical: %s\n",
                 kCampaignProxies, campaignT1Secs.best,
@@ -509,6 +543,9 @@ main(int argc, char **argv)
     w.field("chipBatchedSpeedup", chipBatchedSpeedup);
     w.field("chipBatchedSpeedupMedian", chipBatchedSpeedupMedian);
     w.field("chipLanesIdentical", chipLanesIdentical);
+    w.field("chipGovernedCyclesPerSec", chipGovernedRate);
+    w.field("chipGovernedDenials", chipGovernedDenials);
+    w.field("chipGovernedLanesIdentical", chipGovernedLanesIdentical);
     w.field("campaignT1Seconds", campaignT1Secs.best);
     w.field("campaignT2Seconds", campaignT2Secs.best);
     w.field("campaignThreadSpeedup", campaignSpeedup);

@@ -25,8 +25,9 @@
  * (and how evenly it spreads the throttling — Jain fairness).
  *
  * All cores × alignment configurations run as lanes of ONE batched
- * shared-rail backend pass, cross-checked field for field against the
- * scalar reference. Usage:
+ * shared-rail backend pass. That pass and the closing section's
+ * control runs are cross-checked field for field against the scalar
+ * reference. Usage:
  *   tab_chip_emergencies [--jsonl FILE] [--trace FILE]
  *                        [--trace-canonical FILE]
  */
@@ -138,17 +139,44 @@ main(int argc, char **argv)
     const auto scalar =
         runChips(chips, cycles, pdn::BackendKind::Scalar);
 
+    // Hierarchical control at the worst configuration: per-core
+    // bang-bang loops alone, then with the chip governor arbitrating.
+    const size_t worstN = 8;
+    ChipSpec base;
+    {
+        const double s = 1.0 / static_cast<double>(worstN);
+        base.package =
+            pdn::PackageModel::design(
+                50e6, 2.0 * referenceTarget().zTargetOhms * s,
+                0.5e-3 * s, 0.25e-3 * s, m.cpu.clockHz, m.power.vdd)
+                .params();
+        base.iTrim = iGate * static_cast<double>(worstN);
+        base.band = refCfg.band;
+        for (size_t i = 0; i < worstN; ++i)
+            base.cores.push_back({&trace, 0, iGate, 0.0});
+    }
+    SensorConfig sensor;
+    const double vNom = base.package.vNominal;
+    sensor.vLow = vNom * (1.0 - 0.5 * refCfg.band);
+    sensor.vHigh = vNom * (1.0 + 0.5 * refCfg.band);
+    sensor.delayCycles = 1;
+    sensor.vNominal = vNom;
+
+    ChipSpec local = base;
+    local.sensor = sensor;
+    ChipSpec governed = local;
+    governed.governor = ChipGovernorConfig{};
+
+    const std::vector<ChipSpec> ctlChips{base, local, governed};
+    const auto ctl =
+        runChips(ctlChips, cycles, pdn::BackendKind::Batched);
+    const auto ctlScalar =
+        runChips(ctlChips, cycles, pdn::BackendKind::Scalar);
+
     // The batched shared-rail engine must match the scalar golden
-    // reference exactly, lane for lane.
-    bool lanesIdentical = true;
-    for (size_t i = 0; i < batched.size(); ++i)
-        lanesIdentical = lanesIdentical &&
-                         batched[i].minV == scalar[i].minV &&
-                         batched[i].maxV == scalar[i].maxV &&
-                         batched[i].lowEmergencyCycles ==
-                             scalar[i].lowEmergencyCycles &&
-                         batched[i].highEmergencyCycles ==
-                             scalar[i].highEmergencyCycles;
+    // reference exactly, lane for lane and field for field, each
+    // core's control counters included.
+    const bool lanesIdentical = batched == scalar && ctl == ctlScalar;
 
     Table t({"cores", "alignment", "min V", "max V", "emergencies",
              "frequency"});
@@ -186,36 +214,6 @@ main(int argc, char **argv)
     std::printf("synced strictly worst at every N >= 2: %s\n\n",
                 syncedStrictlyWorst ? "yes" : "NO");
 
-    // Hierarchical control at the worst configuration: per-core
-    // bang-bang loops alone, then with the chip governor arbitrating.
-    const size_t worstN = 8;
-    ChipSpec base;
-    {
-        const double s = 1.0 / static_cast<double>(worstN);
-        base.package =
-            pdn::PackageModel::design(
-                50e6, 2.0 * referenceTarget().zTargetOhms * s,
-                0.5e-3 * s, 0.25e-3 * s, m.cpu.clockHz, m.power.vdd)
-                .params();
-        base.iTrim = iGate * static_cast<double>(worstN);
-        base.band = refCfg.band;
-        for (size_t i = 0; i < worstN; ++i)
-            base.cores.push_back({&trace, 0, iGate, 0.0});
-    }
-    SensorConfig sensor;
-    const double vNom = base.package.vNominal;
-    sensor.vLow = vNom * (1.0 - 0.5 * refCfg.band);
-    sensor.vHigh = vNom * (1.0 + 0.5 * refCfg.band);
-    sensor.delayCycles = 1;
-    sensor.vNominal = vNom;
-
-    ChipSpec local = base;
-    local.sensor = sensor;
-    ChipSpec governed = local;
-    governed.governor = ChipGovernorConfig{};
-
-    const auto ctl = runChips({base, local, governed}, cycles,
-                              pdn::BackendKind::Batched);
     const char *names[3] = {"open loop", "per-core bang-bang",
                             "+ chip governor"};
     Table ct({"control", "emergencies", "gated cycles", "denials",

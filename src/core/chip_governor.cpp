@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/compiler.hpp"
 #include "util/logging.hpp"
 
 namespace vguard::core {
@@ -27,9 +28,14 @@ void
 ChipGovernor::observe(double vNow, const double *coreAmps)
 {
     const size_t n = ewma_.size();
+    // Constants hoisted and pointers unaliased, so the compiler may
+    // vectorise the loop; it is elementwise, so that changes no byte.
+    const double keep = 1.0 - cfg_.ewmaAlpha;
+    const double alpha = cfg_.ewmaAlpha;
+    double *VGUARD_RESTRICT ewma = ewma_.data();
+    const double *VGUARD_RESTRICT amps = coreAmps;
     for (size_t i = 0; i < n; ++i)
-        ewma_[i] = (1.0 - cfg_.ewmaAlpha) * ewma_[i] +
-                   cfg_.ewmaAlpha * coreAmps[i];
+        ewma[i] = keep * ewma[i] + alpha * amps[i];
 
     // Normalized error: +1.0 when the rail sits a full emergency band
     // below the setpoint. Positive error (droop) grows the budget.
@@ -53,10 +59,9 @@ ChipGovernor::arbitrate(const std::vector<uint8_t> &gateRequest,
     grant.assign(n, 0);
 
     size_t requesters = 0;
-    for (size_t i = 0; i < n; ++i) {
-        order_[i] = i;
-        requesters += gateRequest[i] != 0;
-    }
+    for (size_t i = 0; i < n; ++i)
+        if (gateRequest[i] != 0)
+            order_[requesters++] = i;
     if (requesters == 0)
         return;
 
@@ -65,18 +70,16 @@ ChipGovernor::arbitrate(const std::vector<uint8_t> &gateRequest,
     const size_t slots = std::min(std::max<size_t>(budget_, 1),
                                   requesters);
 
-    // Requesters first, hungriest (largest draw EWMA) first, index as
-    // the deterministic tiebreak. stable_sort keeps equal-EWMA order
-    // by index since order_ starts sorted.
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](size_t a, size_t b) {
-                         const bool ra = gateRequest[a] != 0;
-                         const bool rb = gateRequest[b] != 0;
-                         if (ra != rb)
-                             return ra;
-                         return ewma_[a] > ewma_[b];
-                     });
-
+    // The hungriest requesters (largest draw EWMA) win, the lower
+    // index on equal EWMAs. That order is strict, so the top `slots`
+    // are one set, and nth_element finds it in place without sorting.
+    if (slots < requesters)
+        std::nth_element(order_.begin(), order_.begin() + slots,
+                         order_.begin() + requesters,
+                         [&](size_t a, size_t b) {
+                             return ewma_[a] > ewma_[b] ||
+                                    (ewma_[a] == ewma_[b] && a < b);
+                         });
     for (size_t s = 0; s < slots; ++s)
         grant[order_[s]] = 1;
 }

@@ -69,7 +69,11 @@ class ChipGovernor
     /**
      * Arbitrate this cycle's gate requests under the budget from the
      * last observe(). @p gateRequest has cores() entries; @p grant is
-     * resized to match, grant[i] nonzero iff core i may gate.
+     * resized to match, grant[i] nonzero iff core i may gate. When the
+     * budget covers every requester all are granted; otherwise the
+     * max(budget, 1) requesters first in the order (EWMA descending,
+     * index ascending) are. Allocates nothing once @p grant holds
+     * cores() entries.
      */
     void arbitrate(const std::vector<uint8_t> &gateRequest,
                    std::vector<uint8_t> &grant);
@@ -87,7 +91,7 @@ class ChipGovernor
     double integral_ = 0.0;
     size_t budget_;
     std::vector<double> ewma_;    ///< per-core draw EWMA [A]
-    std::vector<size_t> order_;   ///< arbitration scratch
+    std::vector<size_t> order_;   ///< arbitration scratch: requesters
 };
 
 } // namespace vguard::core

@@ -10,17 +10,30 @@
 
 namespace vguard::core {
 
-/** Per-chip mutable state: sensors, governor, actuation, scratch. */
+/** Per-chip mutable state: replay cursors, sensing, actuation. */
 struct MulticoreSim::ChipState
 {
-    enum class Act : uint8_t { Run, Gated, Phantom };
+    /** A core's actuation this cycle; a parked core stays Parked. */
+    enum class Act : uint8_t { Run, Gated, Phantom, Parked };
 
-    std::vector<ThresholdSensor> sensors;  ///< empty when open loop
-    std::optional<ChipGovernor> governor;
-    std::vector<Act> act;          ///< per-core actuation this cycle
-    std::vector<uint8_t> parked;   ///< no/empty trace
+    // Per-core replay source: the trace's samples and length (null and
+    // 0 when parked) and the cursor, the trace index of the next
+    // cycle, which advances with the clock whatever the core does.
+    std::vector<const double *> trace;
+    std::vector<size_t> len;
+    std::vector<size_t> pos;
+    std::vector<Act> act;
+    size_t acting = 0;             ///< cores Gated or Phantom
     std::vector<double> coreAmps;  ///< per-core draw (governor input)
-    std::vector<uint8_t> gateReq, phantomReq, grant;
+
+    /** The rail's delay line and thresholds, noise 0; unset when open
+        loop. */
+    std::optional<ThresholdSensor> sensor;
+    /** Per-core reading error streams; empty when noise-free. */
+    std::vector<Rng> noise;
+    std::vector<VoltageLevel> level;  ///< per-core reading this cycle
+    std::optional<ChipGovernor> governor;
+    std::vector<uint8_t> gateReq, grant;
     /** Where each run's result starts. Built with the sim, so a bad
         band or histogram is refused at construction. */
     ChipResult blank;
@@ -42,19 +55,34 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
         // The governor arbitrates the sensors' requests; without
         // sensors there is nothing to arbitrate.
         VGUARD_CHECK(!chip.governor || chip.sensor);
+        // The rail sensor below runs noise-free, so it cannot refuse
+        // a bad noise magnitude itself.
+        VGUARD_CHECK(!chip.sensor ||
+                     (std::isfinite(chip.sensor->noiseMagnitude) &&
+                      chip.sensor->noiseMagnitude >= 0.0));
         lanes.push_back({chip.package, chip.iTrim});
     }
     backend_ = pdn::makeBackend(kind, lanes);
 
+    using Act = ChipState::Act;
     states_.reserve(chips_.size());
     for (const ChipSpec &chip : chips_) {
         auto st = std::make_unique<ChipState>();
         const size_t n = chip.cores.size();
-        st->act.assign(n, ChipState::Act::Run);
-        st->parked.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            st->parked[i] = !chip.cores[i].trace ||
-                            chip.cores[i].trace->cycles() == 0;
+        st->trace.assign(n, nullptr);
+        st->len.assign(n, 0);
+        st->pos.assign(n, 0);
+        st->act.assign(n, Act::Run);
+        for (size_t i = 0; i < n; ++i) {
+            const CoreSlot &slot = chip.cores[i];
+            if (!slot.trace || slot.trace->cycles() == 0) {
+                st->act[i] = Act::Parked;
+                continue;
+            }
+            st->trace[i] = slot.trace->ampsData();
+            st->len[i] = slot.trace->cycles();
+            st->pos[i] = slot.phaseOffset % st->len[i];
+        }
         st->coreAmps.assign(n, 0.0);
         const double vNom = chip.package.vNominal;
         st->blank = ChipResult(vNom, chip.band, chip.histLo, chip.histHi,
@@ -62,18 +90,21 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
         st->blank.cores.assign(n, CoreStats{});
         if (chip.sensor) {
             anyClosedLoop_ = true;
-            st->gateReq.assign(n, 0);
-            st->phantomReq.assign(n, 0);
-            st->grant.assign(n, 0);
-            st->sensors.reserve(n);
-            for (size_t i = 0; i < n; ++i) {
-                SensorConfig sc = *chip.sensor;
-                // Decorrelate the noise streams: each core owns a
+            SensorConfig rail = *chip.sensor;
+            rail.vNominal = vNom;
+            rail.noiseMagnitude = 0.0;
+            st->sensor.emplace(rail);
+            if (chip.sensor->noiseMagnitude > 0.0) {
+                // Decorrelate the reading errors: each core owns a
                 // derived seed, the way campaign runs derive theirs.
-                sc.seed = deriveRunSeed(sc.seed, i);
-                sc.vNominal = vNom;
-                st->sensors.emplace_back(sc);
+                st->noise.reserve(n);
+                for (size_t i = 0; i < n; ++i)
+                    st->noise.emplace_back(
+                        deriveRunSeed(chip.sensor->seed, i));
             }
+            st->level.assign(n, VoltageLevel::Normal);
+            st->gateReq.assign(n, 0);
+            st->grant.assign(n, 0);
             if (chip.governor)
                 st->governor.emplace(*chip.governor, n, vNom,
                                      chip.band);
@@ -85,110 +116,162 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
 MulticoreSim::~MulticoreSim() = default;
 
 void
-MulticoreSim::gather(size_t chipIdx, size_t n, double *VGUARD_RESTRICT col,
-                     ChipResult &res)
+MulticoreSim::gatherBlock(size_t chipIdx, size_t n,
+                          double *VGUARD_RESTRICT col)
 {
     const ChipSpec &chip = chips_[chipIdx];
     ChipState &st = *states_[chipIdx];
-    // A closed-loop gather is one cycle long; a memset call for one
-    // double would cost more than the rest of a 1-core chip's gather.
-    if (n == 1)
-        col[0] = 0.0;
-    else
-        std::fill_n(col, n, 0.0);
-    for (size_t i = 0; i < chip.cores.size(); ++i) {
-        const CoreSlot &slot = chip.cores[i];
-        if (st.parked[i] || st.act[i] != ChipState::Act::Run) {
-            // A held draw: parked and gated cores at iGate, a phantom
-            // firing core at iPhantom. Parked cores never act, so
-            // their cycles count as neither gated nor phantom.
-            const bool phantom = st.act[i] == ChipState::Act::Phantom;
-            const double a = phantom ? slot.iPhantom : slot.iGate;
-            if (!st.parked[i])
-                (phantom ? res.cores[i].phantomCycles
-                         : res.cores[i].gatedCycles) += n;
-            st.coreAmps[i] = a;
+    std::fill_n(col, n, 0.0);
+    for (size_t i = 0; i < st.act.size(); ++i) {
+        if (st.act[i] == ChipState::Act::Parked) {
+            const double a = chip.cores[i].iGate;
             for (size_t cyc = 0; cyc < n; ++cyc)
                 col[cyc] += a;
             continue;
         }
-        // A running core replays its trace from its phase, in
+        // A running core replays its trace from its cursor, in
         // contiguous slices split where the trace wraps.
-        const double *VGUARD_RESTRICT tr = slot.trace->ampsData();
-        const size_t len = slot.trace->cycles();
-        size_t pos = static_cast<size_t>((cycle_ + slot.phaseOffset) % len);
-        st.coreAmps[i] = tr[pos];
+        const double *VGUARD_RESTRICT tr = st.trace[i];
+        const size_t len = st.len[i];
+        size_t pos = st.pos[i];
         size_t cyc = 0;
         while (cyc < n) {
             const size_t run = std::min(n - cyc, len - pos);
             for (size_t j = 0; j < run; ++j)
                 col[cyc + j] += tr[pos + j];
             cyc += run;
-            pos = 0;
+            pos += run;
+            if (pos == len)
+                pos = 0;
         }
+        st.pos[i] = pos;
     }
 }
 
-void
-MulticoreSim::controlCycle(size_t chipIdx, double v,
-                           std::vector<ChipResult> &results)
+double
+MulticoreSim::gatherCycle(size_t chipIdx, ChipResult &res)
 {
+    using Act = ChipState::Act;
     const ChipSpec &chip = chips_[chipIdx];
     ChipState &st = *states_[chipIdx];
-    ChipResult &res = results[chipIdx];
-    const size_t n = chip.cores.size();
-
+    const size_t n = st.act.size();
+    const Act *act = st.act.data();
+    const double *const *trace = st.trace.data();
+    const size_t *len = st.len.data();
+    size_t *VGUARD_RESTRICT pos = st.pos.data();
+    double *VGUARD_RESTRICT amps = st.coreAmps.data();
+    double sum = 0.0;
     for (size_t i = 0; i < n; ++i) {
-        const VoltageLevel level = st.sensors[i].observe(v);
-        const bool canAct = !st.parked[i];
-        st.gateReq[i] = canAct && level == VoltageLevel::Low;
-        st.phantomReq[i] = canAct && level == VoltageLevel::High;
+        double a;
+        if (act[i] == Act::Run) {
+            a = trace[i][pos[i]];
+        } else {
+            // A held draw: parked and gated cores at iGate, a phantom
+            // firing core at iPhantom. Parked cores never act, so
+            // their cycles count as neither gated nor phantom.
+            a = act[i] == Act::Phantom ? chip.cores[i].iPhantom
+                                       : chip.cores[i].iGate;
+            if (act[i] == Act::Gated)
+                ++res.cores[i].gatedCycles;
+            else if (act[i] == Act::Phantom)
+                ++res.cores[i].phantomCycles;
+        }
+        amps[i] = a;
+        sum += a;
+        if (act[i] != Act::Parked) {
+            const size_t next = pos[i] + 1;
+            pos[i] = next == len[i] ? 0 : next;
+        }
     }
+    return sum;
+}
 
-    if (st.governor) {
-        st.governor->observe(v, st.coreAmps.data());
-        st.governor->arbitrate(st.gateReq, st.grant);
+void
+MulticoreSim::controlCycle(size_t chipIdx, double v, ChipResult &res,
+                           bool traced)
+{
+    using Act = ChipState::Act;
+    ChipState &st = *states_[chipIdx];
+    const size_t n = st.act.size();
+
+    // One reading of the shared rail: every core senses the same
+    // delayed voltage, and only its reading error is its own.
+    const VoltageLevel rail = st.sensor->observe(v);
+    bool asked = false;  // some core may read other than Normal
+    if (st.noise.empty()) {
+        asked = rail != VoltageLevel::Normal;
     } else {
-        st.grant = st.gateReq;
+        const double reading = st.sensor->lastReading();
+        const double e = chips_[chipIdx].sensor->noiseMagnitude;
+        for (size_t i = 0; i < n; ++i) {
+            if (st.act[i] == Act::Parked)
+                continue;
+            st.level[i] = st.sensor->classify(
+                reading + st.noise[i].uniform(-e, e));
+            asked |= st.level[i] != VoltageLevel::Normal;
+        }
     }
+    if (st.governor)
+        st.governor->observe(v, st.coreAmps.data());
 
-    // Arbitration decisions as instant events: only on cycles where
-    // some core asked to gate, and only while tracing — controlCycle
-    // runs once per simulated cycle per chip.
-    if (obs::Tracer::instance().enabled()) {
+    // A quiet cycle: no core asks and none is acting, so every core
+    // runs on and there is nothing to arbitrate or actuate.
+    if (!asked && st.acting == 0)
+        return;
+
+    // A noise-free chip's live cores all read the rail's level.
+    if (st.noise.empty())
+        for (size_t i = 0; i < n; ++i)
+            st.level[i] =
+                st.act[i] == Act::Parked ? VoltageLevel::Normal : rail;
+    size_t requests = 0;
+    for (size_t i = 0; i < n; ++i) {
+        st.gateReq[i] = st.level[i] == VoltageLevel::Low;
+        requests += st.gateReq[i];
+    }
+    if (st.governor)
+        st.governor->arbitrate(st.gateReq, st.grant);
+    else
+        st.grant = st.gateReq;
+
+    size_t grants = 0;
+    st.acting = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (st.act[i] == Act::Parked)
+            continue;
+        // Phantom requests are always granted: extra draw damps the
+        // rail, it never adds a release step.
+        const bool phantom = st.level[i] == VoltageLevel::High;
+        const bool gate = st.gateReq[i] != 0;
+        const bool granted = gate && st.grant[i] != 0;
+        st.act[i] = phantom ? Act::Phantom
+                    : granted ? Act::Gated
+                              : Act::Run;
+        res.cores[i].gateRequests += gate;
+        res.cores[i].gateDenials += gate && !granted;
+        grants += granted;
+        st.acting += phantom || granted;
+    }
+    res.gateGrants += grants;
+    res.gateDenials += requests - grants;
+
+    // Arbitration decisions as instant events, on cycles where some
+    // core asked to gate. The masks cover cores 0-63 only; the counts
+    // cover every core.
+    if (traced && requests > 0) {
         uint64_t reqMask = 0, grantMask = 0;
         for (size_t i = 0; i < n && i < 64; ++i) {
             reqMask |= uint64_t{st.gateReq[i] != 0} << i;
             grantMask |= uint64_t{st.grant[i] != 0} << i;
         }
-        if (reqMask != 0) {
-            obs::TraceInstant inst("chip.arbitrate");
-            inst.arg("chip", uint64_t{chipIdx})
-                .arg("req_mask", reqMask)
-                .arg("grant_mask", grantMask);
-            if (st.governor)
-                inst.arg("budget", uint64_t{st.governor->budget()});
-        }
-    }
-
-    for (size_t i = 0; i < n; ++i) {
-        if (st.phantomReq[i]) {
-            // Phantom requests are always granted: extra draw damps
-            // the rail, it never adds a release step.
-            st.act[i] = ChipState::Act::Phantom;
-        } else if (st.gateReq[i]) {
-            ++res.cores[i].gateRequests;
-            if (st.grant[i]) {
-                st.act[i] = ChipState::Act::Gated;
-                ++res.gateGrants;
-            } else {
-                st.act[i] = ChipState::Act::Run;
-                ++res.cores[i].gateDenials;
-                ++res.gateDenials;
-            }
-        } else {
-            st.act[i] = ChipState::Act::Run;
-        }
+        obs::TraceInstant inst("chip.arbitrate");
+        inst.arg("chip", uint64_t{chipIdx})
+            .arg("requests", uint64_t{requests})
+            .arg("grants", uint64_t{grants})
+            .arg("req_mask", reqMask)
+            .arg("grant_mask", grantMask);
+        if (st.governor)
+            inst.arg("budget", uint64_t{st.governor->budget()});
     }
 }
 
@@ -207,6 +290,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
     // whole current schedule up front and stream it in blocks. Both go
     // through the same gather → stepPerLane → tally and control loop.
     const size_t block = anyClosedLoop_ ? 1 : blockCycles;
+    const bool traced = obs::Tracer::instance().enabled();
     std::vector<double> amps(block * k);
     std::vector<double> volts(block * k);
     std::vector<double> col(block);
@@ -215,7 +299,11 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
         const size_t chunk = static_cast<size_t>(
             std::min<uint64_t>(block, cycles - done));
         for (size_t c = 0; c < k; ++c) {
-            gather(c, chunk, col.data(), results[c]);
+            if (anyClosedLoop_) {
+                amps[c] = gatherCycle(c, results[c]);
+                continue;
+            }
+            gatherBlock(c, chunk, col.data());
             for (size_t cyc = 0; cyc < chunk; ++cyc)
                 amps[cyc * k + c] = col[cyc];
         }
@@ -236,12 +324,11 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
             for (size_t c = 0; c < k; ++c) {
                 const double v = volts[cyc * k + c];
                 results[c].add(v);
-                if (!states_[c]->sensors.empty())
-                    controlCycle(c, v, results);
+                if (states_[c]->sensor)
+                    controlCycle(c, v, results[c], traced);
             }
         }
         done += chunk;
-        cycle_ += chunk;
     }
 
     // Fairness over the cores that can gate.
@@ -251,7 +338,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
         double sum = 0.0, sumSq = 0.0;
         size_t n = 0;
         for (size_t i = 0; i < res.cores.size(); ++i) {
-            if (st.parked[i])
+            if (st.act[i] == ChipState::Act::Parked)
                 continue;
             const double x =
                 static_cast<double>(res.cores[i].gatedCycles);

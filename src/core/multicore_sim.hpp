@@ -6,8 +6,11 @@
  * question: N cores drawing from a *shared* package rail, each core a
  * captured open-loop current trace replayed with a per-core phase
  * offset (one capture feeds every placement — trace_cache.hpp), with
- * optional per-core ThresholdSensor bang-bang loops and a chip-level
- * ChipGovernor arbitrating simultaneous throttles.
+ * optional per-core bang-bang loops and a chip-level ChipGovernor
+ * arbitrating simultaneous throttles. The cores' sensors share one
+ * ThresholdSensor reading of the rail; only their reading error is
+ * per core. A cycle on which no core asks to act and none is acting
+ * skips arbitration and actuation.
  *
  * Scale-out follows the lane-batched backend: each pdn::PdnBackend
  * lane is one chip's rail, so K chip scenarios (core counts, phase
@@ -78,9 +81,10 @@ struct ChipSpec
     size_t histBins = 80;
     std::vector<CoreSlot> cores;
     /**
-     * Per-core bang-bang sensing; open loop when unset. Each core gets
-     * its own sensor with a noise seed derived per core index, all
-     * observing the shared rail.
+     * Per-core bang-bang sensing; open loop when unset. Every core
+     * reads the shared rail through one delay line; with noise, each
+     * core's reading error comes from its own stream, seeded
+     * deriveRunSeed(seed, core index).
      */
     std::optional<SensorConfig> sensor;
     /** Chip-level throttle arbitration; requires `sensor`. */
@@ -94,6 +98,8 @@ struct CoreStats
     uint64_t phantomCycles = 0;  ///< cycles spent phantom firing
     uint64_t gateRequests = 0;   ///< sensor-Low gate requests
     uint64_t gateDenials = 0;    ///< requests the governor denied
+
+    bool operator==(const CoreStats &) const = default;
 };
 
 /** Per-chip results of one run: the rail tally plus the control layer. */
@@ -110,6 +116,9 @@ struct ChipResult : RailTally
      * 1/N = one core absorbs everything. 1.0 when nothing gated.
      */
     double gateFairness = 1.0;
+
+    /** Field-for-field exact equality, every core's counters too. */
+    bool operator==(const ChipResult &) const = default;
 };
 
 /** K chips stepped in lockstep through one PdnBackend. */
@@ -140,24 +149,35 @@ class MulticoreSim
     struct ChipState;
 
     /**
-     * Chip @p chipIdx's summed rail draw for the next @p n cycles into
-     * @p col, core-outer in core-index order from +0.0: the same FP
-     * additions in the same order as a per-cycle sum. Actuation holds
-     * across the block (it changes only in controlCycle, and a run
-     * with a sensed chip gathers one cycle at a time). Charges the
-     * block's gated and phantom cycles to @p res and records each
-     * core's draw on the block's first cycle in coreAmps, the
-     * governor's input.
+     * Open-loop chip @p chipIdx's summed rail draw for the next @p n
+     * cycles into @p col, core-outer in core-index order from +0.0:
+     * the same FP additions in the same order as a per-cycle sum.
+     * Every core runs its trace or is parked, since a run with a
+     * sensed chip gathers one cycle at a time.
      */
-    void gather(size_t chipIdx, size_t n, double *col, ChipResult &res);
-    void controlCycle(size_t chipIdx, double v,
-                      std::vector<ChipResult> &results);
+    void gatherBlock(size_t chipIdx, size_t n, double *col);
+    /**
+     * Chip @p chipIdx's summed rail draw for the next cycle under
+     * this cycle's actuation, summed in core-index order from +0.0.
+     * Charges gated and phantom cycles to @p res and records each
+     * core's draw in coreAmps, the governor's input.
+     */
+    double gatherCycle(size_t chipIdx, ChipResult &res);
+    /**
+     * Sensed chip @p chipIdx's control for a cycle at rail voltage
+     * @p v: one sensor reading of the rail, the governor's PI and EWMA
+     * update, and, unless the cycle is quiet (no core asks and none
+     * is gated or phantom firing), the requests, arbitration and next
+     * cycle's actuation, charged to @p res. @p traced emits the
+     * `chip.arbitrate` instants.
+     */
+    void controlCycle(size_t chipIdx, double v, ChipResult &res,
+                      bool traced);
 
     std::vector<ChipSpec> chips_;
     std::unique_ptr<pdn::PdnBackend> backend_;
     std::vector<std::unique_ptr<ChipState>> states_;
     bool anyClosedLoop_ = false;
-    uint64_t cycle_ = 0;  ///< absolute cycle (phase offsets add to it)
 };
 
 /**

@@ -101,6 +101,9 @@ struct RailTally
     double vLo() const { return vLo_; }
     double vHi() const { return vHi_; }
 
+    /** Field-for-field exact equality. */
+    bool operator==(const RailTally &) const = default;
+
   private:
     double vLo_ = 0.0;
     double vHi_ = 0.0;

@@ -39,15 +39,12 @@ ThresholdSensor::observe(double vNow)
     lastReading_ = reading;
     ++observes_;
 
-    if (reading < cfg_.vLow) {
+    const VoltageLevel level = classify(reading);
+    if (level == VoltageLevel::Low)
         ++lowReadings_;
-        return VoltageLevel::Low;
-    }
-    if (reading > cfg_.vHigh) {
+    else if (level == VoltageLevel::High)
         ++highReadings_;
-        return VoltageLevel::High;
-    }
-    return VoltageLevel::Normal;
+    return level;
 }
 
 void

@@ -65,6 +65,22 @@ class ThresholdSensor
      */
     VoltageLevel observe(double vNow);
 
+    /**
+     * The level of @p reading against the thresholds: Low below vLow,
+     * High above vHigh, else Normal. observe() classifies through it,
+     * and a shared-rail chip classifies each core's noisy reading of
+     * one delay line with it.
+     */
+    VoltageLevel
+    classify(double reading) const
+    {
+        if (reading < cfg_.vLow)
+            return VoltageLevel::Low;
+        if (reading > cfg_.vHigh)
+            return VoltageLevel::High;
+        return VoltageLevel::Normal;
+    }
+
     /** The raw (noisy, delayed) reading behind the last observe(). */
     double lastReading() const { return lastReading_; }
 

@@ -73,8 +73,9 @@ enum class TraceClass : uint8_t {
     Wall,  ///< scheduling/timing detail; Chrome export only
 };
 
-/** Maximum key/value args attached to one span or instant. */
-constexpr size_t kMaxTraceArgs = 4;
+/** Maximum key/value args attached to one span or instant
+    (`chip.arbitrate` carries six). */
+constexpr size_t kMaxTraceArgs = 6;
 
 /** One recorded argument (key and any string value are interned). */
 struct TraceArg

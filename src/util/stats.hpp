@@ -103,6 +103,9 @@ class Histogram
      */
     std::string ascii(size_t width = 50) const;
 
+    /** Same geometry and the same counts, exactly. */
+    bool operator==(const Histogram &) const = default;
+
   private:
     double lo_, hi_, binWidth_;
     std::vector<uint64_t> counts_;

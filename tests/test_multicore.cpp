@@ -14,14 +14,22 @@
  *  - zero-length traces park a core at its gate current;
  *  - a grant-everything governor is bit-identical to no governor, a
  *    restrictive one actually denies and stays deterministic;
+ *  - the governor grants every requester its budget covers, else the
+ *    top max(budget, 1) by (EWMA descending, index ascending), the
+ *    set a stable sort picks, and allocates nothing once warm;
+ *  - a traced run emits a `chip.arbitrate` instant for requests from
+ *    cores past the 64-bit masks' reach;
  *  - two checked-in mini chip sweep goldens (regenerable with
  *    VGUARD_UPDATE_GOLDEN=1) pin the whole pipeline's bytes: one of
- *    open-loop chips, one of sensed and governed chips beside an
- *    open one, down to every core's actuation counters.
+ *    open-loop chips, one of sensed, governed and noisy-sensed chips
+ *    beside an open one, down to every core's actuation counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -33,11 +41,16 @@
 #include "core/multicore_sim.hpp"
 #include "core/voltage_sim.hpp"
 #include "linsys/worst_case.hpp"
+#include "obs/tracing.hpp"
 #include "pdn/package_model.hpp"
 #include "power/wattch.hpp"
+#include "util/json_parse.hpp"
 #include "util/jsonl.hpp"
 #include "util/rng.hpp"
 #include "workloads/kernels.hpp"
+
+// Counts allocations for the warm-arbitration guard.
+#include "alloc_count.hpp"
 
 using namespace vguard;
 using namespace vguard::core;
@@ -281,6 +294,20 @@ TEST(Multicore, ZeroLengthTraceParksCoreAtGateCurrent)
     EXPECT_EQ(c[0].cores[2].phantomCycles, 0u);
 }
 
+TEST(MulticoreDeathTest, SensedChipRefusesBadNoiseMagnitude)
+{
+    // The rail's sensor runs noise-free, so the chip itself must
+    // refuse a NaN or negative reading error, as each per-core sensor
+    // once did: NaN would run silently noiseless.
+    const CapturedTrace trace = noisyTrace(200, 60, 0x0badu);
+    ChipSpec chip = chipOf(trace, 2, 0);
+    chip.sensor = testSensor();
+    for (const double e : {std::nan(""), -0.001}) {
+        chip.sensor->noiseMagnitude = e;
+        EXPECT_DEATH({ MulticoreSim sim({chip}); }, "noise");
+    }
+}
+
 // ------------------------------------------------------ governor
 
 TEST(Multicore, GrantAllGovernorMatchesNoGovernorBitIdentically)
@@ -326,6 +353,185 @@ TEST(Multicore, RestrictiveGovernorDeniesAndStaysDeterministic)
     // Determinism: an identical second sim reproduces every field.
     const auto b = runChips({governed}, 3000, BackendKind::Batched);
     expectChipsEqual(a[0], b[0], "governor determinism");
+}
+
+// ------------------------------------------- governor arbitration
+
+namespace {
+
+/**
+ * A governor whose EWMAs equal @p amps (alpha 1) and whose budget is
+ * round(kp · err · N) clamped to [0, N], with the rail @p errBands
+ * emergency bands below the setpoint (no integral term).
+ */
+ChipGovernor
+governorAt(const std::vector<double> &amps, double kp, double errBands)
+{
+    ChipGovernorConfig cfg;
+    cfg.kp = kp;
+    cfg.ki = 0.0;
+    cfg.vRefFrac = 1.0;
+    cfg.ewmaAlpha = 1.0;
+    ChipGovernor g(cfg, amps.size(), 1.0, 0.05);
+    g.observe(1.0 - errBands * 0.05, amps.data());
+    return g;
+}
+
+/** The indices @p g grants for @p req. */
+std::vector<size_t>
+grantsOf(ChipGovernor &g, const std::vector<uint8_t> &req)
+{
+    std::vector<uint8_t> grant;
+    g.arbitrate(req, grant);
+    EXPECT_EQ(grant.size(), req.size());
+    std::vector<size_t> out;
+    for (size_t i = 0; i < grant.size(); ++i)
+        if (grant[i])
+            out.push_back(i);
+    return out;
+}
+
+} // namespace
+
+TEST(ChipGovernor, NoRequestersNoGrants)
+{
+    ChipGovernor g = governorAt({3.0, 1.0, 2.0, 5.0}, 1.0, 1.0);
+    EXPECT_EQ(g.budget(), 4u);
+    EXPECT_TRUE(grantsOf(g, {0, 0, 0, 0}).empty());
+}
+
+TEST(ChipGovernor, CoveringBudgetGrantsExactlyTheRequesters)
+{
+    ChipGovernor g = governorAt({3.0, 9.0, 2.0, 5.0, 1.0}, 1.0, 1.0);
+    EXPECT_EQ(g.budget(), 5u);
+    EXPECT_EQ(grantsOf(g, {1, 0, 1, 1, 0}),
+              (std::vector<size_t>{0, 2, 3}));
+    // A budget of exactly the requester count covers them too.
+    ChipGovernor h = governorAt({3.0, 9.0, 2.0, 5.0}, 0.5, 1.0);
+    EXPECT_EQ(h.budget(), 2u);
+    EXPECT_EQ(grantsOf(h, {0, 1, 1, 0}), (std::vector<size_t>{1, 2}));
+}
+
+TEST(ChipGovernor, ZeroBudgetGrantsTheHighestEwmaRequester)
+{
+    // The rail above the setpoint drives the budget to 0, and the
+    // governor still grants one slot. Core 1 draws most but does not
+    // ask, so the slot goes to core 3.
+    ChipGovernor g = governorAt({3.0, 9.0, 2.0, 5.0, 4.0}, 1.0, -1.0);
+    EXPECT_EQ(g.budget(), 0u);
+    EXPECT_EQ(grantsOf(g, {1, 0, 1, 1, 1}), (std::vector<size_t>{3}));
+}
+
+TEST(ChipGovernor, EqualEwmasGoToTheLowestIndex)
+{
+    ChipGovernor g = governorAt({4.0, 4.0, 4.0, 4.0, 4.0, 4.0}, 1.0 / 3.0,
+                                1.0);
+    EXPECT_EQ(g.budget(), 2u);
+    EXPECT_EQ(grantsOf(g, {0, 1, 0, 1, 1, 1}),
+              (std::vector<size_t>{1, 3}));
+}
+
+TEST(ChipGovernor, SmallerBudgetGoesToTheHighestEwmaSet)
+{
+    ChipGovernor g = governorAt({6.0, 1.0, 8.0, 3.0, 7.0, 2.0, 9.0, 5.0},
+                                0.375, 1.0);
+    EXPECT_EQ(g.budget(), 3u);
+    // Core 6 draws most but does not ask; of the asking cores 2, 4
+    // and 0 draw most.
+    EXPECT_EQ(grantsOf(g, {1, 1, 1, 1, 1, 1, 0, 1}),
+              (std::vector<size_t>{0, 2, 4}));
+
+    // Seeded draws with many equal EWMAs: the grants are the prefix a
+    // stable sort of the requesters by EWMA descending picks.
+    Rng rng(0xa4b17);
+    for (int draw = 0; draw < 300; ++draw) {
+        const size_t n = 1 + rng.below(80);
+        std::vector<double> amps(n);
+        for (double &a : amps)
+            a = static_cast<double>(rng.below(6));
+        std::vector<uint8_t> req(n);
+        std::vector<size_t> order;
+        for (size_t i = 0; i < n; ++i) {
+            req[i] = rng.chance(0.6);
+            if (req[i])
+                order.push_back(i);
+        }
+        ChipGovernor h = governorAt(amps, rng.uniform(0.0, 1.5),
+                                    rng.uniform(-0.5, 1.5));
+        std::stable_sort(order.begin(), order.end(),
+                         [&](size_t a, size_t b) {
+                             return amps[a] > amps[b];
+                         });
+        const size_t slots =
+            std::min(std::max<size_t>(h.budget(), 1), order.size());
+        order.resize(slots);
+        std::sort(order.begin(), order.end());
+        EXPECT_EQ(grantsOf(h, req), order) << "draw " << draw;
+    }
+}
+
+TEST(ChipGovernor, WarmArbitrationAllocatesNothing)
+{
+    const size_t n = 64;
+    std::vector<double> amps(n);
+    for (size_t i = 0; i < n; ++i)
+        amps[i] = static_cast<double>((i * 37) % 64);
+    ChipGovernor g = governorAt(amps, 0.5, 1.0);
+    ASSERT_EQ(g.budget(), 32u);  // binding: every core asks
+    const std::vector<uint8_t> req(n, 1);
+    std::vector<uint8_t> grant;
+    g.arbitrate(req, grant);  // sizes the grant vector
+
+    const std::uint64_t before =
+        gAllocCount.load(std::memory_order_relaxed);
+    size_t granted = 0;
+    for (int r = 0; r < 1000; ++r) {
+        g.arbitrate(req, grant);
+        granted += static_cast<size_t>(
+            std::count(grant.begin(), grant.end(), 1));
+    }
+    const std::uint64_t delta =
+        gAllocCount.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(granted, 1000u * 32u);
+    EXPECT_EQ(delta, 0u) << "warm arbitrate must not allocate";
+}
+
+// ------------------------------------------------- arbitration trace
+
+TEST(Multicore, ArbitrateInstantCountsCoresPastTheMasks)
+{
+    // Cores 0-63 are parked at no draw and cores 64-69 run on a
+    // package sized for six, so every request comes from a core the
+    // 64-bit masks cannot show.
+    const CapturedTrace trace = noisyTrace(4000, 60, 0x70c0);
+    ChipSpec chip = chipOf(trace, 6, 0);
+    chip.cores.insert(chip.cores.begin(), 64, CoreSlot{});
+    chip.sensor = testSensor();
+
+    obs::Tracer &tracer = obs::Tracer::instance();
+    tracer.enable();
+    const auto res = runChips({chip}, 3000, BackendKind::Batched);
+    tracer.disable();
+    const JsonValue doc =
+        parseJsonOrDie(tracer.chromeJson(), "chip trace");
+    tracer.reset();
+
+    size_t instants = 0, allSix = 0;
+    for (const JsonValue &ev :
+         doc.at("traceEvents", "chip trace").items) {
+        const JsonValue *name = ev.find("name");
+        if (!name || name->str != "chip.arbitrate")
+            continue;
+        ++instants;
+        const JsonValue &args = ev.at("args", "chip.arbitrate");
+        EXPECT_EQ(args.at("req_mask", "args").number, 0.0);
+        EXPECT_EQ(args.at("grants", "args").number,
+                  args.at("requests", "args").number);
+        allSix += args.at("requests", "args").number == 6.0;
+    }
+    EXPECT_GT(res[0].cores[64].gateRequests, 0u);
+    EXPECT_GT(instants, 0u);
+    EXPECT_GT(allSix, 0u);
 }
 
 // ------------------------------------------------- golden mini sweep
@@ -430,8 +636,9 @@ namespace {
 /**
  * Deterministic JSONL for a closed-loop chip sweep: cores ×
  * alignment, every chip sensed, half of them governed, plus one
- * open-loop chip sharing the run. Each line carries the rail tally,
- * the control counters and every core's actuation counters.
+ * open-loop chip sharing the run and two chips whose sensors read
+ * with noise. Each line carries the rail tally, the control counters
+ * and every core's actuation counters.
  */
 std::string
 miniGovernedChipSweepJsonl(BackendKind kind)
@@ -460,6 +667,23 @@ miniGovernedChipSweepJsonl(BackendKind kind)
     }
     chips.push_back(chipOf(trace, 2, 0, 3e-3));
     labels.push_back("2:synced:open");
+
+    // Noisy sensors: every core reads the rail with its own 5 mV error
+    // stream, on a governed chip and on a sensed chip whose middle
+    // core is parked.
+    const CapturedTrace empty;
+    SensorConfig noisy = testSensor();
+    noisy.noiseMagnitude = 0.005;
+    noisy.seed = 0x5eed1;
+    chips.push_back(chipOf(trace, 4, 0, 3e-3));
+    chips.back().sensor = noisy;
+    chips.back().governor = restrictive;
+    labels.push_back("4:synced:governed:noisy");
+    noisy.seed = 0x5eed2;
+    chips.push_back(chipOf(trace, 3, 5, 3e-3));
+    chips.back().cores[1].trace = &empty;
+    chips.back().sensor = noisy;
+    labels.push_back("3:parked:sensed:noisy");
 
     const auto results = runChips(chips, 8192, kind);
 

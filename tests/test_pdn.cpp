@@ -6,12 +6,9 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,63 +21,11 @@
 #include "pdn/target_impedance.hpp"
 #include "util/rng.hpp"
 
-// ------------------------------------------------ allocation accounting
-//
-// Counting replacement for the global allocator, backing the
-// "allocation-free after warm-up" regression guard below: the batch
-// helpers (PdnSim::stepMany / DiscreteStateSpaceN::stepBlock2) sit
-// inside per-cycle simulation loops, so a reintroduced per-call heap
-// allocation is a real perf regression, not a style nit.
-
-namespace {
-std::atomic<std::uint64_t> gAllocCount{0};
-}
-
-// GCC pairs new-expressions at call sites with the visible free()-based
-// operator delete and warns; replacing the global allocator with
-// malloc/free in one TU is well-defined, so the warning is spurious.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void *
-operator new(std::size_t n)
-{
-    gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc{};
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+// Counts allocations for the "allocation-free after warm-up" guard
+// below: the batch helpers (PdnSim::stepMany /
+// DiscreteStateSpaceN::stepBlock2) sit inside per-cycle simulation
+// loops.
+#include "alloc_count.hpp"
 
 namespace {
 
