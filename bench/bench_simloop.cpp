@@ -63,7 +63,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -89,16 +88,14 @@ using namespace vguard::core;
 
 namespace {
 
-/** Wall-clock seconds of one callable. */
+/** Wall-clock seconds of one callable, on the tracer's clock. */
 template <typename Fn>
 double
 timeIt(Fn &&fn)
 {
-    const auto t0 = std::chrono::steady_clock::now();
+    const uint64_t t0 = obs::Tracer::now();
     fn();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return static_cast<double>(obs::Tracer::now() - t0) * 1e-9;
 }
 
 /** cycles / seconds with div-by-zero guard. */

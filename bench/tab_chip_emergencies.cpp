@@ -55,7 +55,7 @@ struct Config
 {
     size_t cores;
     const char *alignment;
-    size_t chipIndex = 0;  ///< lane in the MulticoreSim
+    size_t chipIndex = 0;  ///< lane in the runChips sweep
 };
 
 /** Phase offset of core @p i under the named alignment policy. */

@@ -51,15 +51,6 @@ Actuator::phantomMask() const
 }
 
 void
-Actuator::reset()
-{
-    gatedCycles_ = 0;
-    phantomCycles_ = 0;
-    lowTriggers_ = 0;
-    highTriggers_ = 0;
-}
-
-void
 Actuator::appendStats(obs::Snapshot &out,
                       const std::string &prefix) const
 {

@@ -65,14 +65,6 @@ class Actuator
     uint64_t highTriggers() const { return highTriggers_; }
 
     /**
-     * Zero the trigger/cycle counters so a fresh measurement window
-     * starts here (e.g. a second VoltageSim::run() on the same sim).
-     * The last observed level is kept: an actuation already in flight
-     * keeps counting cycles but is not re-counted as a new trigger.
-     */
-    void reset();
-
-    /**
      * Append the actuator counters to @p out under `<prefix>.`
      * (gated_cycles, phantom_cycles, low_triggers, high_triggers).
      */

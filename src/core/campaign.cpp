@@ -187,9 +187,34 @@ emitSpec(JsonWriter &w, const RunSpec &spec)
     w.endObject();
 }
 
+/** A voltage histogram as sparse [bin, count] pairs, which keep the
+    artifact small: most of the 80 bins are empty for a quiet
+    workload. */
 void
-emitSim(JsonWriter &w, std::string_view name,
-        const VoltageSimResult &r, bool withHist)
+emitHist(JsonWriter &w, const Histogram &h)
+{
+    w.key("hist").beginObject();
+    w.field("lo", h.lo());
+    w.field("hi", h.hi());
+    w.field("bins", static_cast<uint64_t>(h.bins()));
+    w.field("underflow", h.underflow());
+    w.field("overflow", h.overflow());
+    w.field("total", h.total());
+    w.key("counts").beginArray();
+    for (size_t i = 0; i < h.bins(); ++i) {
+        if (h.count(i) == 0)
+            continue;
+        w.beginArray()
+            .value(static_cast<uint64_t>(i))
+            .value(h.count(i))
+            .endArray();
+    }
+    w.endArray();
+    w.endObject();
+}
+
+void
+emitSim(JsonWriter &w, std::string_view name, const VoltageSimResult &r)
 {
     w.key(name).beginObject();
     w.field("cycles", r.cycles);
@@ -205,29 +230,7 @@ emitSim(JsonWriter &w, std::string_view name,
     w.field("phantomCycles", r.phantomCycles);
     w.field("lowTriggers", r.lowTriggers);
     w.field("highTriggers", r.highTriggers);
-    if (withHist) {
-        // Sparse [bin, count] pairs keep the artifact small: most of
-        // the 80 bins are empty for a quiet workload.
-        const Histogram &h = r.voltageHist;
-        w.key("hist").beginObject();
-        w.field("lo", h.lo());
-        w.field("hi", h.hi());
-        w.field("bins", static_cast<uint64_t>(h.bins()));
-        w.field("underflow", h.underflow());
-        w.field("overflow", h.overflow());
-        w.field("total", h.total());
-        w.key("counts").beginArray();
-        for (size_t i = 0; i < h.bins(); ++i) {
-            if (h.count(i) == 0)
-                continue;
-            w.beginArray()
-                .value(static_cast<uint64_t>(i))
-                .value(h.count(i))
-                .endArray();
-        }
-        w.endArray();
-        w.endObject();
-    }
+    emitHist(w, r.voltageHist);
     w.endObject();
 }
 
@@ -244,13 +247,13 @@ CampaignResult::jsonl() const
         w.field("name", rr.name);
         emitSpec(w, rr.spec);
         if (rr.comparison) {
-            emitSim(w, "baseline", rr.comparison->baseline, true);
-            emitSim(w, "controlled", rr.comparison->controlled, true);
+            emitSim(w, "baseline", rr.comparison->baseline);
+            emitSim(w, "controlled", rr.comparison->controlled);
             w.field("perfLossPct", rr.comparison->perfLossPct);
             w.field("energyIncreasePct",
                     rr.comparison->energyIncreasePct);
         } else {
-            emitSim(w, "result", rr.sim, true);
+            emitSim(w, "result", rr.sim);
         }
         w.endObject();
         out += w.take();
@@ -269,24 +272,7 @@ CampaignResult::jsonl() const
     w.field("minV", minV);
     w.field("maxV", maxV);
     w.field("meanIpc", ipc.mean());
-    w.key("hist").beginObject();
-    w.field("lo", mergedHist.lo());
-    w.field("hi", mergedHist.hi());
-    w.field("bins", static_cast<uint64_t>(mergedHist.bins()));
-    w.field("underflow", mergedHist.underflow());
-    w.field("overflow", mergedHist.overflow());
-    w.field("total", mergedHist.total());
-    w.key("counts").beginArray();
-    for (size_t i = 0; i < mergedHist.bins(); ++i) {
-        if (mergedHist.count(i) == 0)
-            continue;
-        w.beginArray()
-            .value(static_cast<uint64_t>(i))
-            .value(mergedHist.count(i))
-            .endArray();
-    }
-    w.endArray();
-    w.endObject();
+    emitHist(w, mergedHist);
     w.endObject();
     out += w.take();
     out += '\n';

@@ -61,28 +61,25 @@ class ChipGovernor
                  double vNominal, double band);
 
     /**
-     * Feed this cycle's rail voltage and per-core draws (cores()
-     * entries); updates the PI state and the per-core EWMAs.
+     * Feed this cycle's rail voltage and per-core draws (one entry
+     * per core); updates the PI state and the per-core EWMAs.
      */
     void observe(double vNow, const double *coreAmps);
 
     /**
      * Arbitrate this cycle's gate requests under the budget from the
-     * last observe(). @p gateRequest has cores() entries; @p grant is
-     * resized to match, grant[i] nonzero iff core i may gate. When the
-     * budget covers every requester all are granted; otherwise the
+     * last observe(). @p gateRequest has one entry per core; @p grant
+     * is resized to match, grant[i] nonzero iff core i may gate. When
+     * the budget covers every requester all are granted; otherwise the
      * max(budget, 1) requesters first in the order (EWMA descending,
-     * index ascending) are. Allocates nothing once @p grant holds
-     * cores() entries.
+     * index ascending) are. Allocates nothing once @p grant holds one
+     * entry per core.
      */
     void arbitrate(const std::vector<uint8_t> &gateRequest,
                    std::vector<uint8_t> &grant);
 
-    size_t cores() const { return ewma_.size(); }
     /** Gate budget computed by the last observe(). */
     size_t budget() const { return budget_; }
-
-    const ChipGovernorConfig &config() const { return cfg_; }
 
   private:
     ChipGovernorConfig cfg_;

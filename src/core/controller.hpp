@@ -33,15 +33,6 @@ class ThresholdController
     /** Observe this cycle's voltage and command the core. */
     void step(double vNow, cpu::OoOCore &core);
 
-    /**
-     * Zero the actuator's trigger/cycle counters for a fresh
-     * measurement window. Sensor state (delay line, noise stream) and
-     * any actuation in flight are deliberately untouched, so
-     * back-to-back runs stay physically continuous while reporting
-     * per-run counts.
-     */
-    void resetCounters() { actuator_.reset(); }
-
     /** Last level the control logic acted on. */
     VoltageLevel lastLevel() const { return lastLevel_; }
 

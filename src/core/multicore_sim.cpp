@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "obs/tracing.hpp"
 #include "util/compiler.hpp"
@@ -10,8 +11,10 @@
 
 namespace vguard::core {
 
+namespace {
+
 /** Per-chip mutable state: replay cursors, sensing, actuation. */
-struct MulticoreSim::ChipState
+struct ChipState
 {
     /** A core's actuation this cycle; a parked core stays Parked. */
     enum class Act : uint8_t { Run, Gated, Phantom, Parked };
@@ -34,14 +37,61 @@ struct MulticoreSim::ChipState
     std::vector<VoltageLevel> level;  ///< per-core reading this cycle
     std::optional<ChipGovernor> governor;
     std::vector<uint8_t> gateReq, grant;
-    /** Where each run's result starts. Built with the sim, so a bad
-        band or histogram is refused at construction. */
-    ChipResult blank;
 };
 
-MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
+/**
+ * The body of runChips: K chips, borrowed from the caller, stepped in
+ * lockstep through one PdnBackend from reset. run() is called once.
+ */
+class MulticoreSim
+{
+  public:
+    MulticoreSim(const std::vector<ChipSpec> &chips,
+                 pdn::BackendKind kind);
+
+    /**
+     * Advance every chip @p cycles cycles, in blocks of @p blockCycles
+     * when every chip is open loop and one cycle at a time otherwise.
+     * Returns each chip's result.
+     */
+    std::vector<ChipResult> run(uint64_t cycles, size_t blockCycles);
+
+  private:
+    /**
+     * Open-loop chip @p chipIdx's summed rail draw for the next @p n
+     * cycles into @p col, core-outer in core-index order from +0.0:
+     * the same FP additions in the same order as a per-cycle sum.
+     * Every core runs its trace or is parked, since a run with a
+     * sensed chip gathers one cycle at a time.
+     */
+    void gatherBlock(size_t chipIdx, size_t n, double *col);
+    /**
+     * Chip @p chipIdx's summed rail draw for the next cycle under
+     * this cycle's actuation, summed in core-index order from +0.0.
+     * Charges gated and phantom cycles to @p res and records each
+     * core's draw in coreAmps, the governor's input.
+     */
+    double gatherCycle(size_t chipIdx, ChipResult &res);
+    /**
+     * Sensed chip @p chipIdx's control for a cycle at rail voltage
+     * @p v: one sensor reading of the rail, the governor's PI and EWMA
+     * update, and, unless the cycle is quiet (no core asks and none
+     * is gated or phantom firing), the requests, arbitration and next
+     * cycle's actuation, charged to @p res. @p traced emits the
+     * `chip.arbitrate` instants.
+     */
+    void controlCycle(size_t chipIdx, double v, ChipResult &res,
+                      bool traced);
+
+    const std::vector<ChipSpec> &chips_;
+    std::unique_ptr<pdn::PdnBackend> backend_;
+    std::vector<ChipState> states_;
+    bool anyClosedLoop_ = false;
+};
+
+MulticoreSim::MulticoreSim(const std::vector<ChipSpec> &chips,
                            pdn::BackendKind kind)
-    : chips_(std::move(chips))
+    : chips_(chips)
 {
     VGUARD_CHECK(!chips_.empty());
     std::vector<pdn::LaneConfig> lanes;
@@ -65,62 +115,56 @@ MulticoreSim::MulticoreSim(std::vector<ChipSpec> chips,
     backend_ = pdn::makeBackend(kind, lanes);
 
     using Act = ChipState::Act;
-    states_.reserve(chips_.size());
-    for (const ChipSpec &chip : chips_) {
-        auto st = std::make_unique<ChipState>();
+    states_.resize(chips_.size());
+    for (size_t c = 0; c < chips_.size(); ++c) {
+        const ChipSpec &chip = chips_[c];
+        ChipState &st = states_[c];
         const size_t n = chip.cores.size();
-        st->trace.assign(n, nullptr);
-        st->len.assign(n, 0);
-        st->pos.assign(n, 0);
-        st->act.assign(n, Act::Run);
+        st.trace.assign(n, nullptr);
+        st.len.assign(n, 0);
+        st.pos.assign(n, 0);
+        st.act.assign(n, Act::Run);
         for (size_t i = 0; i < n; ++i) {
             const CoreSlot &slot = chip.cores[i];
             if (!slot.trace || slot.trace->cycles() == 0) {
-                st->act[i] = Act::Parked;
+                st.act[i] = Act::Parked;
                 continue;
             }
-            st->trace[i] = slot.trace->ampsData();
-            st->len[i] = slot.trace->cycles();
-            st->pos[i] = slot.phaseOffset % st->len[i];
+            st.trace[i] = slot.trace->ampsData();
+            st.len[i] = slot.trace->cycles();
+            st.pos[i] = slot.phaseOffset % st.len[i];
         }
-        st->coreAmps.assign(n, 0.0);
+        st.coreAmps.assign(n, 0.0);
         const double vNom = chip.package.vNominal;
-        st->blank = ChipResult(vNom, chip.band, chip.histLo, chip.histHi,
-                               chip.histBins);
-        st->blank.cores.assign(n, CoreStats{});
         if (chip.sensor) {
             anyClosedLoop_ = true;
             SensorConfig rail = *chip.sensor;
             rail.vNominal = vNom;
             rail.noiseMagnitude = 0.0;
-            st->sensor.emplace(rail);
+            st.sensor.emplace(rail);
             if (chip.sensor->noiseMagnitude > 0.0) {
                 // Decorrelate the reading errors: each core owns a
                 // derived seed, the way campaign runs derive theirs.
-                st->noise.reserve(n);
+                st.noise.reserve(n);
                 for (size_t i = 0; i < n; ++i)
-                    st->noise.emplace_back(
+                    st.noise.emplace_back(
                         deriveRunSeed(chip.sensor->seed, i));
             }
-            st->level.assign(n, VoltageLevel::Normal);
-            st->gateReq.assign(n, 0);
-            st->grant.assign(n, 0);
+            st.level.assign(n, VoltageLevel::Normal);
+            st.gateReq.assign(n, 0);
+            st.grant.assign(n, 0);
             if (chip.governor)
-                st->governor.emplace(*chip.governor, n, vNom,
-                                     chip.band);
+                st.governor.emplace(*chip.governor, n, vNom, chip.band);
         }
-        states_.push_back(std::move(st));
     }
 }
-
-MulticoreSim::~MulticoreSim() = default;
 
 void
 MulticoreSim::gatherBlock(size_t chipIdx, size_t n,
                           double *VGUARD_RESTRICT col)
 {
     const ChipSpec &chip = chips_[chipIdx];
-    ChipState &st = *states_[chipIdx];
+    ChipState &st = states_[chipIdx];
     std::fill_n(col, n, 0.0);
     for (size_t i = 0; i < st.act.size(); ++i) {
         if (st.act[i] == ChipState::Act::Parked) {
@@ -153,7 +197,7 @@ MulticoreSim::gatherCycle(size_t chipIdx, ChipResult &res)
 {
     using Act = ChipState::Act;
     const ChipSpec &chip = chips_[chipIdx];
-    ChipState &st = *states_[chipIdx];
+    ChipState &st = states_[chipIdx];
     const size_t n = st.act.size();
     const Act *act = st.act.data();
     const double *const *trace = st.trace.data();
@@ -191,7 +235,7 @@ MulticoreSim::controlCycle(size_t chipIdx, double v, ChipResult &res,
                            bool traced)
 {
     using Act = ChipState::Act;
-    ChipState &st = *states_[chipIdx];
+    ChipState &st = states_[chipIdx];
     const size_t n = st.act.size();
 
     // One reading of the shared rail: every core senses the same
@@ -280,10 +324,14 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
 {
     VGUARD_CHECK(blockCycles > 0);
     const size_t k = chips_.size();
+    // A bad band or histogram dies here, in RailTally's constructor.
     std::vector<ChipResult> results;
     results.reserve(k);
-    for (const auto &st : states_)
-        results.push_back(st->blank);
+    for (const ChipSpec &chip : chips_) {
+        results.emplace_back(chip.package.vNominal, chip.band,
+                             chip.histLo, chip.histHi, chip.histBins);
+        results.back().cores.assign(chip.cores.size(), CoreStats{});
+    }
 
     // A sensed chip's next draw depends on this cycle's voltage, so a
     // run with one steps a cycle at a time; open-loop runs know their
@@ -324,7 +372,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
             for (size_t c = 0; c < k; ++c) {
                 const double v = volts[cyc * k + c];
                 results[c].add(v);
-                if (states_[c]->sensor)
+                if (states_[c].sensor)
                     controlCycle(c, v, results[c], traced);
             }
         }
@@ -334,7 +382,7 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
     // Fairness over the cores that can gate.
     for (size_t c = 0; c < k; ++c) {
         ChipResult &res = results[c];
-        const ChipState &st = *states_[c];
+        const ChipState &st = states_[c];
         double sum = 0.0, sumSq = 0.0;
         size_t n = 0;
         for (size_t i = 0; i < res.cores.size(); ++i) {
@@ -354,12 +402,13 @@ MulticoreSim::run(uint64_t cycles, size_t blockCycles)
     return results;
 }
 
+} // namespace
+
 std::vector<ChipResult>
 runChips(const std::vector<ChipSpec> &chips, uint64_t cycles,
          pdn::BackendKind kind, size_t blockCycles)
 {
-    MulticoreSim sim(chips, kind);
-    return sim.run(cycles, blockCycles);
+    return MulticoreSim(chips, kind).run(cycles, blockCycles);
 }
 
 } // namespace vguard::core

@@ -1,6 +1,6 @@
 /**
  * @file
- * Many-core shared-PDN chip simulation (ROADMAP item 1).
+ * Many-core shared-PDN chip simulation.
  *
  * The paper models one core on one package; this module asks the next
  * question: N cores drawing from a *shared* package rail, each core a
@@ -11,6 +11,9 @@
  * ThresholdSensor reading of the rail; only their reading error is
  * per core. A cycle on which no core asks to act and none is acting
  * skips arbitration and actuation.
+ *
+ * runChips is the one entry point: it steps K chips from reset for a
+ * given number of cycles, once, and returns each chip's result.
  *
  * Scale-out follows the lane-batched backend: each pdn::PdnBackend
  * lane is one chip's rail, so K chip scenarios (core counts, phase
@@ -47,7 +50,6 @@
 #define VGUARD_CORE_MULTICORE_SIM_HPP
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -121,68 +123,11 @@ struct ChipResult : RailTally
     bool operator==(const ChipResult &) const = default;
 };
 
-/** K chips stepped in lockstep through one PdnBackend. */
-class MulticoreSim
-{
-  public:
-    explicit MulticoreSim(
-        std::vector<ChipSpec> chips,
-        pdn::BackendKind kind = pdn::BackendKind::Batched);
-
-    MulticoreSim(const MulticoreSim &) = delete;
-    MulticoreSim &operator=(const MulticoreSim &) = delete;
-    ~MulticoreSim();
-
-    /**
-     * Advance every chip @p cycles cycles, in blocks of @p blockCycles
-     * when every chip is open loop and one cycle at a time otherwise;
-     * rail and control state carry across calls. Returns this run's
-     * per-chip results.
-     */
-    std::vector<ChipResult> run(uint64_t cycles,
-                                size_t blockCycles = 256);
-
-    size_t chips() const { return chips_.size(); }
-    const ChipSpec &chip(size_t i) const { return chips_[i]; }
-
-  private:
-    struct ChipState;
-
-    /**
-     * Open-loop chip @p chipIdx's summed rail draw for the next @p n
-     * cycles into @p col, core-outer in core-index order from +0.0:
-     * the same FP additions in the same order as a per-cycle sum.
-     * Every core runs its trace or is parked, since a run with a
-     * sensed chip gathers one cycle at a time.
-     */
-    void gatherBlock(size_t chipIdx, size_t n, double *col);
-    /**
-     * Chip @p chipIdx's summed rail draw for the next cycle under
-     * this cycle's actuation, summed in core-index order from +0.0.
-     * Charges gated and phantom cycles to @p res and records each
-     * core's draw in coreAmps, the governor's input.
-     */
-    double gatherCycle(size_t chipIdx, ChipResult &res);
-    /**
-     * Sensed chip @p chipIdx's control for a cycle at rail voltage
-     * @p v: one sensor reading of the rail, the governor's PI and EWMA
-     * update, and, unless the cycle is quiet (no core asks and none
-     * is gated or phantom firing), the requests, arbitration and next
-     * cycle's actuation, charged to @p res. @p traced emits the
-     * `chip.arbitrate` instants.
-     */
-    void controlCycle(size_t chipIdx, double v, ChipResult &res,
-                      bool traced);
-
-    std::vector<ChipSpec> chips_;
-    std::unique_ptr<pdn::PdnBackend> backend_;
-    std::vector<std::unique_ptr<ChipState>> states_;
-    bool anyClosedLoop_ = false;
-};
-
 /**
- * Convenience wrapper: build a MulticoreSim over @p chips and run it
- * once for @p cycles.
+ * Step @p chips in lockstep through one backend of @p kind for
+ * @p cycles cycles from reset, and return each chip's result. Blocks
+ * are @p blockCycles long when every chip is open loop; a run with a
+ * sensed chip steps one cycle at a time.
  */
 std::vector<ChipResult>
 runChips(const std::vector<ChipSpec> &chips, uint64_t cycles,

@@ -75,8 +75,6 @@ class PidController
     /** Cycles with a partial (issue-limit) throttle. */
     uint64_t throttledCycles() const { return throttledCycles_; }
 
-    const PidConfig &config() const { return cfg_; }
-
   private:
     PidConfig cfg_;
     unsigned issueWidth_;

@@ -6,7 +6,7 @@
  *
  * Every result-producing path feeds its voltages through one
  * RailTally::add — VoltageSim's closed loop, open loop and replay,
- * replaySweep's K lanes, and each MulticoreSim chip — so given the
+ * replaySweep's K lanes, and each runChips chip — so given the
  * same voltages the paths agree bit for bit. The band edges
  * vNominal·(1 ∓ band) are computed here and nowhere else, and the
  * constructor validates the band and histogram at the point every
@@ -76,19 +76,6 @@ struct RailTally
         else if (v > vHi_)
             ++highEmergencyCycles;
         ++cycles;
-    }
-
-    /** Fold in @p other, a tally with the same band and histogram. */
-    void
-    merge(const RailTally &other)
-    {
-        VGUARD_CHECK(vLo_ == other.vLo_ && vHi_ == other.vHi_);
-        cycles += other.cycles;
-        minV = std::min(minV, other.minV);
-        maxV = std::max(maxV, other.maxV);
-        lowEmergencyCycles += other.lowEmergencyCycles;
-        highEmergencyCycles += other.highEmergencyCycles;
-        voltageHist.merge(other.voltageHist);
     }
 
     uint64_t

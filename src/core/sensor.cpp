@@ -48,15 +48,6 @@ ThresholdSensor::observe(double vNow)
 }
 
 void
-ThresholdSensor::reset(double vFill)
-{
-    for (auto &v : history_)
-        v = vFill;
-    head_ = 0;
-    lastReading_ = vFill;
-}
-
-void
 ThresholdSensor::appendStats(obs::Snapshot &out,
                              const std::string &prefix) const
 {

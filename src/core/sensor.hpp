@@ -84,18 +84,6 @@ class ThresholdSensor
     /** The raw (noisy, delayed) reading behind the last observe(). */
     double lastReading() const { return lastReading_; }
 
-    /** Reset history (refills the delay line with nominal voltage). */
-    void reset(double vFill);
-
-    const SensorConfig &config() const { return cfg_; }
-
-    /** Total observe() calls. */
-    uint64_t observes() const { return observes_; }
-    /** observe() calls that reported Low. */
-    uint64_t lowReadings() const { return lowReadings_; }
-    /** observe() calls that reported High. */
-    uint64_t highReadings() const { return highReadings_; }
-
     /**
      * Append sensor telemetry to @p out: observation/level counters
      * and the last raw reading under `<prefix>.`.

@@ -7,13 +7,26 @@
 
 namespace vguard::core {
 
+namespace {
+
+/** The episode tracker of @p cfg's band. Its edges come from the
+    rail's tally, whose constructor refuses a bad band or histogram,
+    so a sim with one dies at construction. */
+obs::EmergencyTracker
+bandTracker(const VoltageSimConfig &cfg)
+{
+    const RailTally rail = cfg.railTally();
+    return obs::EmergencyTracker(rail.vLo(), rail.vHi(),
+                                 obs::kFingerprintWindow, obs::kMaxEvents);
+}
+
+} // namespace
+
 VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
     : cfg_(cfg), core_(cfg.cpu, std::move(program)),
       power_(cfg.power, cfg.cpu),
       pdn_(pdn::PackageModel(cfg.package)),
-      life_(cfg.railTally()),
-      tracker_(life_.vLo(), life_.vHi(), obs::kFingerprintWindow,
-               obs::kMaxEvents),
+      tracker_(bandTracker(cfg)),
       sampling_(obs::Tracer::instance().enabled())
 {
     // Paper regulator convention: the die sits at nominal voltage when
@@ -26,7 +39,7 @@ VoltageSim::VoltageSim(const VoltageSimConfig &cfg, isa::Program program)
 }
 
 obs::Snapshot
-VoltageSim::snapshotStats() const
+VoltageSim::snapshotStats(const RailTally &rail) const
 {
     obs::Snapshot s;
     core_.appendStats(s, "cpu");
@@ -38,11 +51,11 @@ VoltageSim::snapshotStats() const
     const obs::EventLog &log = tracker_.log();
     s.addCounter("pdn.emergencies.count",
                  "cycles outside the operating band",
-                 life_.emergencyCycles());
+                 rail.emergencyCycles());
     s.addCounter("pdn.emergencies.low", "cycles below the band",
-                 life_.lowEmergencyCycles);
+                 rail.lowEmergencyCycles);
     s.addCounter("pdn.emergencies.high", "cycles above the band",
-                 life_.highEmergencyCycles);
+                 rail.highEmergencyCycles);
     s.addCounter("pdn.emergencies.episodes",
                  "distinct band excursions (event-log entries + dropped)",
                  log.total());
@@ -51,9 +64,9 @@ VoltageSim::snapshotStats() const
     s.addCounter("pdn.emergencies.logged",
                  "episodes retained in the bounded event log",
                  uint64_t{log.events().size()});
-    s.addGauge("pdn.v.min", "lowest die voltage seen [V]", life_.minV,
+    s.addGauge("pdn.v.min", "lowest die voltage seen [V]", rail.minV,
                obs::MergeRule::Min);
-    s.addGauge("pdn.v.max", "highest die voltage seen [V]", life_.maxV,
+    s.addGauge("pdn.v.max", "highest die voltage seen [V]", rail.maxV,
                obs::MergeRule::Max);
     return s;
 }
@@ -212,22 +225,21 @@ VoltageSim::runOpenLoop(uint64_t maxCycles, uint64_t maxInsts,
 }
 
 VoltageSimResult
-VoltageSim::beginRun(obs::Snapshot &before)
+VoltageSim::beginRun()
 {
-    // Per-run observability windows: events restart fresh; component
-    // counters are cumulative, so diff a snapshot taken here.
-    tracker_.clear();
-    before = snapshotStats();
+    // The run's stats are its components' counters when it ends, so
+    // they must start it at zero: a sim runs once, from its first
+    // cycle.
+    VGUARD_CHECK(!ran_ && cycle_ == 0);
+    ran_ = true;
     return VoltageSimResult(cfg_.package.vNominal, cfg_.band, cfg_.histLo,
                             cfg_.histHi, cfg_.histBins);
 }
 
 void
-VoltageSim::finishRun(VoltageSimResult &res, const obs::Snapshot &before,
-                      uint64_t committed)
+VoltageSim::finishRun(VoltageSimResult &res, uint64_t committed)
 {
     tracker_.finish();
-    life_.merge(res);
 
     const double dt = 1.0 / cfg_.cpu.clockHz;
     res.committed = committed;
@@ -236,7 +248,7 @@ VoltageSim::finishRun(VoltageSimResult &res, const obs::Snapshot &before,
                   : 0.0;
     res.avgPowerW =
         res.cycles ? res.energyJ / (res.cycles * dt) : 0.0;
-    res.stats = snapshotStats().diff(before);
+    res.stats = snapshotStats(res);
     res.events = tracker_.log();
 }
 
@@ -248,19 +260,12 @@ VoltageSim::run(uint64_t maxCycles, uint64_t maxInsts,
     // feedback into the trace; only open-loop runs are cacheable.
     VGUARD_CHECK(!capture || !controller_);
 
-    // Each run() reports its own actuation counts: clear the actuator
-    // counters without disturbing the control loop's physical state
-    // (sensor delay line, gating commands already in flight).
-    if (controller_)
-        controller_->resetCounters();
-
-    obs::Snapshot before;
-    VoltageSimResult res = beginRun(before);
+    VoltageSimResult res = beginRun();
     if (controller_)
         runClosedLoop(maxCycles, maxInsts, res);
     else
         runOpenLoop(maxCycles, maxInsts, res, capture);
-    finishRun(res, before, core_.stats().committed);
+    finishRun(res, core_.stats().committed);
 
     if (controller_) {
         const auto &act = controller_->actuator();
@@ -290,9 +295,10 @@ VoltageSim::runReplay(const CapturedTrace &trace, size_t blockCycles)
 std::optional<VoltageSimResult>
 VoltageSim::runSensedReplay(const CapturedTrace &trace)
 {
-    // The trace starts from a reset core: only a fresh sim's sensor,
-    // PDN and cycle count line up with it.
-    VGUARD_CHECK(controller_ && cycle_ == 0);
+    // The trace starts from a reset core; beginRun refuses a sim that
+    // is not fresh, whose sensor, PDN and cycle count would not line
+    // up with it.
+    VGUARD_CHECK(controller_);
     return replay(trace, kBlockCycles);
 }
 
@@ -311,8 +317,7 @@ VoltageSim::replay(const CapturedTrace &trace, size_t blockCycles)
                         obs::TraceClass::Wall);
     span.arg("cycles", uint64_t{trace.cycles()});
 
-    obs::Snapshot before;
-    VoltageSimResult res = beginRun(before);
+    VoltageSimResult res = beginRun();
     const size_t done = replayBlocks(trace, blockCycles, res);
     if (done < trace.cycles()) {
         // The sensor left Normal: the actuator would act from the
@@ -320,11 +325,11 @@ VoltageSim::replay(const CapturedTrace &trace, size_t blockCycles)
         span.arg("abort_cycle", uint64_t{done});
         return std::nullopt;
     }
-    finishRun(res, before, trace.committed);
+    finishRun(res, trace.committed);
 
-    // The live diff reports zeroed cpu.*/power.* entries (the core and
+    // The snapshot reports zeroed cpu.*/power.* entries (the core and
     // power model never stepped); splice the capture run's front-end
-    // entries in verbatim so the snapshot matches a full-core run.
+    // entries in verbatim so it matches a full-core run's.
     // A passive controller never gated or phantom-fired, so the
     // actuation counts keep their zero defaults.
     for (const auto &e : trace.frontEnd.entries())

@@ -30,6 +30,11 @@
  * All loops share one accountant (energy, core::RailTally and the
  * emergency-episode tracker) and one begin/finish per run.
  *
+ * A sim runs once: run(), runReplay() and runSensedReplay() refuse a
+ * sim that has begun a run or stepped a cycle, so every component
+ * counter starts the run at zero and the run's stats are one snapshot
+ * taken at its end.
+ *
  * A sim built while the obs::Tracer is on also times its phases into
  * the tracer's profile: 1 cycle in 64 of the per-cycle loop, 1 block
  * in 64 of the batched paths (obs/tracing.hpp).
@@ -92,7 +97,7 @@ struct VoltageSimResult : RailTally
     uint64_t lowTriggers = 0;
     uint64_t highTriggers = 0;
 
-    /** Per-run hierarchical stats (interval diff of two snapshots). */
+    /** The run's hierarchical stats: one snapshot taken at its end. */
     obs::Snapshot stats;
     /** Emergency episodes of this run, each with its fingerprint. */
     obs::EventLog events;
@@ -175,19 +180,17 @@ class VoltageSim
     const cpu::OoOCore &core() const { return core_; }
     /** Mutable core access for external controllers (e.g. PID). */
     cpu::OoOCore &core() { return core_; }
-    const power::WattchModel &powerModel() const { return power_; }
     const VoltageSimConfig &config() const { return cfg_; }
 
   private:
-    /** Every component's counters now, plus the rail's and the event
-        log's: one end of a run's stats interval. */
-    obs::Snapshot snapshotStats() const;
-    /** Open a run: fresh result and event window, stats baseline. */
-    VoltageSimResult beginRun(obs::Snapshot &before);
-    /** Close a run: fold it into the lifetime tally, derive rates and
-        take the run's stats and events. */
-    void finishRun(VoltageSimResult &res, const obs::Snapshot &before,
-                   uint64_t committed);
+    /** Every component's counters now, plus @p rail's and the event
+        log's: the stats of a run that ends here. */
+    obs::Snapshot snapshotStats(const RailTally &rail) const;
+    /** Open the sim's one run (fatal on a second, or after step()):
+        an empty result. */
+    VoltageSimResult beginRun();
+    /** Close the run: derive rates and take its stats and events. */
+    void finishRun(VoltageSimResult &res, uint64_t committed);
     /** The original per-cycle loop (controller in the loop). */
     void runClosedLoop(uint64_t maxCycles, uint64_t maxInsts,
                        VoltageSimResult &res);
@@ -221,9 +224,9 @@ class VoltageSim
     pdn::PdnSim pdn_;
     std::optional<ThresholdController> controller_;
     uint64_t cycle_ = 0;
-    /** Every run's tally folded together; the stats' pdn.v.* and
-        pdn.emergencies.{count,low,high} report it. */
-    RailTally life_;
+    /** A run has begun; with cycle_ == 0 this keeps a sim to one run
+        (an aborted sensed replay moves the PDN, not cycle_). */
+    bool ran_ = false;
 
     /** Per-run emergency episode tracker. */
     obs::EmergencyTracker tracker_;

@@ -79,16 +79,6 @@ ActivityWindow::record(const ActivityRow &counts)
     ++seen_;
 }
 
-void
-ActivityWindow::clear()
-{
-    for (auto &slot : ring_)
-        slot.fill(0);
-    sums_.fill(0);
-    head_ = 0;
-    seen_ = 0;
-}
-
 // ------------------------------------------------------- EmergencyEvent
 
 void
@@ -153,13 +143,6 @@ EventLog::jsonl() const
     for (const EmergencyEvent &ev : events_)
         ev.appendJsonl(out);
     return out;
-}
-
-void
-EventLog::clear()
-{
-    events_.clear();
-    dropped_ = 0;
 }
 
 // ---------------------------------------------------- EmergencyTracker
@@ -234,15 +217,6 @@ EmergencyTracker::close()
 {
     log_.push(current_);
     open_ = false;
-}
-
-void
-EmergencyTracker::clear()
-{
-    log_.clear();
-    window_.clear();
-    open_ = false;
-    current_ = EmergencyEvent{};
 }
 
 } // namespace vguard::obs

@@ -84,15 +84,7 @@ class ActivityWindow
   public:
     explicit ActivityWindow(size_t window);
 
-    /** Record one cycle of activity. */
-    void
-    record(const cpu::ActivityVector &av)
-    {
-        record(fpChannelCounts(av));
-    }
-
-    /** Record one cycle from pre-extracted channel counts (used by
-        trace replay, where no ActivityVector exists any more). */
+    /** Record one cycle's channel counts. */
     void record(const ActivityRow &counts);
 
     /** Per-channel sums over the last min(window, seen) cycles. */
@@ -104,9 +96,6 @@ class ActivityWindow
     size_t window() const { return ring_.size(); }
     /** Total cycles recorded (may exceed the window). */
     uint64_t cyclesSeen() const { return seen_; }
-
-    /** Forget all history. */
-    void clear();
 
   private:
     std::vector<ActivityRow> ring_;
@@ -164,8 +153,6 @@ class EventLog
     /** All stored events as JSONL text. */
     std::string jsonl() const;
 
-    void clear();
-
   private:
     size_t capacity_;
     std::vector<EmergencyEvent> events_;
@@ -199,16 +186,7 @@ class EmergencyTracker
     EmergencyTracker(double vLoBound, double vHiBound,
                      size_t fingerprintWindow, size_t maxEvents);
 
-    /** Feed one simulated cycle. */
-    void
-    step(uint64_t cycle, double v, const cpu::ActivityVector &av,
-         const ControlState &ctrl)
-    {
-        step(cycle, v, fpChannelCounts(av), ctrl);
-    }
-
-    /** Feed one simulated cycle from pre-extracted channel counts
-        (trace replay; identical episode/fingerprint behaviour). */
+    /** Feed one simulated cycle's voltage and channel counts. */
     void step(uint64_t cycle, double v, const ActivityRow &counts,
               const ControlState &ctrl);
 
@@ -216,12 +194,6 @@ class EmergencyTracker
     void finish();
 
     const EventLog &log() const { return log_; }
-
-    /** Episodes currently out-of-band low / high (0 or 1). */
-    bool inEpisode() const { return open_; }
-
-    /** Drop all events and history (keeps configuration). */
-    void clear();
 
   private:
     void close();

@@ -199,20 +199,6 @@ Snapshot::merge(const Snapshot &other)
     }
 }
 
-Snapshot
-Snapshot::diff(const Snapshot &earlier) const
-{
-    Snapshot out = *this;
-    for (SnapshotEntry &e : out.entries_) {
-        if (e.kind != SnapshotEntry::Kind::Counter)
-            continue;
-        const SnapshotEntry *base = earlier.find(e.name);
-        if (base && base->kind == SnapshotEntry::Kind::Counter)
-            e.u = e.u >= base->u ? e.u - base->u : 0;
-    }
-    return out;
-}
-
 std::string
 Snapshot::json() const
 {

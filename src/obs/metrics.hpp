@@ -7,13 +7,14 @@
  * current values to a Snapshot under a dotted group name —
  * `cpu.commit.insts`, `power.ialu.energy_j`, `pdn.emergencies.count`,
  * `ctrl.actuator.gated_cycles` — via a const `appendStats()` method.
- * A run snapshots its components when it starts and when it ends; the
- * interval diff of the two is the run's stats. Snapshots merge
- * deterministically (submission order in campaigns) and export as
- * canonical JSON (one nested object per dotted group).
+ * A simulation runs once, so its components' counters start the run
+ * at zero, and one snapshot taken when the run ends is the run's
+ * stats. Snapshots merge deterministically (submission order in
+ * campaigns) and export as canonical JSON (one nested object per
+ * dotted group).
  *
  * Thread-safety: a Snapshot is a plain value. Each run owns its
- * components and builds its snapshots on its own thread.
+ * components and builds its snapshot on its own thread.
  *
  * Determinism: a Snapshot's entries are sorted by name and rendered
  * with the deterministic JsonWriter, so equal values always produce
@@ -49,9 +50,9 @@ struct SnapshotEntry
 };
 
 /**
- * A frozen, sorted set of stat values: one run's components at one
- * instant, a run's interval, or a campaign's aggregate. Cheap to copy
- * between threads; all mutation is single-threaded.
+ * A frozen, sorted set of stat values: one run's components at its
+ * end, or a campaign's aggregate. Cheap to copy between threads; all
+ * mutation is single-threaded.
  */
 class Snapshot
 {
@@ -97,13 +98,6 @@ class Snapshot
      * on the same name are fatal.
      */
     void merge(const Snapshot &other);
-
-    /**
-     * Interval semantics: counters become `this - earlier` (clamped
-     * at 0); gauges keep this snapshot's value. Entries absent from
-     * @p earlier pass through unchanged.
-     */
-    Snapshot diff(const Snapshot &earlier) const;
 
     /**
      * Canonical JSON: one nested object per dotted group, keys in

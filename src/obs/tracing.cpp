@@ -581,16 +581,6 @@ TraceSpan::TraceSpan(const char *name, TraceClass cls, bool detached)
     open_ = ev_ != nullptr;
 }
 
-TraceSpan::TraceSpan(uint32_t nameId, TraceClass cls, bool detached)
-    : cls_(cls)
-{
-    Tracer &t = Tracer::instance();
-    if (!t.enabled())
-        return;
-    ev_ = t.beginSpan(nameId, cls, detached);
-    open_ = ev_ != nullptr;
-}
-
 TraceSpan::~TraceSpan()
 {
     if (open_ && ev_)

@@ -284,19 +284,17 @@ class Tracer
 };
 
 /**
- * RAII span. Constructed with a name (interned per call) or a
- * pre-interned id; `cls` picks the determinism class and `detached`
- * lifts the span to a canonical root (for work triggered by whichever
- * thread got there first — cache captures, one-per-key solves,
- * campaign runs). arg() calls attach up to kMaxTraceArgs key/values
- * and must happen before destruction, on the constructing thread.
+ * RAII span. Constructed with a name (interned per call); `cls` picks
+ * the determinism class and `detached` lifts the span to a canonical
+ * root (for work triggered by whichever thread got there first —
+ * cache captures, one-per-key solves, campaign runs). arg() calls
+ * attach up to kMaxTraceArgs key/values and must happen before
+ * destruction, on the constructing thread.
  */
 class TraceSpan
 {
   public:
     TraceSpan(const char *name, TraceClass cls = TraceClass::Det,
-              bool detached = false);
-    TraceSpan(uint32_t nameId, TraceClass cls = TraceClass::Det,
               bool detached = false);
     ~TraceSpan();
 

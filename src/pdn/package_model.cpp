@@ -14,7 +14,7 @@ constexpr double kBulkRatio = 100.0;  ///< C_bulk / C_die in design()
 PackageModel::PackageModel(const PackageParams &params) : params_(params)
 {
     // The one PackageParams check: every rail (PdnSim, VoltageSim,
-    // both PdnBackend engines, MulticoreSim) is built on a
+    // both PdnBackend engines, runChips) is built on a
     // PackageModel. NaN passes every `x <= 0` test, so each field must
     // be finite before its range rule means anything.
     const PackageParams &p = params_;

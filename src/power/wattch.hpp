@@ -165,8 +165,6 @@ class WattchModel
     void appendStats(obs::Snapshot &out, const std::string &prefix,
                      double dtSeconds) const;
 
-    const PowerConfig &config() const { return pcfg_; }
-
   private:
     PowerConfig pcfg_;
     cpu::CpuConfig ccfg_;

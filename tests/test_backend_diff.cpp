@@ -487,7 +487,7 @@ namespace {
 /**
  * Every path that accounts a rail takes its band and histogram through
  * core::RailTally, so each must refuse the same bad values: the
- * VoltageSim ctor, replaySweep and the MulticoreSim ctor.
+ * VoltageSim ctor, replaySweep and runChips.
  */
 void
 expectEveryRailPathRejects(double band, double histLo, double histHi)
@@ -516,7 +516,7 @@ expectEveryRailPathRejects(double band, double histLo, double histHi)
     chip.histLo = histLo;
     chip.histHi = histHi;
     chip.cores.resize(1);
-    EXPECT_DEATH({ MulticoreSim sim({chip}); }, "check failed");
+    EXPECT_DEATH(runChips({chip}, 1), "check failed");
 }
 
 } // namespace
@@ -556,7 +556,7 @@ TEST(BackendDiffDeathTest, BackendFactoriesRejectDegeneratePackages)
     // PackageModel's constructor is the one PackageParams check, so a
     // non-finite field dies the same way on every path that builds a
     // rail: a bare PdnSim, the VoltageSim ctor, both backend factories
-    // and the MulticoreSim ctor.
+    // and runChips.
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
     const isa::Program program = workloads::phasedKernel(400);
@@ -586,7 +586,7 @@ TEST(BackendDiffDeathTest, BackendFactoriesRejectDegeneratePackages)
         chip.package = pkg;
         chip.iTrim = 5.0;
         chip.cores.resize(1);
-        EXPECT_DEATH({ MulticoreSim sim({chip}); }, "check failed");
+        EXPECT_DEATH(runChips({chip}, 1), "check failed");
     }
 
     for (const BackendKind kind :

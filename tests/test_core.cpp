@@ -47,8 +47,8 @@ TEST(Sensor, DelayShiftsReadings)
     sc.vLow = 0.97;
     sc.vHigh = 1.03;
     sc.delayCycles = 2;
+    sc.vNominal = 1.0; // the delay line's fill
     ThresholdSensor s(sc);
-    s.reset(1.0);
     s.observe(0.90); // t=0 (reading: fill value 1.0)
     s.observe(1.00); // t=1
     EXPECT_EQ(s.observe(1.00), VoltageLevel::Low); // sees t=0's 0.90
@@ -62,7 +62,6 @@ TEST(Sensor, ZeroDelaySeesCurrentCycle)
     sc.vHigh = 1.03;
     sc.delayCycles = 0;
     ThresholdSensor s(sc);
-    s.reset(1.0);
     EXPECT_EQ(s.observe(0.5), VoltageLevel::Low);
 }
 
@@ -206,50 +205,66 @@ TEST(Actuator, TriggerCountsEdgeOnly)
     EXPECT_EQ(act.gatedCycles(), 5u);
 }
 
-TEST(Actuator, ResetClearsCountersKeepsLevel)
+TEST(VoltageSimDeathTest, RunsOnce)
 {
-    cpu::OoOCore core(cpu::CpuConfig{}, workloads::busyKernel());
-    Actuator act(ActuatorKind::Ideal);
-    for (int i = 0; i < 5; ++i)
-        act.apply(VoltageLevel::Low, core);
-    act.reset();
-    EXPECT_EQ(act.gatedCycles(), 0u);
-    EXPECT_EQ(act.lowTriggers(), 0u);
-    // The level is deliberately kept: an actuation already in flight
-    // counts cycles in the new window but is not a fresh trigger.
-    act.apply(VoltageLevel::Low, core);
-    EXPECT_EQ(act.gatedCycles(), 1u);
-    EXPECT_EQ(act.lowTriggers(), 0u);
-    // New edges after the reset count normally.
-    act.apply(VoltageLevel::Normal, core);
-    act.apply(VoltageLevel::High, core);
-    EXPECT_EQ(act.highTriggers(), 1u);
-    EXPECT_EQ(act.phantomCycles(), 1u);
-}
-
-TEST(VoltageSim, BackToBackRunsReportPerRunCounters)
-{
-    // Regression: run() never cleared the actuator, so a second run()
-    // on the same sim reported the first run's gated cycles and
-    // triggers on top of its own.
+    // A run's stats are its components' counters when it ends, so a
+    // sim that has run, stepped a cycle or begun a sensed replay
+    // refuses another run.
     RunSpec rs;
     rs.controllerEnabled = false;
-    VoltageSimConfig cfg = makeSimConfig(rs);
+    const VoltageSimConfig open = makeSimConfig(rs);
+    const isa::Program prog = workloads::busyKernel(100000);
+    // A low threshold above nominal: every reading is Low.
+    VoltageSimConfig closed = open;
     SensorConfig sc;
-    sc.vLow = 1.5; // every reading is "low": gates every cycle
+    sc.vLow = 1.5;
     sc.vHigh = 2.0;
     sc.delayCycles = 0;
-    cfg.sensor = sc;
-    VoltageSim sim(cfg, workloads::busyKernel(100000));
+    closed.sensor = sc;
 
-    const auto r1 = sim.run(1000);
-    const auto r2 = sim.run(1000);
-    ASSERT_EQ(r1.cycles, 1000u);
-    ASSERT_EQ(r2.cycles, 1000u);
-    EXPECT_EQ(r1.gatedCycles, r1.cycles);
-    EXPECT_EQ(r2.gatedCycles, r2.cycles); // pre-fix: 2 * cycles
-    EXPECT_EQ(r1.lowTriggers, 1u);
-    EXPECT_EQ(r2.lowTriggers, 0u); // still in flight, not re-triggered
+    // The one run reports its own actuation: it gates every cycle
+    // after a single trigger.
+    const VoltageSimResult r = VoltageSim(closed, prog).run(1000);
+    ASSERT_EQ(r.cycles, 1000u);
+    EXPECT_EQ(r.gatedCycles, r.cycles);
+    EXPECT_EQ(r.lowTriggers, 1u);
+
+    EXPECT_DEATH(
+        {
+            VoltageSim sim(open, prog);
+            sim.run(100);
+            sim.run(100);
+        },
+        "check failed");
+    EXPECT_DEATH(
+        {
+            VoltageSim sim(open, prog);
+            CapturedTrace trace;
+            sim.run(100, ~0ull, &trace);
+            sim.runReplay(trace);
+        },
+        "check failed");
+    EXPECT_DEATH(
+        {
+            VoltageSim sim(open, prog);
+            sim.step();
+            sim.run(100);
+        },
+        "check failed");
+
+    // The sensed replay reads Low on its first cycle and aborts inside
+    // its first block: the cycle count has not moved, but the PDN and
+    // the sensor have stepped.
+    CapturedTrace trace;
+    VoltageSim(open, prog).run(1000, ~0ull, &trace);
+    EXPECT_FALSE(VoltageSim(closed, prog).runSensedReplay(trace).has_value());
+    EXPECT_DEATH(
+        {
+            VoltageSim sim(closed, prog);
+            (void)sim.runSensedReplay(trace);
+            sim.run(100);
+        },
+        "check failed");
 }
 
 // ------------------------------------------------------------- solver

@@ -304,7 +304,7 @@ TEST(MulticoreDeathTest, SensedChipRefusesBadNoiseMagnitude)
     chip.sensor = testSensor();
     for (const double e : {std::nan(""), -0.001}) {
         chip.sensor->noiseMagnitude = e;
-        EXPECT_DEATH({ MulticoreSim sim({chip}); }, "noise");
+        EXPECT_DEATH(runChips({chip}, 1), "noise");
     }
 }
 

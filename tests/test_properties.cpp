@@ -458,39 +458,6 @@ TEST_P(MulticoreChip, RunsAreDeterministic)
     }
 }
 
-TEST_P(MulticoreChip, SplitRunsMatchOneLongRun)
-{
-    // Property: rail and control state carry across run() calls, so
-    // run(a); run(b) accumulates exactly like one run(a + b).
-    const Draw d = draw(GetParam());
-    core::MulticoreSim whole(d.chips);
-    const auto one = whole.run(d.cycles);
-
-    core::MulticoreSim split(d.chips);
-    const uint64_t head = d.cycles / 3;
-    const auto first = split.run(head);
-    const auto second = split.run(d.cycles - head);
-
-    for (size_t c = 0; c < one.size(); ++c) {
-        ASSERT_EQ(one[c].cycles,
-                  first[c].cycles + second[c].cycles);
-        ASSERT_EQ(one[c].minV,
-                  std::min(first[c].minV, second[c].minV))
-            << "chip " << c;
-        ASSERT_EQ(one[c].maxV,
-                  std::max(first[c].maxV, second[c].maxV))
-            << "chip " << c;
-        ASSERT_EQ(one[c].lowEmergencyCycles,
-                  first[c].lowEmergencyCycles +
-                      second[c].lowEmergencyCycles)
-            << "chip " << c;
-        ASSERT_EQ(one[c].highEmergencyCycles,
-                  first[c].highEmergencyCycles +
-                      second[c].highEmergencyCycles)
-            << "chip " << c;
-    }
-}
-
 TEST_P(MulticoreChip, OpenChipsUnmovedByAGovernedNeighbour)
 {
     // Property: lanes are arithmetically independent, so a governed

@@ -4,10 +4,9 @@
  * replayed results must be bit-identical to full-core runs at any
  * block size, concurrent first calls on one cache key must collapse
  * to a single capture, campaign artifacts must stay byte-identical
- * across thread counts and with the cache toggled off, the committed
- * golden mini-campaign must be unchanged with the cache force-enabled,
- * and back-to-back VoltageSim::run() calls must continue the PDN
- * state exactly like one long run.
+ * across thread counts and with the cache toggled off, and the
+ * committed golden mini-campaign must be unchanged with the cache
+ * force-enabled.
  *
  * The passive closed loop (VoltageSim::runSensedReplay behind
  * runWorkload) must serve passive legs and give up on acting ones at
@@ -20,7 +19,6 @@
  *   ctest --test-dir build-tsan -L campaign
  */
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -756,51 +754,6 @@ TEST(TraceCacheGolden, MiniCampaignUnchangedWithCacheEnabled)
     std::stringstream buf;
     buf << in.rdbuf();
     EXPECT_EQ(buf.str(), actual);
-}
-
-// ----------------------------------- back-to-back run() continuity
-
-/**
- * Two run(N) calls on one sim must continue the PDN state exactly
- * where the first left off: per-cycle voltages (pinned via exact
- * histogram-count sums, min/max and emergency counts) match a single
- * run(2N) on a fresh sim.
- */
-TEST(RunContinuity, BackToBackRunsMatchOneLongRunStateSpace)
-{
-    RunSpec rs;
-    rs.controllerEnabled = false;
-    const VoltageSimConfig cfg = makeSimConfig(rs);
-    const isa::Program prog = workloads::phasedKernel(400);
-    const uint64_t half = 1500; // not a multiple of any block size
-
-    VoltageSim split(cfg, prog);
-    const VoltageSimResult r1 = split.run(half);
-    const VoltageSimResult r2 = split.run(half);
-    ASSERT_EQ(r1.cycles, half);
-    ASSERT_EQ(r2.cycles, half);
-
-    VoltageSim whole(cfg, prog);
-    const VoltageSimResult full = whole.run(2 * half);
-    ASSERT_EQ(full.cycles, 2 * half);
-
-    // Exact per-cycle voltage agreement, observed through integer
-    // aggregates (bin counts bucket every cycle's exact voltage).
-    ASSERT_EQ(full.voltageHist.bins(), r1.voltageHist.bins());
-    for (size_t i = 0; i < full.voltageHist.bins(); ++i)
-        EXPECT_EQ(full.voltageHist.count(i),
-                  r1.voltageHist.count(i) + r2.voltageHist.count(i))
-            << "bin " << i;
-    EXPECT_EQ(full.minV, std::min(r1.minV, r2.minV));
-    EXPECT_EQ(full.maxV, std::max(r1.maxV, r2.maxV));
-    EXPECT_EQ(full.lowEmergencyCycles,
-              r1.lowEmergencyCycles + r2.lowEmergencyCycles);
-    EXPECT_EQ(full.highEmergencyCycles,
-              r1.highEmergencyCycles + r2.highEmergencyCycles);
-    // committed is cumulative core state, energy a split FP sum.
-    EXPECT_EQ(full.committed, r2.committed);
-    EXPECT_NEAR(full.energyJ, r1.energyJ + r2.energyJ,
-                1e-12 * full.energyJ);
 }
 
 } // namespace
