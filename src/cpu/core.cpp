@@ -47,13 +47,6 @@ OoOCore::ruuIndexAfter(uint16_t idx) const
     return static_cast<size_t>(idx) + 1 == ruu_.size() ? 0 : idx + 1;
 }
 
-unsigned
-OoOCore::lsqAge(uint16_t slot) const
-{
-    return slot >= lsqHead_ ? slot - lsqHead_
-                            : slot + lsq_.size() - lsqHead_;
-}
-
 bool
 OoOCore::halted() const
 {
@@ -199,20 +192,12 @@ OoOCore::tryIssueLoad(uint16_t idx, RuuEntry &e)
 
     // Conservative memory disambiguation: scan older LSQ entries; an
     // older store with an unresolved address blocks the load, an
-    // address match forwards from the store. The store that blocked
-    // the last attempt blocks again while it is older than the load
-    // and unresolved: the stores between them were resolved and did
-    // not match, and stay so (addresses are fixed at dispatch and they
-    // cannot commit before it), so a rescan would stop there again. A
-    // reused slot is younger than the load and fails the age test.
+    // address match forwards from the store. A blocked load leaves the
+    // Ready set and waits on that store, whose issue wakes it: until
+    // then every rescan would stop at the same store.
     VGUARD_CHECK(e.lsqIdx >= 0);
-    const auto self = static_cast<uint16_t>(e.lsqIdx);
-    if (e.blockingStore != kNone &&
-        lsqAge(e.blockingStore) < lsqAge(self) &&
-        !lsq_[e.blockingStore].addrReady)
-        return false;
     bool forward = false;
-    uint16_t scan = self;
+    auto scan = static_cast<uint16_t>(e.lsqIdx);
     while (scan != lsqHead_) {
         scan = scan == 0 ? static_cast<uint16_t>(lsq_.size() - 1)
                          : scan - 1;
@@ -220,7 +205,11 @@ OoOCore::tryIssueLoad(uint16_t idx, RuuEntry &e)
         if (!older.valid || !older.isStore)
             continue;
         if (!older.addrReady) {
-            e.blockingStore = scan;
+            RuuEntry &store = ruu_[older.ruuIdx];
+            e.state = State::Blocked;
+            readyBits_[idx / 64] &= ~(uint64_t{1} << (idx % 64));
+            e.nextBlocked = store.firstBlocked;
+            store.firstBlocked = idx;
             return false; // unknown older store address
         }
         if (older.addr == e.effAddr) {
@@ -273,6 +262,10 @@ OoOCore::tryIssue(uint16_t idx)
         ++av_.memPortsUsed;
         VGUARD_CHECK(e.lsqIdx >= 0);
         lsq_[e.lsqIdx].addrReady = true;
+        for (uint16_t load = e.firstBlocked; load != kNone;
+             load = ruu_[load].nextBlocked)
+            makeReady(load);
+        e.firstBlocked = kNone;
         scheduleCompletion(idx, 1);
     } else if (e.cls == OpClass::Nop) {
         // NOP/HALT never reach Ready (completed at dispatch).
@@ -313,28 +306,30 @@ OoOCore::issueStage()
     // Walk the Ready bitmap oldest-first: the head's word from the
     // head up, the following words round the ring, then the head's
     // word below the head. This visits exactly the entries a walk of
-    // the whole RUU from the head would find Ready, in the same order:
-    // completions land at least one cycle after issue, so nothing
-    // becomes Ready mid-walk, and a store resolving its address still
-    // precedes the younger loads that see it.
+    // the whole RUU from the head would find Ready, in the same order.
+    // Completions land at least one cycle after issue, so the Ready set
+    // grows mid-walk in one case only: a store's issue wakes the
+    // younger loads that waited on its address. Re-reading the current
+    // word above each issued slot (later words are read on arrival)
+    // visits them where a walk that kept them Ready would have.
     const size_t words = readyBits_.size();
     const size_t headWord = ruuHead_ / 64;
     const uint64_t fromHead = ~uint64_t{0} << (ruuHead_ % 64);
     for (size_t n = 0; n <= words && issued < width; ++n) {
         const size_t w = (headWord + n) % words;
-        uint64_t bits = readyBits_[w];
-        if (n == 0)
-            bits &= fromHead;
-        else if (n == words)
-            bits &= ~fromHead;
+        const uint64_t span = n == 0       ? fromHead
+                              : n == words ? ~fromHead
+                                           : ~uint64_t{0};
+        uint64_t bits = readyBits_[w] & span;
         while (bits != 0 && issued < width) {
-            const auto idx =
-                static_cast<uint16_t>(w * 64 + std::countr_zero(bits));
+            const int bit = std::countr_zero(bits);
+            const auto idx = static_cast<uint16_t>(w * 64 + bit);
             bits &= bits - 1;
             if (!tryIssue(idx))
                 continue;
             ++issued;
             activitySum += ruu_[idx].activity;
+            bits = readyBits_[w] & span & (~uint64_t{1} << bit);
         }
     }
 
@@ -381,7 +376,7 @@ OoOCore::dispatchStage()
         e.waitCount = 0;
         e.lsqIdx = -1;
         e.firstConsumer = kNoEdge;
-        e.blockingStore = kNone;
+        e.firstBlocked = kNone;
 
         // Rename: link this entry onto the wake-up list of every
         // producer still in flight, one edge per source operand.

@@ -14,7 +14,10 @@
  * Issue is event-driven: a bitmap over the RUU marks the Ready
  * entries, and each cycle walks its set bits oldest-first from the
  * RUU head, so a cycle costs in proportion to its Ready entries, not
- * to the window size. Wake-up lists and the completion wheel are
+ * to the window size. A load blocked behind an older store whose
+ * address is unknown leaves the Ready set and waits on that store;
+ * the store's issue wakes it, in time for the same walk to visit it.
+ * Wake-up lists, the blocked-load lists and the completion wheel are
  * intrusive lists in storage sized once from the CpuConfig, so
  * cycle() allocates nothing.
  *
@@ -128,6 +131,7 @@ class OoOCore
         Empty,
         Waiting,    ///< operands outstanding
         Ready,      ///< may issue
+        Blocked,    ///< load waiting on an older store's address
         Issued,     ///< executing
         Completed,  ///< result available, awaiting commit
     };
@@ -150,8 +154,10 @@ class OoOCore
         uint32_t firstConsumer = kNoEdge;
         /** Next entry completing in the same wheel slot. */
         uint16_t nextEvent = kNone;
-        /** LSQ slot of the unresolved store that last blocked a load. */
-        uint16_t blockingStore = kNone;
+        /** Head of the list of loads waiting on this store's address. */
+        uint16_t firstBlocked = kNone;
+        /** Next load waiting on the same store. */
+        uint16_t nextBlocked = kNone;
     };
 
     struct LsqEntry
@@ -189,8 +195,6 @@ class OoOCore
     void makeReady(uint16_t idx);
 
     uint16_t ruuIndexAfter(uint16_t idx) const;
-    /** Distance of LSQ slot @p slot from the LSQ head (0 = oldest). */
-    unsigned lsqAge(uint16_t slot) const;
 
     /** @p cfg, or fatal() before any storage is sized from it. */
     static const CpuConfig &validated(const CpuConfig &cfg);

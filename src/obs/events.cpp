@@ -66,17 +66,21 @@ ActivityWindow::ActivityWindow(size_t window)
 void
 ActivityWindow::record(const ActivityRow &counts)
 {
-    ActivityRow &slot = ring_[head_];
-    if (seen_ >= ring_.size()) {
-        // Evict the oldest cycle from the running sums.
-        for (size_t i = 0; i < kNumFpChannels; ++i)
-            sums_[i] -= slot[i];
-    }
-    for (size_t i = 0; i < kNumFpChannels; ++i)
-        sums_[i] += counts[i];
-    slot = counts;
+    ring_[head_] = counts;
     head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
     ++seen_;
+}
+
+std::array<uint64_t, kNumFpChannels>
+ActivityWindow::sums() const
+{
+    // Slots not yet recorded hold zeros, so the whole ring sums the
+    // last min(window, seen) cycles.
+    std::array<uint64_t, kNumFpChannels> s{};
+    for (const ActivityRow &row : ring_)
+        for (size_t i = 0; i < kNumFpChannels; ++i)
+            s[i] += row[i];
+    return s;
 }
 
 // ------------------------------------------------------- EmergencyEvent

@@ -11,6 +11,8 @@
  * up to the crossing. The fingerprint is what lets an experimenter ask
  * "which units were firing when the dip happened" (paper §3: stall/
  * flush/resonance patterns) without re-running with a full trace.
+ * Each cycle only stores its counts in a ring; the ring is summed when
+ * an episode opens.
  *
  * Events export as JSONL (one object per line, deterministic bytes via
  * JsonWriter). The log is capacity-bounded; overflow increments a
@@ -76,8 +78,8 @@ using ActivityRow = std::array<uint16_t, kNumFpChannels>;
 ActivityRow fpChannelCounts(const cpu::ActivityVector &av);
 
 /**
- * Sliding-window accumulator of per-channel activity over the last N
- * cycles (ring of per-cycle counts plus running sums, O(1) per cycle).
+ * Per-channel activity of the last N cycles: a ring of per-cycle
+ * counts, summed on demand.
  */
 class ActivityWindow
 {
@@ -87,11 +89,9 @@ class ActivityWindow
     /** Record one cycle's channel counts. */
     void record(const ActivityRow &counts);
 
-    /** Per-channel sums over the last min(window, seen) cycles. */
-    const std::array<uint64_t, kNumFpChannels> &sums() const
-    {
-        return sums_;
-    }
+    /** Per-channel sums over the last min(window, seen) cycles
+        (O(window); read when an episode opens). */
+    std::array<uint64_t, kNumFpChannels> sums() const;
 
     size_t window() const { return ring_.size(); }
     /** Total cycles recorded (may exceed the window). */
@@ -101,7 +101,6 @@ class ActivityWindow
     std::vector<ActivityRow> ring_;
     size_t head_ = 0;
     uint64_t seen_ = 0;
-    std::array<uint64_t, kNumFpChannels> sums_{};
 };
 
 /** One voltage-band excursion (an "emergency episode"). */
@@ -163,7 +162,8 @@ class EventLog
  * Episode detector: fed one (cycle, voltage, activity, control-state)
  * tuple per cycle, it opens an event on every band crossing, tracks
  * the extreme voltage and duration, and closes the event into the log
- * when the voltage re-enters the band (or at finish()).
+ * when the voltage re-enters the band (or at finish()). The
+ * fingerprint is summed when the episode opens.
  */
 class EmergencyTracker
 {

@@ -620,14 +620,83 @@ TEST(Core, MemoryDependenceOrdering)
     EXPECT_EQ(core.stats().committed, 6u);
 }
 
+/**
+ * The first cycle that uses a memory port, in a program where a store's
+ * address waits on a divide and a load behind the store has its own
+ * address ready: the load finds the unresolved store in the LSQ long
+ * before the divide completes, so that cycle is the store's address
+ * generation. @p lead adds before the divide put the store in RUU slot
+ * 5 + lead, and @p gap adds between the store and the load put the
+ * load in slot 6 + lead + gap (mod 256). The whole program must still
+ * commit.
+ */
+ActivityVector
+storeIssueCycle(int lead, int gap, unsigned issueLimit)
+{
+    ProgramBuilder b;
+    b.ldiq(10, 3 * 0x3000).ldiq(11, 3).ldiq(12, 0x3000).ldiq(2, 7);
+    for (int i = 0; i < lead; ++i)
+        b.addq(20 + i % 8, 2, 2);
+    b.divq(1, 10, 11); // the store's address, 20 cycles late
+    b.stq(2, 1, 0);
+    for (int i = 0; i < gap; ++i)
+        b.addq(20 + i % 8, 2, 2);
+    b.ldq(3, 12, 8); // waits on nothing but the store
+    b.halt();
+    CpuConfig cfg;
+    // Short misses, so the cold I-cache cannot hold the load back
+    // until after the divide.
+    cfg.l2.latency = 2;
+    cfg.memLatency = 2;
+    OoOCore core(cfg, b.build());
+    core.setIssueLimit(issueLimit);
+    ActivityVector av;
+    while (core.now() < 5000) {
+        av = core.cycle();
+        if (av.memPortsUsed > 0)
+            break;
+    }
+    core.setIssueLimit(~0u);
+    EXPECT_EQ(runToHalt(core, 20000).committed,
+              8u + static_cast<unsigned>(lead + gap));
+    return av;
+}
+
+TEST(Core, LoadIssuesWithTheStoreThatBlockedIt)
+{
+    // The store's address generation and the load's access share the
+    // cycle: 2 memory ports, one D-cache access (the addresses differ,
+    // so nothing forwards), wherever the load sits in the Ready bitmap.
+    const struct
+    {
+        const char *where;
+        int lead, gap;
+        unsigned issueLimit;
+    } cases[] = {
+        {"store slot 5, load slot 9 (same word)", 0, 3, ~0u},
+        {"store slot 62, load slot 65 (next word)", 57, 2, ~0u},
+        {"store slot 253, load slot 2 (RUU wrap)", 248, 4, ~0u},
+        {"same word, issue cap 2", 0, 3, 2},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.where);
+        const ActivityVector av =
+            storeIssueCycle(c.lead, c.gap, c.issueLimit);
+        EXPECT_EQ(av.memPortsUsed, 2u);
+        EXPECT_EQ(av.dcacheAccesses, 1u);
+        EXPECT_EQ(av.lsqForwards, 0u);
+    }
+}
+
 TEST(Core, BlockedLoadRescansPastAReusedStoreSlot)
 {
-    // The store waits on a divide; the load behind it is blocked by the
-    // unresolved store and remembers it. The store then issues alone
-    // (issue cap 1), so the load is not retried that cycle, and a zero
-    // cap holds the load while the store commits and a younger load
-    // reuses its LSQ slot. The load must see that slot is no longer
-    // older than itself and rescan, not wait on the younger load.
+    // The store waits on a divide; the load behind it finds the
+    // unresolved store in the LSQ, leaves the Ready set and waits on
+    // it. The store then issues alone (issue cap 1): its issue wakes the
+    // load, but the cap leaves no room for it that cycle, and a zero
+    // cap holds it while the store commits and a younger load reuses
+    // its LSQ slot. The woken load must rescan the LSQ from its own
+    // slot and issue; nothing may keep it tied to the store's old slot.
     ProgramBuilder b;
     b.ldiq(1, 0x3000).ldiq(2, 7).ldiq(5, 3);
     b.divq(3, 2, 5);

@@ -7,10 +7,13 @@
  * sampled phases).
  */
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/tracing.hpp"
 #include "pdn/package_model.hpp"
+#include "util/rng.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/stressmark.hpp"
 
@@ -198,6 +202,77 @@ TEST(ActivityWindow, SlidingSumsEvictOldCycles)
     EXPECT_EQ(w.sums()[size_t(FpChannel::IntAlu)], 3u + 4 + 5 + 6);
     EXPECT_EQ(w.sums()[size_t(FpChannel::Commit)], 4u);
     EXPECT_EQ(w.cyclesSeen(), 6u);
+}
+
+/** Per-channel sums of rows [end - min(end, window), end). */
+std::array<uint64_t, kNumFpChannels>
+bruteSums(const std::vector<ActivityRow> &rows, size_t end, size_t window)
+{
+    std::array<uint64_t, kNumFpChannels> s{};
+    for (size_t k = end - std::min(end, window); k < end; ++k)
+        for (size_t i = 0; i < kNumFpChannels; ++i)
+            s[i] += rows[k][i];
+    return s;
+}
+
+/** @p n rows of uniform random counts over the whole uint16 range. */
+std::vector<ActivityRow>
+randomRows(uint64_t seed, size_t n)
+{
+    Rng rng(seed);
+    std::vector<ActivityRow> rows(n);
+    for (ActivityRow &row : rows)
+        for (uint16_t &c : row)
+            c = static_cast<uint16_t>(rng.below(0x10000));
+    return rows;
+}
+
+TEST(ActivityWindow, SumsMatchBruteForceAfterEveryRecord)
+{
+    for (const size_t window : {1u, 4u, 32u}) {
+        const std::vector<ActivityRow> rows = randomRows(0x5eed + window,
+                                                         1000);
+        ActivityWindow w(window);
+        for (size_t k = 0; k < rows.size(); ++k) {
+            w.record(rows[k]);
+            ASSERT_EQ(w.sums(), bruteSums(rows, k + 1, window))
+                << "window " << window << ", after record " << k;
+        }
+    }
+}
+
+TEST(EmergencyTracker, KeptFingerprintsMatchBruteForceAfterRingWraps)
+{
+    // Four episodes, all opening long after the 4-cycle ring wrapped;
+    // the 2-event log keeps the first two and counts the others.
+    constexpr size_t kWindow = 4;
+    const std::vector<ActivityRow> rows = randomRows(0xf1a9, 60);
+    const auto voltage = [](size_t cycle) {
+        if (cycle == 11 || cycle == 12 || cycle == 40)
+            return 0.90; // low episodes at 11-12 and 40
+        if (cycle == 23 || cycle == 51 || cycle == 52)
+            return 1.10; // high episodes at 23 and 51-52
+        return 1.00;
+    };
+    EmergencyTracker tr(0.95, 1.05, kWindow, 2);
+    const EmergencyTracker::ControlState ctrl;
+    for (size_t k = 0; k < rows.size(); ++k)
+        tr.step(k, voltage(k), rows[k], ctrl);
+    tr.finish();
+
+    const EventLog &log = tr.log();
+    ASSERT_EQ(log.events().size(), 2u);
+    EXPECT_EQ(log.dropped(), 2u);
+    EXPECT_EQ(log.total(), 4u);
+    const size_t entries[] = {11, 23};
+    for (size_t e = 0; e < 2; ++e) {
+        const EmergencyEvent &ev = log.events()[e];
+        EXPECT_EQ(ev.entryCycle, entries[e]);
+        EXPECT_EQ(ev.fingerprintCycles, kWindow);
+        // The window ends with the crossing cycle itself.
+        EXPECT_EQ(ev.fingerprint,
+                  bruteSums(rows, entries[e] + 1, kWindow));
+    }
 }
 
 TEST(Events, ChannelNamesCoverAllChannels)
