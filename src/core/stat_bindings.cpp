@@ -2,15 +2,16 @@
  * @file
  * Stats emitters for the hardware layers (cpu/pdn/power).
  *
- * The layering puts obs *above* the hardware models (util < linsys <
- * pdn/power/cpu < obs < core — DESIGN.md §8, enforced by vlint's
- * layer-dag rule), yet the gem5-style metrics contract wants every
- * component to append its plain-member counters to an obs::Snapshot.
- * Both hold by splitting declaration from definition: the hardware
- * headers only *declare* appendStats against a forward-declared
- * obs::Snapshot, and this obs-layer TU — which may legally include
- * downward — provides the definitions. Hardware TUs stay free of
- * upward includes; callers (all in src/core) see no difference.
+ * The layering puts obs and core *above* the hardware models (util <
+ * linsys < pdn/power/cpu < obs < core — DESIGN.md §8, enforced by
+ * vlint's layer-dag rule), yet the gem5-style metrics contract wants
+ * every component to append its plain-member counters to an
+ * obs::Snapshot. Both hold by splitting declaration from definition:
+ * the hardware headers only *declare* appendStats against a
+ * forward-declared obs::Snapshot, and this core-layer TU — which may
+ * legally include downward, and is built with its only callers in
+ * vguard_core — provides the definitions. Hardware TUs stay free of
+ * upward includes, and their libraries link nothing above them.
  *
  * Adding a component: declare `appendStats(obs::Snapshot&, ...) const`
  * in its header with `namespace vguard::obs { class Snapshot; }`,

@@ -29,6 +29,7 @@ struct GateState
     bool il1 = false;  ///< level-one instruction cache (stalls fetch)
 
     bool any() const { return fu || dl1 || il1; }
+    bool operator==(const GateState &) const = default;
 };
 
 /** Which unit groups are phantom-fired (extra activity) this cycle. */
@@ -39,6 +40,7 @@ struct PhantomState
     bool il1 = false;
 
     bool any() const { return fu || dl1 || il1; }
+    bool operator==(const PhantomState &) const = default;
 };
 
 /** One cycle of microarchitectural activity counts. */
@@ -101,6 +103,8 @@ struct ActivityVector
         gates = g;
         phantom = p;
     }
+
+    bool operator==(const ActivityVector &) const = default;
 };
 
 } // namespace vguard::cpu

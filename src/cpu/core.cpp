@@ -69,10 +69,45 @@ OoOCore::makeReady(uint16_t idx)
     readyBits_[idx / 64] |= uint64_t{1} << (idx % 64);
 }
 
+namespace {
+
+/**
+ * Whether a cycle with activity @p av was quiet: it fetched, accessed
+ * the I-cache, dispatched, issued, wrote back, committed, used a memory
+ * port, accessed a data cache or the L2, and read or wrote a register
+ * not at all.
+ */
+bool
+quiet(const ActivityVector &av)
+{
+    return (av.fetched | av.icacheAccesses | av.dispatched |
+            av.issuedIntAlu | av.issuedIntMult | av.issuedIntDiv |
+            av.issuedFpAdd | av.issuedFpMult | av.issuedFpDiv |
+            av.writebacks | av.committed | av.memPortsUsed |
+            av.dcacheAccesses | av.l2Accesses | av.regReads |
+            av.regWrites) == 0;
+}
+
+} // namespace
+
 // vlint: hot
 const ActivityVector &
 OoOCore::cycle()
 {
+    // A quiet cycle repeats until its horizon or a due completion
+    // (DESIGN.md §4 item 8).
+    if (now_ < quietUntil_ && wheel_[now_ % kWheelSize] == kNone) {
+        for (size_t i = 0; i < kStallCounters.size(); ++i)
+            stats_.*kStallCounters[i] += quietStalls_[i];
+        ++now_;
+        ++stats_.cycles;
+        return av_;
+    }
+
+    decltype(quietStalls_) before{};
+    for (size_t i = 0; i < kStallCounters.size(); ++i)
+        before[i] = stats_.*kStallCounters[i];
+
     av_.clear();
     av_.gates = gates_;
     av_.phantom = phantom_;
@@ -84,9 +119,32 @@ OoOCore::cycle()
     fetchStage();
     finalizeActivity();
 
+    quietUntil_ = 0;
+    if (quiet(av_)) {
+        quietUntil_ = quietHorizon();
+        for (size_t i = 0; i < kStallCounters.size(); ++i)
+            quietStalls_[i] = stats_.*kStallCounters[i] - before[i];
+    }
+
     ++now_;
     ++stats_.cycles;
     return av_;
+}
+
+uint64_t
+OoOCore::quietHorizon() const
+{
+    // A quiet cycle changes no state but two one-way flags (a Ready
+    // load turning Blocked, fetch noting that the executor halted), so
+    // the next cycle differs only if a unit frees, an I-fetch returns or
+    // the IFQ head leaves the front end; a due completion is checked
+    // on entry, and actuator commands end the run in their setters.
+    uint64_t until = pool_.nextRelease(now_);
+    if (fetchResumeAt_ > now_)
+        until = std::min(until, fetchResumeAt_);
+    if (ifqCount_ > 0 && ifq_[ifqHead_].readyCycle > now_)
+        until = std::min(until, ifq_[ifqHead_].readyCycle);
+    return until;
 }
 
 // --------------------------------------------------------------------

@@ -21,6 +21,14 @@
  * intrusive lists in storage sized once from the CpuConfig, so
  * cycle() allocates nothing.
  *
+ * Quiet cycles repeat. A cycle that fetches, dispatches, issues, writes
+ * back and commits nothing, and touches no cache, port or register,
+ * would be repeated unchanged until a completion falls due, a unit
+ * frees, an I-fetch returns, the front end delivers an instruction or
+ * an actuator command changes. Until the first of those, cycle() adds
+ * the quiet cycle's stall counts and returns its activity again without
+ * running the stages (DESIGN.md §4 item 8).
+ *
  * The core exposes the two hooks the dI/dt work needs:
  *  - cycle() returns a per-cycle ActivityVector for the power model;
  *  - setGates()/setPhantom() apply the actuator commands of Section 5
@@ -31,6 +39,7 @@
 #ifndef VGUARD_CPU_CORE_HPP
 #define VGUARD_CPU_CORE_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,7 +52,7 @@
 #include "isa/executor.hpp"
 
 namespace vguard::obs {
-class Snapshot;  // emitted in obs/stat_bindings.cpp (obs sits above cpu)
+class Snapshot;  // emitted in core/stat_bindings.cpp (core sits above cpu)
 }
 
 namespace vguard::cpu {
@@ -86,17 +95,17 @@ class OoOCore
     const ActivityVector &cycle();
 
     /** Apply actuator clock gating from the next cycle on. */
-    void setGates(const GateState &g) { gates_ = g; }
+    void setGates(const GateState &g) { command(gates_, g); }
 
     /** Apply actuator phantom firing from the next cycle on. */
-    void setPhantom(const PhantomState &p) { phantom_ = p; }
+    void setPhantom(const PhantomState &p) { command(phantom_, p); }
 
     /**
      * Cap instructions issued per cycle (multi-level throttle for
      * proportional controllers; see core/pid_controller.hpp). Values
      * at or above issueWidth disable the cap.
      */
-    void setIssueLimit(unsigned limit) { issueLimit_ = limit; }
+    void setIssueLimit(unsigned limit) { command(issueLimit_, limit); }
     unsigned issueLimit() const { return issueLimit_; }
 
     GateState gates() const { return gates_; }
@@ -188,6 +197,24 @@ class OoOCore
     void fetchStage();
     void finalizeActivity();
 
+    /** First cycle after now_ at which a quiet cycle can differ. */
+    uint64_t quietHorizon() const;
+
+    /**
+     * Set an actuator input to @p value. Controllers command every
+     * cycle, mostly the value in force, so only a change ends a quiet
+     * run.
+     */
+    template <typename T>
+    void
+    command(T &input, const T &value)
+    {
+        if (value != input) {
+            input = value;
+            quietUntil_ = 0;
+        }
+    }
+
     bool tryIssue(uint16_t idx);
     bool tryIssueLoad(uint16_t idx, RuuEntry &e);
     void scheduleCompletion(uint16_t idx, unsigned latency);
@@ -251,6 +278,20 @@ class OoOCore
     PhantomState phantom_;
     ActivityVector av_;
     CoreStats stats_;
+
+    /** The counters a quiet cycle can move besides `cycles`. */
+    static constexpr std::array<uint64_t CoreStats::*, 6> kStallCounters{
+        &CoreStats::fetchStallBranch,    &CoreStats::fetchStallIcache,
+        &CoreStats::fetchStallGate,      &CoreStats::dispatchStallWindow,
+        &CoreStats::issueGateStalls,     &CoreStats::commitGateStalls};
+
+    /**
+     * While now_ < quietUntil_ and no completion is due, av_ holds a
+     * quiet cycle that repeats, and quietStalls_ what it added to each
+     * of kStallCounters. Zero when the last full cycle was not quiet.
+     */
+    uint64_t quietUntil_ = 0;
+    std::array<uint64_t, kStallCounters.size()> quietStalls_{};
 };
 
 } // namespace vguard::cpu

@@ -1,5 +1,7 @@
 #include "cpu/func_units.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 
 namespace vguard::cpu {
@@ -134,6 +136,18 @@ FuncUnitPool::anyFree(FuGroup group, uint64_t now) const
         if (until <= now)
             return true;
     return false;
+}
+
+uint64_t
+FuncUnitPool::nextRelease(uint64_t now) const
+{
+    uint64_t next = ~uint64_t{0};
+    for (const auto *units :
+         {&intAlu_, &intMultDiv_, &fpAlu_, &fpMultDiv_, &memPorts_})
+        for (uint64_t until : *units)
+            if (until > now)
+                next = std::min(next, until);
+    return next;
 }
 
 } // namespace vguard::cpu

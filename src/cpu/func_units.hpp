@@ -58,6 +58,12 @@ class FuncUnitPool
     /** Whether some unit of @p group is free at cycle @p now. */
     bool anyFree(FuGroup group, uint64_t now) const;
 
+    /**
+     * First cycle after @p now at which some unit that is busy at
+     * @p now becomes free, or UINT64_MAX if none is busy.
+     */
+    uint64_t nextRelease(uint64_t now) const;
+
   private:
     const std::vector<uint64_t> &groupOf(FuGroup g) const;
     std::vector<uint64_t> &groupOf(FuGroup g);

@@ -20,7 +20,7 @@
 #include "pdn/package_model.hpp"
 
 namespace vguard::obs {
-class Snapshot;  // emitted in obs/stat_bindings.cpp (obs sits above pdn)
+class Snapshot;  // emitted in core/stat_bindings.cpp (core sits above pdn)
 }
 
 namespace vguard::pdn {

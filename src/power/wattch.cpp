@@ -108,6 +108,12 @@ WattchModel::WattchModel(const PowerConfig &pcfg,
 double
 WattchModel::power(const ActivityVector &av)
 {
+    if (haveLast_ && av == lastAv_) {
+        for (size_t u = 0; u < kNumUnits; ++u)
+            wattCycles_[u] += last_[u];
+        return lastTotal_;
+    }
+
     const auto &g = av.gates;
     const auto &ph = av.phantom;
 
@@ -198,6 +204,9 @@ WattchModel::power(const ActivityVector &av)
         total += p[u];
         wattCycles_[u] += p[u];
     }
+    haveLast_ = true;
+    lastAv_ = av;
+    lastTotal_ = total;
     return total;
 }
 

@@ -19,6 +19,12 @@
  * Multi-cycle-op energy is spread over the op's duration because unit
  * utilisation comes from per-cycle *busy* counts, not issue events
  * (the paper's "spreading the energy of multiple cycle operations").
+ *
+ * Power is a pure function of the vector and the config, so a vector
+ * equal to the previous call's (a quiet run of the core, a steady
+ * burst) reuses that call's breakdown and total. The energy sums still
+ * add every cycle's terms, unit by unit in the same order, so every
+ * current and every sum is bit-identical to a full evaluation.
  */
 
 #ifndef VGUARD_POWER_WATTCH_HPP
@@ -33,7 +39,7 @@
 #include "cpu/config.hpp"
 
 namespace vguard::obs {
-class Snapshot;  // emitted in obs/stat_bindings.cpp (obs sits above power)
+class Snapshot;  // emitted in core/stat_bindings.cpp (core sits above power)
 }
 
 namespace vguard::power {
@@ -181,6 +187,11 @@ class WattchModel
 
     std::array<double, kNumUnits> last_{};
     std::array<double, kNumUnits> wattCycles_{};
+
+    /** The last power() call's vector and total, once there is one. */
+    bool haveLast_ = false;
+    cpu::ActivityVector lastAv_;
+    double lastTotal_ = 0.0;
 };
 
 } // namespace vguard::power

@@ -719,6 +719,121 @@ TEST(Core, BlockedLoadRescansPastAReusedStoreSlot)
     EXPECT_EQ(runToHalt(core, 20000).committed, 11u);
 }
 
+// ------------------------------------------------------- quiet cycles
+//
+// A quiet cycle repeats until the first cycle that could differ. These
+// pin the cycles at which such a run must end; on a core that runs
+// every cycle in full they hold as well.
+
+/** A cycle that did no work (see OoOCore's quiet-cycle rule). */
+bool
+isQuiet(const ActivityVector &av)
+{
+    return av.fetched == 0 && av.icacheAccesses == 0 &&
+           av.dispatched == 0 && av.issuedIntAlu == 0 &&
+           av.issuedIntMult == 0 && av.issuedIntDiv == 0 &&
+           av.issuedFpAdd == 0 && av.issuedFpMult == 0 &&
+           av.issuedFpDiv == 0 && av.writebacks == 0 &&
+           av.committed == 0 && av.memPortsUsed == 0 &&
+           av.dcacheAccesses == 0 && av.l2Accesses == 0 &&
+           av.regReads == 0 && av.regWrites == 0;
+}
+
+TEST(Core, ActuatorCommandEndsAQuietRunOnTime)
+{
+    // Every iteration loads a new line, which misses to memory, and
+    // one add waits on it: the window fills behind the oldest miss and
+    // the core idles until it returns, with fetch still live.
+    ProgramBuilder b;
+    b.ldiq(1, 0x200000).ldiq(2, 64).ldiq(9, 100000).ldiq(8, 1);
+    b.label("top");
+    b.ldq(3, 1, 0).addq(4, 4, 3).addq(1, 1, 2);
+    b.subq(9, 9, 8).bne(9, "top").halt();
+    OoOCore core(CpuConfig{}, b.build());
+
+    int quietRun = 0;
+    while (quietRun < 8 && core.now() < 20000)
+        quietRun = isQuiet(core.cycle()) ? quietRun + 1 : 0;
+    ASSERT_EQ(quietRun, 8) << "no memory stall by cycle " << core.now();
+    ASSERT_FALSE(core.halted());
+
+    // The gate set before cycle t shows in t's vector, and fetch counts
+    // a gated cycle from t on, one per cycle.
+    const uint64_t gated0 = core.stats().fetchStallGate;
+    core.setGates({false, false, true});
+    for (uint64_t k = 1; k <= 40; ++k) {
+        if (k == 20)
+            core.setPhantom({true, false, false});
+        const ActivityVector &av = core.cycle();
+        ASSERT_TRUE(av.gates.il1) << "cycle " << k;
+        ASSERT_EQ(av.phantom.fu, k >= 20) << "cycle " << k;
+        ASSERT_EQ(core.stats().fetchStallGate, gated0 + k)
+            << "cycle " << k;
+    }
+
+    // Lifting both shows in the next vector; the count stops.
+    core.setGates({});
+    core.setPhantom({});
+    const ActivityVector &av = core.cycle();
+    EXPECT_FALSE(av.gates.any());
+    EXPECT_FALSE(av.phantom.any());
+    EXPECT_EQ(core.stats().fetchStallGate, gated0 + 40);
+}
+
+TEST(Core, UnitReleaseEndsAQuietRun)
+{
+    // Three independent divides on the two unpipelined IntMult/Div
+    // units: two issue together, the third when a unit frees, one
+    // repeat interval later and one cycle before the first two complete.
+    ProgramBuilder b;
+    b.ldiq(1, 1000).ldiq(2, 7);
+    b.divq(3, 1, 2).divq(4, 1, 2).divq(5, 1, 2);
+    b.halt();
+    const CpuConfig cfg;
+    ASSERT_LT(cfg.intDivRepeat, cfg.intDivLat);
+    OoOCore core(cfg, b.build());
+
+    uint64_t firstTwo = 0, third = 0;
+    while (!core.halted() && core.now() < 5000) {
+        const uint64_t t = core.now();
+        const unsigned divs = core.cycle().issuedIntDiv;
+        if (divs == 2)
+            firstTwo = t;
+        else if (divs == 1)
+            third = t;
+    }
+    ASSERT_TRUE(core.halted());
+    ASSERT_GT(firstTwo, 0u);
+    EXPECT_EQ(third, firstTwo + cfg.intDivRepeat);
+    EXPECT_EQ(core.stats().committed, 6u);
+}
+
+TEST(Core, MemoryMissWritesBackOnItsCycle)
+{
+    // A load that misses the D-cache and the L2 completes exactly its
+    // chained latency after issue, although nothing else is left to
+    // end the quiet cycles in between.
+    ProgramBuilder b;
+    b.ldiq(1, 0x200000).ldq(2, 1, 0).halt();
+    const CpuConfig cfg;
+    OoOCore core(cfg, b.build());
+
+    uint64_t issued = 0, wroteBack = 0;
+    while (!core.halted() && core.now() < 5000) {
+        const uint64_t t = core.now();
+        const ActivityVector &av = core.cycle();
+        if (av.dcacheMisses > 0)
+            issued = t;
+        if (issued > 0 && av.regWrites > 0)
+            wroteBack = t;
+    }
+    ASSERT_TRUE(core.halted());
+    ASSERT_GT(issued, 0u);
+    EXPECT_EQ(wroteBack,
+              issued + cfg.dl1.latency + cfg.l2.latency + cfg.memLatency);
+    EXPECT_EQ(core.stats().loads, 1u);
+}
+
 // ------------------------------------------------- cycle-exact golden
 
 using vguard::JsonWriter;

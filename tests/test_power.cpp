@@ -4,13 +4,18 @@
  * activity scaling, min/max bounds and integration with the core.
  */
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cpu/core.hpp"
 #include "isa/program.hpp"
 #include "power/wattch.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -179,6 +184,111 @@ TEST(WattchDeathTest, RejectsNonFiniteConfig)
     pc = PowerConfig{};
     pc.gatedFrac = std::numeric_limits<double>::infinity();
     EXPECT_DEATH(WattchModel(pc, CpuConfig{}), "check failed");
+}
+
+/** A random vector: counts within the core's widths, random flags. */
+ActivityVector
+randomVector(uint64_t seed, const CpuConfig &cfg)
+{
+    Rng rng(seed);
+    auto upTo = [&](unsigned n) {
+        return static_cast<uint32_t>(rng.below(uint64_t{n} + 1));
+    };
+    ActivityVector av;
+    av.fetched = upTo(cfg.fetchWidth);
+    av.icacheAccesses = upTo(1);
+    av.bpredLookups = upTo(cfg.fetchWidth);
+    av.dispatched = upTo(cfg.decodeWidth);
+    av.ruuOccupancy = upTo(cfg.ruuSize);
+    av.lsqOccupancy = upTo(cfg.lsqSize);
+    av.issuedIntAlu = upTo(cfg.numIntAlu);
+    av.busyIntAlu = upTo(cfg.numIntAlu);
+    av.busyIntMultDiv = upTo(cfg.numIntMultDiv);
+    av.busyFpAlu = upTo(cfg.numFpAlu);
+    av.busyFpMultDiv = upTo(cfg.numFpMultDiv);
+    av.memPortsUsed = upTo(cfg.numMemPorts);
+    av.dcacheAccesses = upTo(cfg.numMemPorts);
+    av.l2Accesses = upTo(2);
+    av.regReads = upTo(2 * cfg.issueWidth);
+    av.regWrites = upTo(cfg.issueWidth);
+    av.writebacks = upTo(cfg.issueWidth);
+    av.committed = upTo(cfg.commitWidth);
+    av.issueActivity = static_cast<float>(rng.uniform());
+    av.gates = {rng.chance(0.2), rng.chance(0.2), rng.chance(0.2)};
+    av.phantom = {rng.chance(0.2), rng.chance(0.2), rng.chance(0.2)};
+    return av;
+}
+
+/**
+ * A model reuses the last call's power for an equal vector. Over a
+ * seeded sequence of runs of equal vectors, vectors rebuilt equal from
+ * scratch and vectors that differ from the last in issueActivity alone
+ * or in one gate or phantom bit alone, every current and the energy
+ * sums must equal, bit for bit, those of a fresh model per cycle
+ * (which has nothing to reuse), summed here in cycle order.
+ */
+TEST(Wattch, RepeatedVectorsMatchAFreshModelBitForBit)
+{
+    const CpuConfig cfg;
+    Rng rng(0x5eed);
+    std::vector<ActivityVector> seq;
+    uint64_t seed = rng.next();
+    seq.push_back(randomVector(seed, cfg));
+    while (seq.size() < 5000) {
+        ActivityVector av = seq.back();
+        switch (rng.below(6)) {
+          case 0: // a new vector
+            seed = rng.next();
+            av = randomVector(seed, cfg);
+            break;
+          case 1: // a run of copies
+            for (uint64_t n = rng.below(40); n > 0; --n)
+                seq.push_back(av);
+            break;
+          case 2: // the last vector rebuilt from its seed
+            av = randomVector(seed, cfg);
+            break;
+          case 3:
+            av.issueActivity = static_cast<float>(rng.uniform());
+            break;
+          case 4: {
+            bool *gate[] = {&av.gates.fu, &av.gates.dl1, &av.gates.il1};
+            bool &bit = *gate[rng.below(3)];
+            bit = !bit;
+            break;
+          }
+          default: {
+            bool *fire[] = {&av.phantom.fu, &av.phantom.dl1,
+                            &av.phantom.il1};
+            bool &bit = *fire[rng.below(3)];
+            bit = !bit;
+            break;
+          }
+        }
+        seq.push_back(av);
+    }
+
+    auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    WattchModel perCycle = model();
+    WattchModel block = model();
+    std::vector<double> blockAmps(seq.size());
+    block.currentBlock(seq.data(), seq.size(), blockAmps.data());
+    std::array<double, kNumUnits> refSums{};
+    for (size_t k = 0; k < seq.size(); ++k) {
+        WattchModel fresh = model();
+        const double ref = fresh.current(seq[k]);
+        for (size_t u = 0; u < kNumUnits; ++u)
+            refSums[u] += fresh.lastBreakdown()[u];
+        ASSERT_EQ(bits(perCycle.current(seq[k])), bits(ref))
+            << "cycle " << k;
+        ASSERT_EQ(bits(blockAmps[k]), bits(ref)) << "cycle " << k;
+    }
+    for (size_t u = 0; u < kNumUnits; ++u) {
+        EXPECT_EQ(bits(perCycle.wattCycles()[u]), bits(refSums[u]))
+            << unitName(static_cast<Unit>(u));
+        EXPECT_EQ(bits(block.wattCycles()[u]), bits(refSums[u]))
+            << unitName(static_cast<Unit>(u));
+    }
 }
 
 // Integration: run a real program and check the current trace spans a

@@ -189,8 +189,9 @@ TEST(VlintGraph, DetReachSharesTheWallclockRulesIdentifiers)
           "    timespec ts;\n"
           "    timespec_get(&ts, TIME_UTC);\n"
           "}\n");
-    const Finding *f =
-        firstOf(vlint::runGraphRules(t.link(), 3), "det-reach");
+    const CallGraph g = t.link();
+    const auto findings = vlint::runGraphRules(g, 3);
+    const Finding *f = firstOf(findings, "det-reach");
     ASSERT_NE(f, nullptr);
     EXPECT_NE(f->message.find("timespec_get"), std::string::npos)
         << f->message;
