@@ -4,7 +4,7 @@
  * speedup (and its bit-exactness) in a machine-readable artifact so CI
  * can watch for regressions.
  *
- * Times four ways of producing the same open-loop voltage trace, and
+ * Times three ways of producing the same open-loop voltage trace, and
  * two ways of producing the same closed-loop one:
  *
  *   full-core      — coupled core + Wattch + PDN run (capturing the
@@ -21,9 +21,18 @@
  * every scalar field, the stats snapshot JSON, and the emergency-event
  * JSONL must match exactly (replayIdentical, passiveReplayIdentical;
  * the latter also requires that the controller never gated or
- * phantom-fired, so the row measures the passive path). The two
- * closed-loop rows are timed interleaved, best of 5 each, and their
- * ratio is reported as passiveReplaySpeedup.
+ * phantom-fired, so the row measures the passive path). The three
+ * open-loop rows are timed interleaved, best of 5 each: the full-core
+ * leg captures a fresh trace every round, and the replay legs replay
+ * the latest one. replaySpeedup is replay/block over full-core. The
+ * two closed-loop rows are timed the same way, and their ratio is
+ * reported as passiveReplaySpeedup.
+ *
+ * Two guards pin what the tracer costs when it is on: the block replay
+ * (tracedReplayOverheadPct) and the closed loop
+ * (tracedClosedLoopOverheadPct, the phase sampler's budget), each leg
+ * untraced against traced, best of 15, as a percentage. CI enforces a
+ * ceiling on both.
  *
  * It then times the multi-scenario sweep engines: the same trace
  * through K = 8 packages, once lane-by-lane with scalar PdnSim
@@ -42,10 +51,9 @@
  * (chipGovernedCyclesPerSec, batched), with the governor's denials
  * (chipGovernedDenials, CI floor: the row must arbitrate) and every
  * ChipResult field of batched against scalar
- * (chipGovernedLanesIdentical, CI gate). All these sections time
- * their scalar and batched legs interleaved after one discarded
- * warm-up pair; the floors gate the best-of-N ratios, and the
- * *SpeedupMedian fields report the median ratios beside them.
+ * (chipGovernedLanesIdentical, CI gate). The floors gate the best-of-N
+ * ratios, and the *SpeedupMedian fields report the median ratios
+ * beside them.
  *
  * A campaign section last runs a Table-2-shaped job list (8 SPEC
  * proxies x 4 package scales at cycles / 4, from an empty trace
@@ -53,7 +61,8 @@
  * campaignT1Seconds, campaignT2Seconds and their ratio
  * campaignThreadSpeedup (informational), plus campaignIdentical (the
  * 2-thread JSONL and events equal the 1-thread ones; CI gate).
- * Writes BENCH_simloop.json.
+ * Every row is timed by timeInterleaved on the tracer's clock. Writes
+ * BENCH_simloop.json.
  *
  * Usage:
  *   bench_simloop [cycles] [--jsonl FILE]
@@ -63,6 +72,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -113,33 +123,53 @@ struct LegTimes
 };
 
 /**
- * Times two legs of one comparison — scalar @p a against batched @p b,
- * or the full closed loop against its passive replay — interleaved,
- * A B A B ..., @p reps times each, after one discarded warm-up pair
- * (the first pass after a build pays page faults and cold caches that
- * a steady-state ratio must not see). Host speed drifts over the bench's
- * lifetime; back-to-back pairs see the same conditions, so the drift
- * lands on both legs alike instead of on whichever block it hit. The
- * legs are short enough that one scheduler hiccup can swamp a
- * repetition, so the speedup floors are enforced on the best of each;
- * the medians show the spread.
+ * Times @p legs interleaved, A B C ..., @p reps rounds, after one
+ * discarded warm-up round (the first pass after a build pays page
+ * faults and cold caches that a steady-state ratio must not see). Host
+ * speed drifts over the bench's lifetime; the legs of one round see the
+ * same conditions, so the drift lands on every leg alike instead of on
+ * whichever block it hit. The legs are short enough that one scheduler
+ * hiccup can swamp a round, so the gates read the best of each leg; the
+ * medians show the spread.
  */
-template <typename FnA, typename FnB>
-std::pair<LegTimes, LegTimes>
-timeInterleaved(int reps, FnA &&a, FnB &&b)
+template <typename... Legs>
+std::array<LegTimes, sizeof...(Legs)>
+timeInterleaved(int reps, Legs &&...legs)
 {
-    a();
-    b();
-    std::vector<double> ta, tb;
+    (legs(), ...);
+    std::array<std::vector<double>, sizeof...(Legs)> times;
     for (int r = 0; r < reps; ++r) {
-        ta.push_back(timeIt(a));
-        tb.push_back(timeIt(b));
+        auto t = times.begin();
+        ((t++)->push_back(timeIt(legs)), ...);
     }
-    const auto summary = [](std::vector<double> &t) {
-        std::sort(t.begin(), t.end());
-        return LegTimes{t.front(), t[t.size() / 2]};
+    std::array<LegTimes, sizeof...(Legs)> out;
+    for (size_t i = 0; i < out.size(); ++i) {
+        std::sort(times[i].begin(), times[i].end());
+        out[i] = {times[i].front(), times[i][times[i].size() / 2]};
+    }
+    return out;
+}
+
+/**
+ * @p leg with the tracer recording. A sim reads enabled() once, at
+ * construction, so resume() comes before the leg builds its sim.
+ */
+template <typename Fn>
+auto
+traced(Fn leg)
+{
+    return [leg] {
+        obs::Tracer::instance().resume();
+        leg();
+        obs::Tracer::instance().disable();
     };
-    return {summary(ta), summary(tb)};
+}
+
+/** (traced / untraced - 1) x 100 over the best of each leg. */
+double
+overheadPct(const LegTimes &off, const LegTimes &on)
+{
+    return off.best > 0.0 ? (on.best / off.best - 1.0) * 100.0 : 0.0;
 }
 
 /** Exact equality of a replayed result against the full-core one. */
@@ -180,86 +210,67 @@ main(int argc, char **argv)
 
     // Full-core open-loop run, capturing the trace as it goes (the
     // capture stores are part of the cost a campaign's first leg
-    // actually pays).
+    // actually pays), then the trace replayed cycle by cycle and
+    // through the block pipeline.
+    constexpr int kOpenReps = 5;
     CapturedTrace trace;
-    VoltageSimResult fullRes;
-    const double fullSecs = timeIt([&] {
-        VoltageSim sim(openCfg, program);
-        fullRes = sim.run(open.maxCycles, open.maxInsts, &trace);
-    });
+    VoltageSimResult fullRes, cycRes, blkRes;
+    const auto capture = [&] {
+        trace = CapturedTrace{};
+        fullRes = VoltageSim(openCfg, program)
+                      .run(open.maxCycles, open.maxInsts, &trace);
+    };
+    const auto replayCycles = [&] {
+        cycRes = VoltageSim(openCfg, program).runReplay(trace, 1);
+    };
+    const auto replayBlocks = [&] {
+        blkRes = VoltageSim(openCfg, program).runReplay(trace);
+    };
+    const auto [fullSecs, cycSecs, blkSecs] = timeInterleaved(
+        kOpenReps, capture, replayCycles, replayBlocks);
 
-    // Replay the trace cycle-by-cycle, then through the block pipeline.
-    VoltageSimResult cycRes;
-    const double cycSecs = timeIt([&] {
-        VoltageSim sim(openCfg, program);
-        cycRes = sim.runReplay(trace, 1);
-    });
-    VoltageSimResult blkRes;
-    const double blkSecs = timeIt([&] {
-        VoltageSim sim(openCfg, program);
-        blkRes = sim.runReplay(trace);
-    });
+    RunSpec closed;
+    closed.controllerEnabled = true;
+    closed.maxCycles = cycles;
+    const VoltageSimConfig closedCfg = makeSimConfig(closed);
+    VoltageSimResult ctlRes;
+    const auto closedLoop = [&] {
+        ctlRes = VoltageSim(closedCfg, program).run(closed.maxCycles);
+    };
 
-    // Tracing overhead guard: the same block replay, best-of-N, with
-    // the span tracer off and then on. Instrumentation must stay
-    // effectively free on the replay hot path (CI enforces a ceiling
-    // on the percentage via benchdiff).
-    // Interleave the two variants (machine speed drifts over the
-    // bench's lifetime; back-to-back pairs see the same conditions)
-    // and keep the best of each; the first pair is a discarded
-    // warm-up. enable()/disable() sit outside the timed regions: ring
-    // allocation is a one-off cost, not the per-event overhead this
-    // guard pins, and each enable() starts from an empty
-    // (never-dropping) ring.
+    // Tracer overhead guards: the block replay and the closed loop,
+    // each untraced against traced. Instrumentation must stay
+    // effectively free on the replay, and within the phase sampler's
+    // 5 % budget on the closed loop (CI enforces a ceiling on each via
+    // benchdiff). The per-thread ring is allocated once here, outside
+    // the timed legs: it is a one-off cost, not the per-event overhead
+    // these guards pin. The traced legs re-arm the tracer with
+    // resume(), which keeps that ring.
     constexpr int kOverheadReps = 15;
     obs::Tracer::instance().enable();
     {
-        // Prewarm: force the per-thread ring allocation outside the
-        // timed regions (it is a one-off cost, not the per-event
-        // overhead this guard pins).
         obs::TraceSpan warm("bench.warm");
     }
     obs::Tracer::instance().disable();
-    double untracedSecs = 0.0, tracedSecs = 0.0;
-    for (int r = -1; r < kOverheadReps; ++r) {
-        const double u = timeIt([&] {
-            VoltageSim sim(openCfg, program);
-            blkRes = sim.runReplay(trace);
-        });
-        obs::Tracer::instance().resume();
-        const double t = timeIt([&] {
-            VoltageSim sim(openCfg, program);
-            blkRes = sim.runReplay(trace);
-        });
-        obs::Tracer::instance().disable();
-        if (r < 0)
-            continue;
-        untracedSecs = r == 0 ? u : std::min(untracedSecs, u);
-        tracedSecs = r == 0 ? t : std::min(tracedSecs, t);
-    }
+    const auto [untracedReplaySecs, tracedReplaySecs] = timeInterleaved(
+        kOverheadReps, replayBlocks, traced(replayBlocks));
+    const auto [untracedClosedSecs, tracedClosedSecs] = timeInterleaved(
+        kOverheadReps, closedLoop, traced(closedLoop));
     const double tracedReplayOverheadPct =
-        untracedSecs > 0.0
-            ? (tracedSecs / untracedSecs - 1.0) * 100.0
-            : 0.0;
+        overheadPct(untracedReplaySecs, tracedReplaySecs);
+    const double tracedClosedLoopOverheadPct =
+        overheadPct(untracedClosedSecs, tracedClosedSecs);
 
     // Closed loop: the full coupled run, interleaved with the same run
     // through runWorkload with the open-loop trace of its key warm in
     // the cache. The controller never acts on this program at this
     // config, so the second leg replays the trace through the sensor.
     constexpr int kClosedReps = 5;
-    RunSpec closed;
-    closed.controllerEnabled = true;
-    closed.maxCycles = cycles;
-    const VoltageSimConfig closedCfg = makeSimConfig(closed);
     TraceCache::instance().setEnabled(true);
     runWorkload(program, open);
-    VoltageSimResult ctlRes, passiveRes;
+    VoltageSimResult passiveRes;
     const auto [ctlSecs, passiveSecs] = timeInterleaved(
-        kClosedReps,
-        [&] {
-            VoltageSim sim(closedCfg, program);
-            ctlRes = sim.run(closed.maxCycles);
-        },
+        kClosedReps, closedLoop,
         [&] { passiveRes = runWorkload(program, closed); });
     const bool passiveSame =
         identical(passiveRes, ctlRes) &&
@@ -439,36 +450,45 @@ main(int argc, char **argv)
             ? scalarLaneSecs.median / batchedLaneSecs.median
             : 0.0;
 
-    const double fullRate = rate(fullRes.cycles, fullSecs);
-    const double cycRate = rate(cycRes.cycles, cycSecs);
-    const double blkRate = rate(blkRes.cycles, blkSecs);
+    const double fullRate = rate(fullRes.cycles, fullSecs.best);
+    const double fullRateMedian = rate(fullRes.cycles, fullSecs.median);
+    const double blkRate = rate(blkRes.cycles, blkSecs.best);
     const double ctlRate = rate(ctlRes.cycles, ctlSecs.best);
     const double passiveRate = rate(passiveRes.cycles, passiveSecs.best);
     const double passiveSpeedup =
         ctlRate > 0.0 ? passiveRate / ctlRate : 0.0;
     const double speedup = fullRate > 0.0 ? blkRate / fullRate : 0.0;
+    const double speedupMedian =
+        fullRateMedian > 0.0
+            ? rate(blkRes.cycles, blkSecs.median) / fullRateMedian
+            : 0.0;
     const bool cycSame = identical(cycRes, fullRes);
     const bool blkSame = identical(blkRes, fullRes);
 
-    std::printf("%-22s %14s %10s\n", "pipeline", "cycles/s",
-                "speedup");
-    std::printf("%-22s %14.6g %9.2fx\n", "full-core (capture)",
-                fullRate, 1.0);
-    std::printf("%-22s %14.6g %9.2fx\n", "replay/1", cycRate,
-                fullRate > 0.0 ? cycRate / fullRate : 0.0);
-    std::printf("%-22s %14.6g %9.2fx\n", "replay/block", blkRate,
-                speedup);
-    std::printf("%-22s %14.6g %9.2fx\n", "closed-loop", ctlRate,
-                fullRate > 0.0 ? ctlRate / fullRate : 0.0);
-    std::printf("%-22s %14.6g %9.2fx\n", "passive replay",
-                passiveRate, fullRate > 0.0 ? passiveRate / fullRate : 0.0);
+    std::printf("%-22s %14s %10s %10s\n", "pipeline", "cycles/s",
+                "speedup", "median");
+    const auto pipelineRow = [&](const char *name, uint64_t n,
+                                 const LegTimes &t) {
+        const double best = rate(n, t.best);
+        std::printf("%-22s %14.6g %9.2fx %9.2fx\n", name, best,
+                    fullRate > 0.0 ? best / fullRate : 0.0,
+                    fullRateMedian > 0.0
+                        ? rate(n, t.median) / fullRateMedian
+                        : 0.0);
+    };
+    pipelineRow("full-core (capture)", fullRes.cycles, fullSecs);
+    pipelineRow("replay/1", cycRes.cycles, cycSecs);
+    pipelineRow("replay/block", blkRes.cycles, blkSecs);
+    pipelineRow("closed-loop", ctlRes.cycles, ctlSecs);
+    pipelineRow("passive replay", passiveRes.cycles, passiveSecs);
     std::printf("replay identical: per-cycle=%s block=%s passive=%s\n",
                 cycSame ? "yes" : "NO", blkSame ? "yes" : "NO",
                 passiveSame ? "yes" : "NO");
     std::printf("passive replay speedup over closed loop: %.2fx\n",
                 passiveSpeedup);
-    std::printf("traced replay overhead: %.3f%%\n",
-                tracedReplayOverheadPct);
+    std::printf("traced overhead: replay %.3f%%, closed loop %.3f%% "
+                "(budget 5%%)\n",
+                tracedReplayOverheadPct, tracedClosedLoopOverheadPct);
 
     std::printf("%-22s %14s %10s %10s\n", "sweep engine",
                 "lane-cycles/s", "speedup", "median");
@@ -518,15 +538,17 @@ main(int argc, char **argv)
     w.field("bench", "simloop");
     w.field("cycles", fullRes.cycles);
     w.field("fullCoreCyclesPerSec", fullRate);
-    w.field("replayCyclesPerSec", cycRate);
+    w.field("replayCyclesPerSec", rate(cycRes.cycles, cycSecs.best));
     w.field("blockReplayCyclesPerSec", blkRate);
     w.field("closedLoopCyclesPerSec", ctlRate);
     w.field("passiveReplayCyclesPerSec", passiveRate);
     w.field("passiveReplaySpeedup", passiveSpeedup);
     w.field("passiveReplayIdentical", passiveSame);
     w.field("replaySpeedup", speedup);
+    w.field("replaySpeedupMedian", speedupMedian);
     w.field("replayIdentical", cycSame && blkSame);
     w.field("tracedReplayOverheadPct", tracedReplayOverheadPct);
+    w.field("tracedClosedLoopOverheadPct", tracedClosedLoopOverheadPct);
     w.field("batchedLanes", uint64_t{laneCount});
     w.field("scalarLaneCyclesPerSec", scalarLaneRate);
     w.field("batchedLaneCyclesPerSec", batchedLaneRate);

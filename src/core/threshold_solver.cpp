@@ -42,9 +42,7 @@ buildScenarios(const PackageModel &model, const ThresholdSpec &spec)
 
     // Exact open-loop bang-bang worst inputs (dip-seeking and
     // peak-seeking).
-    // Offline analysis: untruncated kernel (see worstCaseExtremes) so
-    // solved thresholds are independent of the truncation default.
-    const auto h = pdn::impulseResponse(model, 1e-9, 1 << 15, 0.0);
+    const auto h = pdn::impulseResponse(model);
     const auto wc = linsys::bangBangWorstCase(h, spec.iMin, spec.iMax);
     scenarios.push_back(wc.minInput);
     scenarios.push_back(wc.maxInput);

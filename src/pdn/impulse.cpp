@@ -8,9 +8,10 @@
 namespace vguard::pdn {
 
 std::vector<double>
-impulseResponse(const PackageModel &model, double relTol, size_t maxTaps,
-                double energyTol)
+impulseResponse(const PackageModel &model)
 {
+    constexpr double relTol = 1e-9;
+    constexpr size_t maxTaps = size_t{1} << 15;
     const auto dss = model.discrete();
     std::vector<double> x(dss.states(), 0.0);
 
@@ -25,8 +26,8 @@ impulseResponse(const PackageModel &model, double relTol, size_t maxTaps,
 
     double peak = std::fabs(h[0]);
     u = {0.0, 0.0};
-    // Generation phase: extend until the recent window sits far below
-    // the peak tap, i.e. the response has visibly settled.
+    // Extend until the recent window sits far below the peak tap, i.e.
+    // the response has visibly settled.
     const size_t window = 128;
     size_t quiet = 0;
     while (h.size() < maxTaps) {
@@ -45,22 +46,6 @@ impulseResponse(const PackageModel &model, double relTol, size_t maxTaps,
         warn("impulseResponse: kernel truncated at %zu taps "
              "(slow-settling package)",
              h.size());
-
-    // Truncation phase: cut at the shortest prefix whose discarded
-    // tail carries at most energyTol of the total tap energy, so the
-    // tap count is bounded by captured energy rather than by how long
-    // the quiet window happened to run.
-    double total = 0.0;
-    for (double v : h)
-        total += v * v;
-    const double budget = energyTol * total;
-    double tail = 0.0;
-    size_t keep = h.size();
-    while (keep > 1 && tail + h[keep - 1] * h[keep - 1] <= budget) {
-        tail += h[keep - 1] * h[keep - 1];
-        --keep;
-    }
-    h.resize(keep);
     return h;
 }
 

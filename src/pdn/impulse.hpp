@@ -24,25 +24,11 @@ namespace vguard::pdn {
  * mostly negative (current draw dips the voltage) with sign changes from
  * ringing; Σ h[k] = −R_s.
  *
- * Truncation is energy-based: generation runs until the waveform has
- * visibly settled (a quiet stretch below relTol x the peak tap, or
- * maxTaps), then the kernel is cut at the shortest prefix that still
- * captures a (1 - energyTol) fraction of the total tap energy Σ h².
- * Unlike a fixed quiet-window rule, this bounds the tap count of
- * slow-settling (high-Q) packages by how much response energy the
- * discarded tail actually carries.
- *
- * @param model       Package to characterise.
- * @param relTol      Settling threshold (relative to max |h|) for the
- *                    generation phase.
- * @param maxTaps     Hard cap on the kernel length.
- * @param energyTol   Fraction of total kernel energy the truncated
- *                    tail may carry.
+ * The kernel ends once the waveform has settled: 128 taps in a row
+ * below 1e-9 of the peak tap. A package that has not settled by 2^15
+ * taps is cut there, with a warning.
  */
-std::vector<double> impulseResponse(const PackageModel &model,
-                                    double relTol = 1e-9,
-                                    size_t maxTaps = 1 << 15,
-                                    double energyTol = 1e-18);
+std::vector<double> impulseResponse(const PackageModel &model);
 
 /**
  * Voltage step response: deviation trace for a sustained 1 A step
@@ -76,7 +62,6 @@ class Convolver
     /** Re-fill history with the bias current. */
     void reset();
 
-    size_t taps() const { return kernel_.size(); }
     double vdd() const { return vdd_; }
 
   private:

@@ -12,10 +12,7 @@ void
 worstCaseExtremes(const PackageModel &model, double iMin, double iMax,
                   double &vMinOut, double &vMaxOut, double iTrim)
 {
-    // Calibration is an offline analysis: use the untruncated kernel
-    // so calibrated packages stay bit-stable regardless of the
-    // energy-truncation default tuned for the streaming convolver.
-    const auto h = impulseResponse(model, 1e-9, 1 << 15, 0.0);
+    const auto h = impulseResponse(model);
     const auto wc = linsys::bangBangWorstCase(h, iMin, iMax);
     const double ref = iTrim >= 0.0 ? iTrim : iMin;
     const double vdd =

@@ -307,11 +307,11 @@ TEST(Convolution, NaiveMatchesStateSpaceOnStressmarkTrace)
     // The trace rings the package well past the 5 % band (~77 mV
     // droop), so agreement is not a quiet-input triviality.
     EXPECT_LT(vMin, 0.95);
-    // Measured on this trace: 6.7e-10 V. Nearly all of it is the tail
+    // Measured on this trace: 5.6e-10 V. Nearly all of it is the tail
     // impulseResponse() cuts once the ringing settles below 1e-9 of
-    // the peak tap (4557 taps here); a 7162-tap kernel (relTol 1e-13)
-    // leaves 1.6e-13 V of rounding. 1e-8 V keeps ~15x headroom over
-    // the measurement, seven orders below the droop.
+    // the peak tap (4606 taps here); a 7162-tap kernel, settled to
+    // 1e-13 of the peak, leaves 1.6e-13 V of rounding. 1e-8 V keeps
+    // ~18x headroom over the measurement, seven orders below the droop.
     EXPECT_LT(maxDev, 1e-8);
 }
 

@@ -307,40 +307,6 @@ TEST(Impulse, ConvolverResetRestoresBias)
     EXPECT_NEAR(v, 1.0 - 0.5e-3 * 10.0, 1e-7);
 }
 
-TEST(Impulse, EnergyTruncationShortensKernel)
-{
-    const auto m = reference();
-    const auto tight = impulseResponse(m, 1e-9, 1 << 15, 0.0);
-    const auto loose = impulseResponse(m, 1e-9, 1 << 15, 1e-6);
-    EXPECT_LT(loose.size(), tight.size());
-    // The discarded tail carries roughly sqrt(tol * E * N) of l1 mass
-    // (~7e-6 here); the DC-resistance sum property survives to that
-    // order.
-    double sum = 0.0;
-    for (double v : loose)
-        sum += v;
-    EXPECT_NEAR(sum, -0.5e-3, 2e-5);
-}
-
-TEST(Impulse, DefaultEnergyTruncationIsLossless)
-{
-    // The default 1e-18 tolerance only sheds numerically-dead taps:
-    // convolving with the truncated kernel must agree with the
-    // untruncated one to well under a nanovolt.
-    const auto m = reference();
-    const auto def = impulseResponse(m);
-    const auto full = impulseResponse(m, 1e-9, 1 << 15, 0.0);
-    ASSERT_LE(def.size(), full.size());
-    Convolver a(def, 1.0, 10.0), b(full, 1.0, 10.0);
-    vguard::Rng rng(31);
-    double maxDev = 0.0;
-    for (int t = 0; t < 2000; ++t) {
-        const double amps = 5.0 + 50.0 * rng.uniform();
-        maxDev = std::max(maxDev, std::fabs(a.step(amps) - b.step(amps)));
-    }
-    EXPECT_LT(maxDev, 1e-9);
-}
-
 TEST(TargetImpedance, CalibrationMeetsBandExactly)
 {
     TargetImpedanceSpec spec;
